@@ -47,7 +47,6 @@ from .sampling import (
     NeighborList,
     negatives_borji,
     negatives_farthest,
-    negatives_farthest_fast,
     negatives_judd,
     negatives_shuffled,
     neighbor_ranking,

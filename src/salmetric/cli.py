@@ -22,53 +22,46 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import io as sio
-from .core import DatasetIndex
 from .errors import MissingPredictionError, SalmetricError
 from .gaussian import density_from_fixations
 from .metrics import ALL_METRICS, EvalConfig, evaluate_all
 from .quality import quality_report
-from .sampling import negatives_farthest, negatives_farthest_fast, negatives_shuffled
+from .sampling import negatives_farthest, negatives_shuffled
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
-from .synth import PREDICTOR_MODES, SWEEP_METRICS, SynthConfig, gen_dataset, gen_prediction, sigma_sweep
+from .synth import PREDICTOR_MODES, SynthConfig, gen_dataset, gen_prediction, sigma_sweep
 
 
 def _default_jobs() -> int:
-    return int(os.environ.get("SALMETRIC_JOBS", "1"))
+    text = os.environ.get("SALMETRIC_JOBS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise SalmetricError(f"SALMETRIC_JOBS must be an integer, got {text!r}") from None
 
 
 def _comma_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
-def _load_synth_config(path) -> SynthConfig:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        return json.load(fh)
+
+
+def _load_synth_config(path, doc) -> SynthConfig:
+    """Validate ``doc``, the synth config read from ``path``."""
     if not isinstance(doc, dict):
         raise SalmetricError(f"{path}: synth config must be a JSON object")
-    known = set(SynthConfig.__dataclass_fields__)
-    unknown = set(doc) - known
+    unknown = set(doc) - set(SynthConfig.__dataclass_fields__)
     if unknown:
         raise SalmetricError(f"{path}: unknown synth config keys {sorted(unknown)}")
-    if "frame" in doc:
-        doc["frame"] = tuple(int(v) for v in doc["frame"])
     try:
+        if "frame" in doc:
+            doc["frame"] = tuple(int(v) for v in doc["frame"])
         return SynthConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise SalmetricError(f"{path}: bad synth config: {exc}") from exc
-
-
-def _load_dataset_or_synth(path) -> DatasetIndex:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and "images" in doc:
-        return sio.manifest_to_dataset(doc)
-    if isinstance(doc, dict):
-        config = doc.copy()
-        if "frame" in config:
-            config["frame"] = tuple(int(v) for v in config["frame"])
-        return gen_dataset(SynthConfig(**config))
-    raise SalmetricError(f"{path}: expected a dataset manifest or a synth config")
 
 
 def _density_task(args):
@@ -111,8 +104,6 @@ def _cmd_evaluate(args) -> int:
         k=args.k,
         sigma=args.sigma,
         tie_break=args.tie_break,
-        fn_fast=args.fn_fast,
-        cc_threshold=args.cc_threshold,
     )
     report = evaluate_all(dataset, predictions, config, jobs=args.jobs)
     sio.write_report(report, args.out)
@@ -128,12 +119,8 @@ def _cmd_negatives(args) -> int:
         seed = derive_seed(args.seed, "negatives", rec.id)
         if args.sampler == "shuffled":
             negatives = negatives_shuffled(rec.id, dataset, seed)
-        elif args.sampler == "fn":
-            negatives = negatives_farthest(rec.id, dataset, args.k, seed=seed)
         else:
-            negatives = negatives_farthest_fast(
-                rec.id, dataset, args.k, cc_threshold=args.cc_threshold, seed=seed
-            )
+            negatives = negatives_farthest(rec.id, dataset, args.k, seed=seed)
         drawn.append({"id": rec.id, "fixations": [[x, y] for x, y in negatives.coords]})
     width, height = dataset.frame
     doc = {
@@ -166,7 +153,7 @@ def _cmd_quality(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    config = _load_synth_config(args.config)
+    config = _load_synth_config(args.config, _read_json(args.config))
     dataset = gen_dataset(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,7 +168,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    dataset = _load_dataset_or_synth(args.dataset)
+    doc = _read_json(args.dataset)
+    if isinstance(doc, dict) and "images" in doc:
+        dataset = sio.manifest_to_dataset(doc)
+    else:
+        dataset = gen_dataset(_load_synth_config(args.dataset, doc))
     table = sigma_sweep(
         dataset,
         sigma_train=[float(s) for s in _comma_list(args.sigmas)],
@@ -236,18 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--tie-break", choices=("global", "noise", "off"), default="global")
-    p.add_argument("--fn-fast", action="store_true")
-    p.add_argument("--cc-threshold", type=float, default=0.0)
     p.add_argument("--out", required=True, help="report file")
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("negatives", help="draw one negative set per image")
     p.add_argument("manifest")
-    p.add_argument("--sampler", choices=("shuffled", "fn", "fn-fast"), required=True)
+    p.add_argument("--sampler", choices=("shuffled", "fn"), required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cc-threshold", type=float, default=0.0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_negatives)
 
@@ -272,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", default="10,20,30,40,50")
     p.add_argument("--sigma-gt", type=float, default=None)
     p.add_argument("--metrics", default="cc,nss,auc_judd",
-                   help=f"comma list from {', '.join(SWEEP_METRICS)}")
+                   help=f"comma list from {', '.join(ALL_METRICS)}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--splits", type=int, default=100)
     p.add_argument("--k", type=int, default=5)
@@ -289,17 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         return args.func(args)
-    except SalmetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (SalmetricError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -49,10 +49,6 @@ class SamplerExhaustedError(SalmetricError):
     """A negative sampler produced an empty draw."""
 
 
-class InsufficientNegativesError(SalmetricError):
-    """The candidate pool is smaller than the requested sample."""
-
-
 class EmptyPoolError(SalmetricError):
     """The negative candidate pool is empty after removing the positives."""
 

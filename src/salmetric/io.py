@@ -151,6 +151,8 @@ def manifest_to_dataset(doc) -> DatasetIndex:
     if not isinstance(name, str):
         raise SchemaError("manifest 'name' must be a string")
     try:
+        if isinstance(doc["width"], bool) or isinstance(doc["height"], bool):
+            raise TypeError("booleans are not sizes")
         width = int(doc["width"])
         height = int(doc["height"])
     except (KeyError, TypeError, ValueError):
@@ -175,7 +177,7 @@ def manifest_to_dataset(doc) -> DatasetIndex:
         coords = []
         for pair in fixations_doc:
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or not all(isinstance(v, int) for v in pair)):
+                    or not all(type(v) is int for v in pair)):
                 raise SchemaError(f"image {image_id!r}: fixations must be [x, y] integer pairs")
             x, y = pair
             if not (0 <= x < width and 0 <= y < height):
@@ -185,9 +187,10 @@ def manifest_to_dataset(doc) -> DatasetIndex:
             coords.append((x, y))
         records.append(ImageRecord(id=image_id, fixations=FixationSet(coords, (width, height))))
     if "sigma" in doc:
-        if not isinstance(doc["sigma"], (int, float)) or not doc["sigma"] > 0:
+        sigma = doc["sigma"]
+        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not sigma > 0:
             raise SchemaError("manifest 'sigma' must be a positive number")
-        sigma = float(doc["sigma"])
+        sigma = float(sigma)
     else:
         sigma = sigma_for_dataset(name)
     return DatasetIndex(records, name=name, sigma=sigma)
@@ -235,6 +238,8 @@ def write_report(report: MetricReport, path) -> None:
 
 
 def read_report(path) -> MetricReport:
+    """Load a report written by :func:`write_report`, including one written
+    before the fn-fast sampler was removed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -244,6 +249,8 @@ def read_report(path) -> MetricReport:
         raise SchemaError(f"{path} is not a valid report: {exc}") from exc
     try:
         config_doc = dict(doc["config"])
+        for key in ("fn_fast", "cc_threshold"):  # config of the removed fn-fast sampler
+            config_doc.pop(key, None)
         config_doc["metrics"] = tuple(config_doc["metrics"])
         config = EvalConfig(**config_doc)
         return MetricReport(

@@ -7,7 +7,6 @@ scores (nss, the AUCs) consume the raw prediction and the fixation set.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -24,21 +23,12 @@ from .core import (
 from .errors import (
     DimensionMismatchError,
     EmptyFixationsError,
-    EmptyPoolError,
-    InsufficientNegativesError,
     MissingPredictionError,
-    UndersizedPoolWarning,
     ZeroVarianceError,
 )
 from .gaussian import center_bias_map, density_from_fixations
 from .roc import auc_averaged, auc_single
-from .sampling import (
-    NegativePool,
-    farthest_pool,
-    farthest_pool_fast,
-    sample_from_pool,
-    shuffled_pool,
-)
+from .sampling import NegativePool, draw_count, farthest_pool, sample_from_pool, shuffled_pool
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 from .stats import pearson
@@ -121,15 +111,7 @@ def _tie_break(pred: GridMap, mode: str, seed: int) -> GridMap:
 
 def _sampled_auc(scored: GridMap, positives: FixationSet, pool: NegativePool,
                  n_splits: int, seed: int):
-    if len(pool) == 0:
-        raise EmptyPoolError("empty negative pool")
-    count = min(len(positives), len(pool))
-    if count < len(positives):
-        warnings.warn(
-            f"negative pool ({len(pool)}) smaller than the positive set ({len(positives)})",
-            UndersizedPoolWarning,
-            stacklevel=3,
-        )
+    count = draw_count(pool, positives)
     return auc_averaged(
         scored, positives, lambda s: sample_from_pool(pool, count, s), n_splits, seed
     )
@@ -147,41 +129,24 @@ def auc_borji(pred: GridMap, fixations: FixationSet, n_splits: int = 100, seed: 
     """AUC against uniform draws of non-fixated pixels; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
     pool = NegativePool(complement_set(pred.frame, fixations))
-    if len(pool) < len(fixations):
-        raise InsufficientNegativesError(
-            f"only {len(pool)} non-fixated pixels for {len(fixations)} positives"
-        )
     return _sampled_auc(scored, fixations, pool, n_splits, seed)
 
 
 def s_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, n_splits: int = 100,
           seed: int = 0, tie_break: str = "global"):
     """AUC against fixations pooled from the other images; returns (mean, std)."""
-    img = dataset.image(image_id)
     scored = _tie_break(pred, tie_break, seed)
     pool = shuffled_pool(image_id, dataset)
-    if len(pool) < len(img.fixations):
-        raise InsufficientNegativesError(
-            f"pooled fixations leave only {len(pool)} candidates for "
-            f"{len(img.fixations)} positives"
-        )
-    return _sampled_auc(scored, img.fixations, pool, n_splits, seed)
+    return _sampled_auc(scored, dataset.image(image_id).fixations, pool, n_splits, seed)
 
 
 def fn_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, k: int = 5,
            n_splits: int = 100, seed: int = 0, sigma: float | None = None,
-           tie_break: str = "global", fast: bool = False, cc_threshold: float = 0.0):
-    """AUC against fixations of the k least similar images; returns (mean, std).
-
-    With ``fast`` the neighbors come from the early-exit scan instead of the
-    full ranking."""
-    img = dataset.image(image_id)
+           tie_break: str = "global"):
+    """AUC against fixations of the k least similar images; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
-    if fast:
-        pool = farthest_pool_fast(image_id, dataset, k, sigma, cc_threshold, seed)
-    else:
-        pool = farthest_pool(image_id, dataset, k, sigma)
-    return _sampled_auc(scored, img.fixations, pool, n_splits, seed)
+    pool = farthest_pool(image_id, dataset, k, sigma)
+    return _sampled_auc(scored, dataset.image(image_id).fixations, pool, n_splits, seed)
 
 
 @dataclass(frozen=True)
@@ -194,8 +159,6 @@ class EvalConfig:
     k: int = 5
     sigma: float | None = None
     tie_break: str = "global"
-    fn_fast: bool = False
-    cc_threshold: float = 0.0
 
 
 @dataclass
@@ -211,7 +174,35 @@ class MetricReport:
     config: EvalConfig
 
 
+def _check_metrics(metrics) -> None:
+    unknown = [m for m in metrics if m not in ALL_METRICS]
+    if unknown:
+        raise ValueError(f"unknown metrics: {unknown}; choose from {ALL_METRICS}")
+
+
+def _pools(image_id: str, dataset: DatasetIndex, metrics, k: int, sigma: float | None) -> dict:
+    """The negative pool of each sampled AUC among ``metrics`` for one image."""
+    fixations = dataset.image(image_id).fixations
+    pools = {}
+    if "auc_borji" in metrics:
+        pools["auc_borji"] = NegativePool(complement_set(dataset.frame, fixations))
+    if "s_auc" in metrics:
+        pools["s_auc"] = shuffled_pool(image_id, dataset)
+    if "fn_auc" in metrics:
+        pools["fn_auc"] = farthest_pool(image_id, dataset, k, sigma)
+    return pools
+
+
 def _score_image(task: dict):
+    """Score one image on each metric of ``task["config"]``: the one place a
+    metric name picks its scorer.
+
+    The task holds the image ``id``, the prediction ``pred``, its
+    ``fixations``, the ground-truth ``gt_density`` (cc, sim, kld), the ig
+    ``baseline``, the ``pools`` of the sampled AUCs and the ``image_seed`` of
+    its tie-break and draws. An optional ``pred_density`` is used as the
+    prediction's density instead of normalizing ``pred``. Returns the id, the
+    scores and the split spread of each sampled AUC."""
     cfg: EvalConfig = task["config"]
     pred: GridMap = task["pred"]
     fx: FixationSet = task["fixations"]
@@ -219,7 +210,7 @@ def _score_image(task: dict):
     scores: dict = {}
     stds: dict = {}
     scored = None
-    pred_density = None
+    pred_density = task.get("pred_density")
     for name in cfg.metrics:
         if name == "cc":
             pred_density = pred_density or normalize_to_density(pred)
@@ -257,9 +248,7 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict, config: EvalConfig | 
     image's sampled draws are seeded from (seed, image id).
     """
     cfg = config if config is not None else EvalConfig()
-    unknown = [m for m in cfg.metrics if m not in ALL_METRICS]
-    if unknown:
-        raise ValueError(f"unknown metrics: {unknown}; choose from {ALL_METRICS}")
+    _check_metrics(cfg.metrics)
     cfg = replace(cfg, metrics=tuple(cfg.metrics),
                   sigma=dataset.sigma if cfg.sigma is None else float(cfg.sigma))
 
@@ -274,28 +263,15 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict, config: EvalConfig | 
             raise DimensionMismatchError(
                 f"prediction for {rec.id!r} is {pred.frame}, dataset frame is {dataset.frame}"
             )
-        image_seed = derive_seed(cfg.seed, rec.id)
-        pools = {}
-        if "auc_borji" in cfg.metrics:
-            pools["auc_borji"] = NegativePool(complement_set(dataset.frame, rec.fixations))
-        if "s_auc" in cfg.metrics:
-            pools["s_auc"] = shuffled_pool(rec.id, dataset)
-        if "fn_auc" in cfg.metrics:
-            if cfg.fn_fast:
-                pools["fn_auc"] = farthest_pool_fast(
-                    rec.id, dataset, cfg.k, cfg.sigma, cfg.cc_threshold, image_seed
-                )
-            else:
-                pools["fn_auc"] = farthest_pool(rec.id, dataset, cfg.k, cfg.sigma)
         tasks.append({
             "id": rec.id,
             "pred": pred,
             "fixations": rec.fixations,
             "gt_density": density_from_fixations(rec.fixations, cfg.sigma) if needs_density else None,
             "baseline": baseline,
-            "pools": pools,
+            "pools": _pools(rec.id, dataset, cfg.metrics, cfg.k, cfg.sigma),
             "config": cfg,
-            "image_seed": image_seed,
+            "image_seed": derive_seed(cfg.seed, rec.id),
         })
 
     if jobs > 1:

@@ -15,7 +15,7 @@ from .core import DatasetIndex, DensityMap, FixationSet
 from .errors import EmptyFixationsError
 from .gaussian import center_bias_map, density_from_fixations
 from .metrics import auc_judd
-from .sampling import negatives_farthest, negatives_farthest_fast, negatives_shuffled
+from .sampling import negatives_farthest, negatives_shuffled
 from .seeding import derive_seed
 from .stats import pearson
 
@@ -70,30 +70,20 @@ def positive_contamination(negatives: FixationSet, positives: FixationSet,
 
 
 def _parse_sampler(label: str):
-    """Sampler spec: "shuffled", "fn:K" or "fn-fast:K[:cc_threshold]"."""
-    parts = label.split(":")
-    kind = parts[0]
+    """Sampler spec: "shuffled" or "fn:K"."""
+    kind, *params = label.split(":")
     if kind == "shuffled":
-        if len(parts) != 1:
+        if params:
             raise ValueError(f"sampler {label!r} takes no parameters")
         return lambda image_id, dataset, sigma, seed: negatives_shuffled(image_id, dataset, seed)
-    if kind in ("fn", "fn-fast"):
-        if len(parts) < 2:
-            raise ValueError(f"sampler {label!r} needs a neighbor count, e.g. '{kind}:5'")
-        k = int(parts[1])
-        if kind == "fn":
-            if len(parts) != 2:
-                raise ValueError(f"sampler {label!r} has too many parameters")
-            return lambda image_id, dataset, sigma, seed: negatives_farthest(
-                image_id, dataset, k, sigma, seed
-            )
-        threshold = float(parts[2]) if len(parts) == 3 else 0.0
-        if len(parts) > 3:
-            raise ValueError(f"sampler {label!r} has too many parameters")
-        return lambda image_id, dataset, sigma, seed: negatives_farthest_fast(
-            image_id, dataset, k, sigma, threshold, seed
+    if kind == "fn":
+        if len(params) != 1:
+            raise ValueError(f"sampler {label!r} needs one neighbor count, e.g. 'fn:5'")
+        k = int(params[0])
+        return lambda image_id, dataset, sigma, seed: negatives_farthest(
+            image_id, dataset, k, sigma, seed
         )
-    raise ValueError(f"unknown sampler {label!r}; expected shuffled, fn:K or fn-fast:K")
+    raise ValueError(f"unknown sampler {label!r}; expected shuffled or fn:K")
 
 
 def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: int = 0,

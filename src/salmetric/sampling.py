@@ -13,14 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DatasetIndex, FixationSet, Frame, complement_set
-from .errors import (
-    EmptyPoolError,
-    InsufficientNegativesError,
-    UndersizedPoolWarning,
-    ZeroVarianceError,
-)
+from .errors import EmptyPoolError, UndersizedPoolWarning, ZeroVarianceError
 from .gaussian import density_from_fixations
-from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
@@ -61,6 +55,30 @@ def sample_from_pool(pool: NegativePool, count: int, seed: int) -> FixationSet:
     return FixationSet.from_linear(take, pool.support.frame)
 
 
+def draw_count(pool: NegativePool, positives: FixationSet) -> int:
+    """How many negatives to draw from ``pool`` against ``positives``.
+
+    The one pool-size rule of every sampler and sampled AUC: one negative per
+    positive; a smaller pool is used whole, with an
+    :class:`UndersizedPoolWarning`; an empty pool raises
+    :class:`EmptyPoolError`."""
+    if len(pool) == 0:
+        raise EmptyPoolError("no negative candidates left after removing the positives")
+    if len(pool) < len(positives):
+        warnings.warn(
+            f"negative pool ({len(pool)}) smaller than the positive set "
+            f"({len(positives)}); using the whole pool",
+            UndersizedPoolWarning,
+            stacklevel=4,
+        )
+        return len(pool)
+    return len(positives)
+
+
+def _draw_negatives(pool: NegativePool, positives: FixationSet, seed: int) -> FixationSet:
+    return sample_from_pool(pool, draw_count(pool, positives), seed)
+
+
 def negatives_judd(frame: Frame, positives: FixationSet) -> FixationSet:
     """Every non-fixated grid location."""
     return complement_set(frame, positives)
@@ -68,12 +86,7 @@ def negatives_judd(frame: Frame, positives: FixationSet) -> FixationSet:
 
 def negatives_borji(frame: Frame, positives: FixationSet, seed: int = 0) -> FixationSet:
     """Uniform sample of non-fixated locations, as many as there are positives."""
-    pool = NegativePool(complement_set(frame, positives))
-    if len(pool) < len(positives):
-        raise InsufficientNegativesError(
-            f"only {len(pool)} non-fixated pixels for {len(positives)} positives"
-        )
-    return sample_from_pool(pool, len(positives), seed)
+    return _draw_negatives(NegativePool(complement_set(frame, positives)), positives, seed)
 
 
 def shuffled_pool(image_id: str, dataset: DatasetIndex) -> NegativePool:
@@ -87,14 +100,8 @@ def shuffled_pool(image_id: str, dataset: DatasetIndex) -> NegativePool:
 
 def negatives_shuffled(image_id: str, dataset: DatasetIndex, seed: int = 0) -> FixationSet:
     """Draw of other images' fixations, as many as this image's positives."""
-    img = dataset.image(image_id)
     pool = shuffled_pool(image_id, dataset)
-    if len(pool) < len(img.fixations):
-        raise InsufficientNegativesError(
-            f"pooled fixations leave only {len(pool)} candidates for "
-            f"{len(img.fixations)} positives"
-        )
-    return sample_from_pool(pool, len(img.fixations), seed)
+    return _draw_negatives(pool, dataset.image(image_id).fixations, seed)
 
 
 def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
@@ -131,72 +138,18 @@ def neighbor_ranking(image_id: str, dataset: DatasetIndex, sigma: float | None =
     return NeighborList(query=image_id, entries=tuple(entries))
 
 
-def _check_k(k: int, n_images: int):
-    if not (1 <= k <= n_images - 1):
-        raise ValueError(f"k must be in [1, {n_images - 1}], got {k}")
-
-
-def _pool_from_ids(dataset: DatasetIndex, image_id: str, neighbor_ids) -> NegativePool:
-    img = dataset.image(image_id)
-    parts = [dataset.image(nid).fixations.linear for nid in neighbor_ids]
-    merged = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+def farthest_pool(image_id: str, dataset: DatasetIndex, k: int, sigma: float | None = None) -> NegativePool:
+    """Union of the top-k farthest neighbors' fixations, minus this image's own."""
+    if not (1 <= k <= len(dataset) - 1):
+        raise ValueError(f"k must be in [1, {len(dataset) - 1}], got {k}")
+    ranking = neighbor_ranking(image_id, dataset, sigma)
+    merged = np.concatenate([dataset.image(nid).fixations.linear for nid, _ in ranking.entries[:k]])
     support, counts = np.unique(merged, return_counts=True)
-    keep = ~np.isin(support, img.fixations.linear, assume_unique=True)
+    keep = ~np.isin(support, dataset.image(image_id).fixations.linear, assume_unique=True)
     return NegativePool(
         FixationSet.from_linear(support[keep], dataset.frame),
         counts[keep].astype(np.float64),
     )
-
-
-def farthest_pool(image_id: str, dataset: DatasetIndex, k: int, sigma: float | None = None) -> NegativePool:
-    """Union of the top-k farthest neighbors' fixations, minus this image's own."""
-    _check_k(k, len(dataset))
-    ranking = neighbor_ranking(image_id, dataset, sigma)
-    return _pool_from_ids(dataset, image_id, [nid for nid, _ in ranking.entries[:k]])
-
-
-def farthest_pool_fast(
-    image_id: str,
-    dataset: DatasetIndex,
-    k: int,
-    sigma: float | None = None,
-    cc_threshold: float = 0.0,
-    seed: int = 0,
-) -> NegativePool:
-    """Early-exit neighbor selection: scan in a seeded order and keep the first
-    k images whose density correlation falls below ``cc_threshold``. When a
-    full scan finds fewer than k, fall back to the exact top-k ranking."""
-    _check_k(k, len(dataset))
-    sigma = dataset.sigma if sigma is None else sigma
-    cmat = _cc_matrix(dataset, sigma)
-    i = dataset.index(image_id)
-    others = [j for j in range(len(dataset)) if j != i]
-    order = np.random.default_rng(derive_seed(seed, "fast-scan")).permutation(len(others))
-    chosen = []
-    for idx in order:
-        j = others[int(idx)]
-        if cmat[i, j] < cc_threshold:
-            chosen.append(dataset.images[j].id)
-            if len(chosen) == k:
-                break
-    if len(chosen) < k:
-        ranking = neighbor_ranking(image_id, dataset, sigma)
-        chosen = [nid for nid, _ in ranking.entries[:k]]
-    return _pool_from_ids(dataset, image_id, chosen)
-
-
-def _draw_negatives(pool: NegativePool, positives: FixationSet, seed: int) -> FixationSet:
-    if len(pool) == 0:
-        raise EmptyPoolError("no negative candidates left after removing the positives")
-    count = min(len(positives), len(pool))
-    if count < len(positives):
-        warnings.warn(
-            f"negative pool ({len(pool)}) smaller than the positive set "
-            f"({len(positives)}); using the whole pool",
-            UndersizedPoolWarning,
-            stacklevel=3,
-        )
-    return sample_from_pool(pool, count, seed)
 
 
 def negatives_farthest(
@@ -208,17 +161,4 @@ def negatives_farthest(
 ) -> FixationSet:
     """Draw from the farthest-neighbor pool, matching the positives' size."""
     pool = farthest_pool(image_id, dataset, k, sigma)
-    return _draw_negatives(pool, dataset.image(image_id).fixations, seed)
-
-
-def negatives_farthest_fast(
-    image_id: str,
-    dataset: DatasetIndex,
-    k: int = 5,
-    sigma: float | None = None,
-    cc_threshold: float = 0.0,
-    seed: int = 0,
-) -> FixationSet:
-    """Like :func:`negatives_farthest` but with the early-exit neighbor scan."""
-    pool = farthest_pool_fast(image_id, dataset, k, sigma, cc_threshold, seed)
     return _draw_negatives(pool, dataset.image(image_id).fixations, seed)

@@ -19,12 +19,10 @@ from .core import (
 )
 from .errors import UnknownModeError
 from .gaussian import center_bias_map, density_from_fixations
-from .metrics import _sampled_auc, _tie_break, auc_single, cc, ig, kld, nss, sim
-from .sampling import NegativePool, farthest_pool, shuffled_pool
+from .metrics import EvalConfig, _check_metrics, _pools, _score_image
 from .seeding import derive_seed
 
 PREDICTOR_MODES = ("oracle", "center", "peripheral", "quantized", "uniform")
-SWEEP_METRICS = ("cc", "nss", "sim", "kld", "ig", "auc_judd", "auc_borji", "s_auc", "fn_auc")
 
 
 @dataclass(frozen=True)
@@ -154,59 +152,39 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
     sigma_train = tuple(float(s) for s in sigma_train)
     if not sigma_train:
         raise ValueError("need at least one training width")
-    unknown = [m for m in metrics if m not in SWEEP_METRICS]
-    if unknown:
-        raise ValueError(f"unknown metrics: {unknown}; choose from {SWEEP_METRICS}")
+    _check_metrics(metrics)
     sigma_gt = dataset.sigma if sigma_gt is None else float(sigma_gt)
+    config = EvalConfig(metrics=tuple(metrics), n_splits=n_splits, tie_break=tie_break)
 
     needs_gt = any(m in metrics for m in ("cc", "sim", "kld"))
-    gt_density = (
-        {rec.id: density_from_fixations(rec.fixations, sigma_gt) for rec in dataset.images}
-        if needs_gt else {}
-    )
+    gt_density = {
+        rec.id: density_from_fixations(rec.fixations, sigma_gt) if needs_gt else None
+        for rec in dataset.images
+    }
     baseline = center_bias_map(dataset.frame) if "ig" in metrics else None
-    pools = {}
-    if "auc_borji" in metrics:
-        pools["auc_borji"] = {
-            rec.id: NegativePool(complement_set(dataset.frame, rec.fixations))
-            for rec in dataset.images
-        }
-    if "s_auc" in metrics:
-        pools["s_auc"] = {rec.id: shuffled_pool(rec.id, dataset) for rec in dataset.images}
-    if "fn_auc" in metrics:
-        pools["fn_auc"] = {rec.id: farthest_pool(rec.id, dataset, k) for rec in dataset.images}
+    # fn_auc ranks neighbors at the dataset's own width, not at sigma_gt
+    pools = {rec.id: _pools(rec.id, dataset, metrics, k, None) for rec in dataset.images}
 
     rows = {m: [] for m in metrics}
     for st in sigma_train:
         sums = {m: 0.0 for m in metrics}
         for rec in dataset.images:
+            # the density is passed as built: normalizing its grid again would
+            # move the last bits of the distribution scores
             pred_density = density_from_fixations(rec.fixations, st)
-            pred = pred_density.grid
-            image_seed = derive_seed(seed, "sweep", st, rec.id)
-            scored = None
+            _, scores, _ = _score_image({
+                "id": rec.id,
+                "pred": pred_density.grid,
+                "pred_density": pred_density,
+                "fixations": rec.fixations,
+                "gt_density": gt_density[rec.id],
+                "baseline": baseline,
+                "pools": pools[rec.id],
+                "config": config,
+                "image_seed": derive_seed(seed, "sweep", st, rec.id),
+            })
             for m in metrics:
-                if m == "cc":
-                    sums[m] += cc(pred_density, gt_density[rec.id])
-                elif m == "sim":
-                    sums[m] += sim(pred_density, gt_density[rec.id])
-                elif m == "kld":
-                    sums[m] += kld(gt_density[rec.id], pred_density)
-                elif m == "ig":
-                    sums[m] += ig(pred_density, rec.fixations, baseline)
-                elif m == "nss":
-                    sums[m] += nss(pred, rec.fixations)
-                else:
-                    if scored is None:
-                        scored = _tie_break(pred, tie_break, image_seed)
-                    if m == "auc_judd":
-                        sums[m] += auc_single(
-                            scored, rec.fixations, complement_set(dataset.frame, rec.fixations)
-                        )
-                    else:
-                        mean, _ = _sampled_auc(
-                            scored, rec.fixations, pools[m][rec.id], n_splits, image_seed
-                        )
-                        sums[m] += mean
+                sums[m] += scores[m]
         for m in metrics:
             rows[m].append(sums[m] / len(dataset))
 

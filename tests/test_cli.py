@@ -83,7 +83,7 @@ def test_evaluate_metric_selection(workspace):
 
 def test_negatives_command(workspace):
     tmp, manifest, _ = workspace
-    for sampler in ("shuffled", "fn", "fn-fast"):
+    for sampler in ("shuffled", "fn"):
         out1 = tmp / f"neg1-{sampler}"
         out2 = tmp / f"neg2-{sampler}"
         base = ["negatives", str(manifest), "--sampler", sampler, "--k", "3", "--seed", "2"]
@@ -175,6 +175,22 @@ def test_data_errors_exit_1(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run(["density", str(missing), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_synth_config_unknown_key_exits_1(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_images": 4, "frame": [24, 24], "bogus": 1}))
+    assert run(["sweep", str(config), "--out", str(tmp_path / "t.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown synth config keys ['bogus']" in err
+
+
+def test_bad_jobs_environment_exits_1(workspace, monkeypatch, capsys):
+    tmp, manifest, _ = workspace
+    monkeypatch.setenv("SALMETRIC_JOBS", "abc")
+    assert run(["density", str(manifest), "--out", str(tmp / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "SALMETRIC_JOBS" in err
 
 
 def test_module_entry_point(workspace):

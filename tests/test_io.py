@@ -201,6 +201,14 @@ def test_manifest_duplicate_id(tmp_path):
      "images": [{"id": "a", "fixations": [[1.5, 2]]}]},
     {"name": "x", "width": 0, "height": 4,
      "images": [{"id": "a", "fixations": [[0, 0]]}]},
+    {"name": "x", "width": True, "height": 4,
+     "images": [{"id": "a", "fixations": [[0, 0]]}]},
+    {"name": "x", "width": 4, "height": True,
+     "images": [{"id": "a", "fixations": [[0, 0]]}]},
+    {"name": "x", "width": 4, "height": 4,
+     "images": [{"id": "a", "fixations": [[True, False]]}]},
+    {"name": "x", "width": 4, "height": 4, "sigma": True,
+     "images": [{"id": "a", "fixations": [[0, 0]]}]},
 ])
 def test_manifest_schema_errors(tmp_path, doc):
     path = tmp_path / "m.json"
@@ -251,3 +259,43 @@ def test_report_writes_identical_bytes(tmp_path):
     write_report(report, a)
     write_report(report, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# A report as written while EvalConfig still had the fn-fast sampler's fields.
+LEGACY_REPORT = """{
+  "aggregate": {
+    "nss": 1.25
+  },
+  "config": {
+    "cc_threshold": 0.0,
+    "fn_fast": false,
+    "k": 3,
+    "metrics": [
+      "nss"
+    ],
+    "n_splits": 5,
+    "seed": 1,
+    "sigma": 2.0,
+    "tie_break": "global"
+  },
+  "per_image": {
+    "one": {
+      "nss": 1.25
+    }
+  },
+  "per_image_std": {}
+}
+"""
+
+
+def test_report_legacy_config_keys(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(LEGACY_REPORT)
+    report = read_report(path)
+    assert report.config == EvalConfig(metrics=("nss",), seed=1, n_splits=5, k=3, sigma=2.0)
+    assert report.per_image == {"one": {"nss": 1.25}}
+    doc = json.loads(LEGACY_REPORT)
+    doc["config"]["cc_thresh"] = 0.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        read_report(path)

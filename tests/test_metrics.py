@@ -15,6 +15,7 @@ from salmetric.errors import (
     DimensionMismatchError,
     EmptyFixationsError,
     MissingPredictionError,
+    UndersizedPoolWarning,
     ZeroVarianceError,
 )
 from salmetric.gaussian import center_bias_map, density_from_fixations
@@ -31,6 +32,7 @@ from salmetric.metrics import (
     s_auc,
     sim,
 )
+from salmetric.seeding import derive_seed
 from salmetric.smoothing import tie_break_global
 
 
@@ -292,3 +294,32 @@ def test_evaluate_all_errors():
         evaluate_all(ds2, preds2, EvalConfig(metrics=("nss",)))
     with pytest.raises(ValueError):
         evaluate_all(ds2, {}, EvalConfig(metrics=("not_a_metric",)))
+
+
+def test_sampled_aucs_match_evaluate_all_with_undersized_pools():
+    # on a 3x2 frame image "a" leaves fewer candidates than positives in
+    # every pool, so each sampled AUC falls back to the whole pool
+    ds = DatasetIndex(
+        [
+            ImageRecord("a", FixationSet([(0, 0), (1, 0), (2, 0), (0, 1)], (3, 2))),
+            ImageRecord("b", FixationSet([(1, 1)], (3, 2))),
+            ImageRecord("c", FixationSet([(2, 1), (0, 0)], (3, 2))),
+        ],
+        sigma=1.0,
+    )
+    rng = np.random.default_rng(4)
+    preds = {i: GridMap(rng.choice([0.0, 0.5, 1.0], size=(2, 3))) for i in ds.ids}
+    config = EvalConfig(metrics=("auc_borji", "s_auc", "fn_auc"), seed=3, n_splits=7, k=1)
+    with pytest.warns(UndersizedPoolWarning):
+        report = evaluate_all(ds, preds, config)
+    with pytest.warns(UndersizedPoolWarning):
+        for image_id, pred in preds.items():
+            seed = derive_seed(config.seed, image_id)
+            alone = {
+                "auc_borji": auc_borji(pred, ds.image(image_id).fixations, 7, seed),
+                "s_auc": s_auc(pred, image_id, ds, 7, seed),
+                "fn_auc": fn_auc(pred, image_id, ds, k=1, n_splits=7, seed=seed),
+            }
+            for name, (mean, std) in alone.items():
+                assert report.per_image[image_id][name] == mean
+                assert report.per_image_std[image_id][name] == std

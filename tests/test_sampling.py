@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from salmetric.core import DatasetIndex, FixationSet, ImageRecord
-from salmetric.errors import (
-    EmptyPoolError,
-    InsufficientNegativesError,
-    UndersizedPoolWarning,
-)
+from salmetric.errors import EmptyPoolError, UndersizedPoolWarning
 from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.sampling import (
     farthest_pool,
     negatives_borji,
     negatives_farthest,
-    negatives_farthest_fast,
     negatives_judd,
     negatives_shuffled,
     neighbor_ranking,
@@ -63,8 +58,9 @@ def test_borji_determinism_and_seed_sensitivity():
 
 def test_borji_insufficient():
     pos = FixationSet([(0, 0), (1, 0), (0, 1)], (2, 2))
-    with pytest.raises(InsufficientNegativesError):
-        negatives_borji((2, 2), pos, seed=0)
+    with pytest.warns(UndersizedPoolWarning):
+        negs = negatives_borji((2, 2), pos, seed=0)
+    assert negs == FixationSet([(1, 1)], (2, 2))  # the whole pool
 
 
 def test_shuffled_two_image_toy():
@@ -92,8 +88,9 @@ def test_shuffled_insufficient():
             ImageRecord("b", FixationSet([(5, 5)], (8, 8))),
         ]
     )
-    with pytest.raises(InsufficientNegativesError):
-        negatives_shuffled("a", ds, seed=0)
+    with pytest.warns(UndersizedPoolWarning):
+        negs = negatives_shuffled("a", ds, seed=0)
+    assert negs == FixationSet([(5, 5)], (8, 8))  # the whole pool
 
 
 def test_shuffled_draws_concentrate_centrally(bias_dataset):
@@ -210,54 +207,11 @@ def test_k_bounds(bias_dataset):
         farthest_pool("synth_0000", bias_dataset, len(bias_dataset))
 
 
-def test_fast_accepts_anticorrelated_neighbor():
-    ds = toy_dataset(sigma=8.0)
-    # center correlates positively with left, right negatively; threshold 0
-    # admits only right no matter the scan order
-    for seed in range(5):
-        negs = negatives_farthest_fast("left", ds, k=1, cc_threshold=0.0, seed=seed)
-        assert np.isin(negs.linear, ds.image("right").fixations.linear).all()
-
-
-def test_fast_unsatisfiable_threshold_matches_exact(bias_dataset):
-    for rec in bias_dataset.images[:5]:
-        fast = negatives_farthest_fast(rec.id, bias_dataset, k=5, cc_threshold=-1.1, seed=13)
-        exact = negatives_farthest(rec.id, bias_dataset, k=5, seed=13)
-        assert fast == exact
-
-
-def test_fast_degenerate_identical_dataset():
-    ds = DatasetIndex(
-        [ImageRecord(f"i{j}", FixationSet([(2, 2), (5, 5)], (8, 8))) for j in range(4)],
-        sigma=1.0,
-    )
-    with pytest.raises(EmptyPoolError):
-        negatives_farthest_fast("i0", ds, k=1, cc_threshold=0.0, seed=0)
-
-
-def test_fast_scan_order_depends_on_seed():
-    # four mutually distant clusters: every neighbor qualifies, so the seeded
-    # scan order decides which one is kept first
-    ds = DatasetIndex(
-        [
-            ImageRecord("nw", FixationSet([(4, 4), (5, 5)], (32, 32))),
-            ImageRecord("ne", FixationSet([(27, 4), (26, 5)], (32, 32))),
-            ImageRecord("sw", FixationSet([(4, 27), (5, 26)], (32, 32))),
-            ImageRecord("se", FixationSet([(27, 27), (26, 26)], (32, 32))),
-        ],
-        sigma=2.0,
-    )
-    draws = [negatives_farthest_fast("nw", ds, k=1, cc_threshold=0.0, seed=s) for s in range(8)]
-    distinct = {tuple(d.coords) for d in draws}
-    assert len(distinct) > 1
-
-
 def test_all_samplers_deterministic(bias_dataset):
     rec = bias_dataset.images[0]
     for draw in (
         lambda s: negatives_borji(FRAME, rec.fixations, s),
         lambda s: negatives_shuffled(rec.id, bias_dataset, s),
         lambda s: negatives_farthest(rec.id, bias_dataset, 5, seed=s),
-        lambda s: negatives_farthest_fast(rec.id, bias_dataset, 5, seed=s),
     ):
         assert draw(77) == draw(77)
