@@ -56,9 +56,12 @@ def _load_synth_config(path, doc) -> SynthConfig:
     unknown = set(doc) - set(SynthConfig.__dataclass_fields__)
     if unknown:
         raise SalmetricError(f"{path}: unknown synth config keys {sorted(unknown)}")
+    if "frame" in doc:
+        frame = doc["frame"]
+        if not isinstance(frame, list) or len(frame) != 2 or any(type(v) is not int for v in frame):
+            raise SalmetricError(f"{path}: synth config 'frame' must be two integers, got {frame!r}")
+        doc["frame"] = tuple(frame)
     try:
-        if "frame" in doc:
-            doc["frame"] = tuple(int(v) for v in doc["frame"])
         return SynthConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise SalmetricError(f"{path}: bad synth config: {exc}") from exc
@@ -81,7 +84,7 @@ def _cmd_density(args) -> int:
     else:
         results = dict(_density_task(t) for t in tasks)
     for image_id in sorted(results):
-        sio.write_map(results[image_id].grid, out / f"{image_id}.smap")
+        sio.write_map(results[image_id], out / f"{image_id}.smap")
     return 0
 
 

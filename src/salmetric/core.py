@@ -66,7 +66,7 @@ class GridMap:
         return self.values[fixations.ys, fixations.xs]
 
     def __repr__(self):
-        return f"GridMap({self.width}x{self.height})"
+        return f"{type(self).__name__}({self.width}x{self.height})"
 
 
 class FixationSet:
@@ -143,40 +143,18 @@ class FixationSet:
         return f"FixationSet({len(self)} points in {self.frame[0]}x{self.frame[1]})"
 
 
-class DensityMap:
+class DensityMap(GridMap):
     """A GridMap constrained to be a probability mass function over pixels."""
 
     SUM_ATOL = 1e-9
 
-    def __init__(self, grid: GridMap):
-        if np.any(grid.values < 0.0):
+    def __init__(self, values):
+        super().__init__(values)
+        if np.any(self.values < 0.0):
             raise NegativeValueError("densities cannot hold negative values")
-        total = float(grid.values.sum())
+        total = float(self.values.sum())
         if abs(total - 1.0) > self.SUM_ATOL:
             raise ValueError(f"density sums to {total!r}, expected 1")
-        self.grid = grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.grid.values
-
-    @property
-    def frame(self) -> Frame:
-        return self.grid.frame
-
-    @property
-    def width(self) -> int:
-        return self.grid.width
-
-    @property
-    def height(self) -> int:
-        return self.grid.height
-
-    def values_at(self, fixations: FixationSet) -> np.ndarray:
-        return self.grid.values_at(fixations)
-
-    def __repr__(self):
-        return f"DensityMap({self.width}x{self.height})"
 
 
 @dataclass(frozen=True)
@@ -275,13 +253,15 @@ def fixations_from_map(grid: GridMap) -> FixationSet:
 
 
 def normalize_to_density(grid: GridMap) -> DensityMap:
-    """Divide a non-negative map by its total mass."""
+    """Divide a non-negative map by its total mass; a density comes back as is."""
+    if isinstance(grid, DensityMap):
+        return grid
     if np.any(grid.values < 0.0):
         raise NegativeValueError("map has negative values")
     total = float(grid.values.sum())
     if total == 0.0:
         raise ZeroMassError("cannot normalize an all-zero map")
-    return DensityMap(GridMap(grid.values / total))
+    return DensityMap(grid.values / total)
 
 
 def complement_set(frame: Frame, exclude: FixationSet) -> FixationSet:

@@ -98,7 +98,7 @@ def density_from_fixations(fixations: FixationSet, sigma: float) -> DensityMap:
     if len(fixations) == 0:
         raise EmptyFixationsError("need at least one fixation to build a density")
     blurred = blur(vectorize(fixations), sigma)
-    return DensityMap(GridMap(blurred.values / blurred.values.sum()))
+    return DensityMap(blurred.values / blurred.values.sum())
 
 
 def aggregate_density(dataset: DatasetIndex, sigma: float | None = None) -> DensityMap:
@@ -154,4 +154,4 @@ def center_bias_map(frame: Frame, sigma_fraction: float = 0.25) -> DensityMap:
         center=((w - 1) / 2.0, (h - 1) / 2.0),
     )
     field = evaluate_field((w, h), params)
-    return DensityMap(GridMap(field / field.sum()))
+    return DensityMap(field / field.sum())

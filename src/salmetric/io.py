@@ -150,13 +150,9 @@ def manifest_to_dataset(doc) -> DatasetIndex:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise SchemaError("manifest 'name' must be a string")
-    try:
-        if isinstance(doc["width"], bool) or isinstance(doc["height"], bool):
-            raise TypeError("booleans are not sizes")
-        width = int(doc["width"])
-        height = int(doc["height"])
-    except (KeyError, TypeError, ValueError):
-        raise SchemaError("manifest needs integer 'width' and 'height'") from None
+    width, height = doc.get("width"), doc.get("height")
+    if type(width) is not int or type(height) is not int:
+        raise SchemaError("manifest needs integer 'width' and 'height'")
     if width < 1 or height < 1:
         raise SchemaError("manifest frame must be at least 1x1")
     images_doc = doc.get("images")

@@ -40,19 +40,15 @@ SAMPLED_METRICS = ("auc_borji", "s_auc", "fn_auc")
 TIE_BREAK_MODES = ("global", "noise", "off")
 
 
-def _vals(m) -> np.ndarray:
-    return m.values
+def _check_dims(a: GridMap, b: GridMap):
+    if a.values.shape != b.values.shape:
+        raise DimensionMismatchError(f"shapes differ: {a.values.shape} vs {b.values.shape}")
 
 
-def _check_dims(a, b):
-    if _vals(a).shape != _vals(b).shape:
-        raise DimensionMismatchError(f"shapes differ: {_vals(a).shape} vs {_vals(b).shape}")
-
-
-def cc(a, b) -> float:
+def cc(a: GridMap, b: GridMap) -> float:
     """Pearson correlation between two maps over flattened pixels."""
     _check_dims(a, b)
-    return pearson(_vals(a), _vals(b))
+    return pearson(a.values, b.values)
 
 
 def nss(pred: GridMap, fixations: FixationSet) -> float:
@@ -66,18 +62,18 @@ def nss(pred: GridMap, fixations: FixationSet) -> float:
     return float(((pred.values_at(fixations) - v.mean()) / std).mean())
 
 
-def sim(a, b) -> float:
+def sim(a: DensityMap, b: DensityMap) -> float:
     """Histogram intersection of two densities: sum of elementwise minima."""
     _check_dims(a, b)
-    return float(np.minimum(_vals(a), _vals(b)).sum())
+    return float(np.minimum(a.values, b.values).sum())
 
 
-def kld(gt, pred) -> float:
+def kld(gt: DensityMap, pred: DensityMap) -> float:
     """Divergence of the prediction from the ground truth, summed over pixels
     where the ground truth has mass."""
     _check_dims(gt, pred)
-    g = _vals(gt)
-    p = _vals(pred)
+    g = gt.values
+    p = pred.values
     mask = g > 0.0
     return float(np.sum(g[mask] * np.log(g[mask] / (p[mask] + EPS))))
 
@@ -180,29 +176,45 @@ def _check_metrics(metrics) -> None:
         raise ValueError(f"unknown metrics: {unknown}; choose from {ALL_METRICS}")
 
 
-def _pools(image_id: str, dataset: DatasetIndex, metrics, k: int, sigma: float | None) -> dict:
-    """The negative pool of each sampled AUC among ``metrics`` for one image."""
-    fixations = dataset.image(image_id).fixations
-    pools = {}
-    if "auc_borji" in metrics:
-        pools["auc_borji"] = NegativePool(complement_set(dataset.frame, fixations))
-    if "s_auc" in metrics:
-        pools["s_auc"] = shuffled_pool(image_id, dataset)
-    if "fn_auc" in metrics:
-        pools["fn_auc"] = farthest_pool(image_id, dataset, k, sigma)
-    return pools
+def _image_inputs(dataset: DatasetIndex, metrics, k: int, sigma: float | None,
+                  gt_sigma: float) -> list:
+    """The part of each image's scoring task that does not depend on the
+    prediction, in dataset order: its ``id``, ``fixations``, ground-truth
+    ``gt_density`` at ``gt_sigma`` (built only for cc, sim and kld), the ig
+    ``baseline`` and the negative ``pools`` of the sampled AUCs, with fn_auc
+    ranking neighbors at ``sigma``."""
+    _check_metrics(metrics)
+    needs_gt = any(m in metrics for m in ("cc", "sim", "kld"))
+    baseline = center_bias_map(dataset.frame) if "ig" in metrics else None
+    inputs = []
+    for rec in dataset.images:
+        # the density is built before the pools: on large frames the other
+        # order raises the peak heap by about one map
+        task = {
+            "id": rec.id,
+            "fixations": rec.fixations,
+            "gt_density": density_from_fixations(rec.fixations, gt_sigma) if needs_gt else None,
+            "baseline": baseline,
+            "pools": {},
+        }
+        if "auc_borji" in metrics:
+            task["pools"]["auc_borji"] = NegativePool(complement_set(dataset.frame, rec.fixations))
+        if "s_auc" in metrics:
+            task["pools"]["s_auc"] = shuffled_pool(rec.id, dataset)
+        if "fn_auc" in metrics:
+            task["pools"]["fn_auc"] = farthest_pool(rec.id, dataset, k, sigma)
+        inputs.append(task)
+    return inputs
 
 
 def _score_image(task: dict):
     """Score one image on each metric of ``task["config"]``: the one place a
     metric name picks its scorer.
 
-    The task holds the image ``id``, the prediction ``pred``, its
-    ``fixations``, the ground-truth ``gt_density`` (cc, sim, kld), the ig
-    ``baseline``, the ``pools`` of the sampled AUCs and the ``image_seed`` of
-    its tie-break and draws. An optional ``pred_density`` is used as the
-    prediction's density instead of normalizing ``pred``. Returns the id, the
-    scores and the split spread of each sampled AUC."""
+    The task holds the keys of :func:`_image_inputs`, the prediction ``pred``
+    and the ``image_seed`` of its tie-break and draws. A ``pred`` that is
+    already a DensityMap is scored as it is by the distribution metrics.
+    Returns the id, the scores and the split spread of each sampled AUC."""
     cfg: EvalConfig = task["config"]
     pred: GridMap = task["pred"]
     fx: FixationSet = task["fixations"]
@@ -210,20 +222,20 @@ def _score_image(task: dict):
     scores: dict = {}
     stds: dict = {}
     scored = None
-    pred_density = task.get("pred_density")
+    density = None
     for name in cfg.metrics:
         if name == "cc":
-            pred_density = pred_density or normalize_to_density(pred)
-            scores[name] = cc(pred_density, task["gt_density"])
+            density = density or normalize_to_density(pred)
+            scores[name] = cc(density, task["gt_density"])
         elif name == "sim":
-            pred_density = pred_density or normalize_to_density(pred)
-            scores[name] = sim(pred_density, task["gt_density"])
+            density = density or normalize_to_density(pred)
+            scores[name] = sim(density, task["gt_density"])
         elif name == "kld":
-            pred_density = pred_density or normalize_to_density(pred)
-            scores[name] = kld(task["gt_density"], pred_density)
+            density = density or normalize_to_density(pred)
+            scores[name] = kld(task["gt_density"], density)
         elif name == "ig":
-            pred_density = pred_density or normalize_to_density(pred)
-            scores[name] = ig(pred_density, fx, task["baseline"])
+            density = density or normalize_to_density(pred)
+            scores[name] = ig(density, fx, task["baseline"])
         elif name == "nss":
             scores[name] = nss(pred, fx)
         else:
@@ -248,31 +260,20 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict, config: EvalConfig | 
     image's sampled draws are seeded from (seed, image id).
     """
     cfg = config if config is not None else EvalConfig()
-    _check_metrics(cfg.metrics)
     cfg = replace(cfg, metrics=tuple(cfg.metrics),
                   sigma=dataset.sigma if cfg.sigma is None else float(cfg.sigma))
-
-    needs_density = any(m in cfg.metrics for m in ("cc", "sim", "kld", "ig"))
-    baseline = center_bias_map(dataset.frame) if "ig" in cfg.metrics else None
     tasks = []
-    for rec in dataset.images:
-        if rec.id not in predictions:
-            raise MissingPredictionError(f"no prediction for image {rec.id!r}")
-        pred = predictions[rec.id]
+    for inputs in _image_inputs(dataset, cfg.metrics, cfg.k, cfg.sigma, cfg.sigma):
+        image_id = inputs["id"]
+        if image_id not in predictions:
+            raise MissingPredictionError(f"no prediction for image {image_id!r}")
+        pred = predictions[image_id]
         if pred.frame != dataset.frame:
             raise DimensionMismatchError(
-                f"prediction for {rec.id!r} is {pred.frame}, dataset frame is {dataset.frame}"
+                f"prediction for {image_id!r} is {pred.frame}, dataset frame is {dataset.frame}"
             )
-        tasks.append({
-            "id": rec.id,
-            "pred": pred,
-            "fixations": rec.fixations,
-            "gt_density": density_from_fixations(rec.fixations, cfg.sigma) if needs_density else None,
-            "baseline": baseline,
-            "pools": _pools(rec.id, dataset, cfg.metrics, cfg.k, cfg.sigma),
-            "config": cfg,
-            "image_seed": derive_seed(cfg.seed, rec.id),
-        })
+        tasks.append({**inputs, "pred": pred, "config": cfg,
+                      "image_seed": derive_seed(cfg.seed, image_id)})
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as executor:

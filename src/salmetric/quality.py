@@ -47,7 +47,7 @@ def center_penalization(negatives: FixationSet, center: DensityMap | None = None
     if measure == "cc":
         return pearson(density_from_fixations(negatives, sigma).values, center.values)
     if measure == "auc":
-        return auc_judd(center.grid, negatives)
+        return auc_judd(center, negatives)
     raise ValueError(f"unknown measure {measure!r}; choose from {QUALITY_MEASURES}")
 
 
@@ -65,7 +65,7 @@ def positive_contamination(negatives: FixationSet, positives: FixationSet,
             density_from_fixations(positives, sigma).values,
         )
     if measure == "auc":
-        return auc_judd(density_from_fixations(negatives, sigma).grid, positives)
+        return auc_judd(density_from_fixations(negatives, sigma), positives)
     raise ValueError(f"unknown measure {measure!r}; choose from {QUALITY_MEASURES}")
 
 

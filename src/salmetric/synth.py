@@ -19,7 +19,7 @@ from .core import (
 )
 from .errors import UnknownModeError
 from .gaussian import center_bias_map, density_from_fixations
-from .metrics import EvalConfig, _check_metrics, _pools, _score_image
+from .metrics import EvalConfig, _image_inputs, _score_image
 from .seeding import derive_seed
 
 PREDICTOR_MODES = ("oracle", "center", "peripheral", "quantized", "uniform")
@@ -100,9 +100,9 @@ def gen_prediction(image: ImageRecord, mode: str, sigma: float, levels: int = 3)
     """
     w, h = image.frame
     if mode == "oracle":
-        return density_from_fixations(image.fixations, sigma).grid
+        return density_from_fixations(image.fixations, sigma)
     if mode == "center":
-        return center_bias_map((w, h)).grid
+        return center_bias_map((w, h))
     if mode == "peripheral":
         center = center_bias_map((w, h)).values
         inverted = 1.0 - center / center.max()
@@ -142,7 +142,7 @@ class SweepTable:
 
 def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = None,
                 metrics=("cc", "nss", "auc_judd"), seed: int = 0, n_splits: int = 100,
-                k: int = 5, tie_break: str = "global") -> SweepTable:
+                k: int = 5) -> SweepTable:
     """Score the oracle predictor rebuilt at each training width against a
     fixed ground-truth width.
 
@@ -152,36 +152,21 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
     sigma_train = tuple(float(s) for s in sigma_train)
     if not sigma_train:
         raise ValueError("need at least one training width")
-    _check_metrics(metrics)
+    metrics = tuple(metrics)
     sigma_gt = dataset.sigma if sigma_gt is None else float(sigma_gt)
-    config = EvalConfig(metrics=tuple(metrics), n_splits=n_splits, tie_break=tie_break)
-
-    needs_gt = any(m in metrics for m in ("cc", "sim", "kld"))
-    gt_density = {
-        rec.id: density_from_fixations(rec.fixations, sigma_gt) if needs_gt else None
-        for rec in dataset.images
-    }
-    baseline = center_bias_map(dataset.frame) if "ig" in metrics else None
+    config = EvalConfig(metrics=metrics, n_splits=n_splits)
     # fn_auc ranks neighbors at the dataset's own width, not at sigma_gt
-    pools = {rec.id: _pools(rec.id, dataset, metrics, k, None) for rec in dataset.images}
+    inputs = _image_inputs(dataset, metrics, k, None, sigma_gt)
 
     rows = {m: [] for m in metrics}
     for st in sigma_train:
         sums = {m: 0.0 for m in metrics}
-        for rec in dataset.images:
-            # the density is passed as built: normalizing its grid again would
-            # move the last bits of the distribution scores
-            pred_density = density_from_fixations(rec.fixations, st)
+        for task in inputs:
             _, scores, _ = _score_image({
-                "id": rec.id,
-                "pred": pred_density.grid,
-                "pred_density": pred_density,
-                "fixations": rec.fixations,
-                "gt_density": gt_density[rec.id],
-                "baseline": baseline,
-                "pools": pools[rec.id],
+                **task,
+                "pred": density_from_fixations(task["fixations"], st),
                 "config": config,
-                "image_seed": derive_seed(seed, "sweep", st, rec.id),
+                "image_seed": derive_seed(seed, "sweep", st, task["id"]),
             })
             for m in metrics:
                 sums[m] += scores[m]

@@ -90,13 +90,13 @@ def test_criterion_03_metric_analytic_suite():
     except ZeroVarianceError:
         checks.append(True)
 
-    half = DensityMap(GridMap([[0.5, 0.5]]))
-    skew = DensityMap(GridMap([[0.25, 0.75]]))
+    half = DensityMap([[0.5, 0.5]])
+    skew = DensityMap([[0.25, 0.75]])
     checks.append(abs(sim(half, half) - 1.0) < tol)
-    checks.append(sim(DensityMap(GridMap([[1.0, 0.0]])), DensityMap(GridMap([[0.0, 1.0]]))) == 0.0)
+    checks.append(sim(DensityMap([[1.0, 0.0]]), DensityMap([[0.0, 1.0]])) == 0.0)
     checks.append(abs(sim(half, skew) - 0.75) < tol)
 
-    point = DensityMap(GridMap([[1.0, 0.0]]))
+    point = DensityMap([[1.0, 0.0]])
     checks.append(abs(kld(point, point)) < 1e-9)
     checks.append(abs(kld(point, half) - math.log(2.0)) < tol)
     checks.append(kld(point, half) != kld(half, point))
@@ -110,8 +110,8 @@ def test_criterion_03_metric_analytic_suite():
     taken = vals[mask].sum()
     vals[mask] *= 2.0
     vals[~mask] *= (1.0 - 2.0 * taken) / (1.0 - taken)
-    checks.append(abs(ig(DensityMap(GridMap(vals)), fs, base) - 1.0) < tol)
-    uniform = DensityMap(GridMap(np.full((2, 2), 0.25)))
+    checks.append(abs(ig(DensityMap(vals), fs, base) - 1.0) < tol)
+    uniform = DensityMap(np.full((2, 2), 0.25))
     checks.append(abs(ig(uniform, FixationSet([(0, 1)], (2, 2)), uniform)) < tol)
 
     report(3, all(checks), f"{sum(checks)}/{len(checks)} analytic examples within 1e-6")
@@ -119,7 +119,7 @@ def test_criterion_03_metric_analytic_suite():
 
 def test_criterion_04_shuffled_auc_center_bias_null(bias_dataset):
     start = time.monotonic()
-    pred = center_bias_map(bias_dataset.frame).grid
+    pred = center_bias_map(bias_dataset.frame)
     means = [s_auc(pred, rec.id, bias_dataset, n_splits=100, seed=42)[0]
              for rec in bias_dataset.images]
     mean = float(np.mean(means))
@@ -223,7 +223,7 @@ def test_criterion_10_cli_end_to_end_determinism(tmp_path):
     pred_dir = tmp_path / "preds"
     pred_dir.mkdir()
     for rec in ds.images:
-        write_map(density_from_fixations(rec.fixations, ds.sigma).grid,
+        write_map(density_from_fixations(rec.fixations, ds.sigma),
                   pred_dir / f"{rec.id}.smap")
     quant = tmp_path / "quant.smap"
     write_map(quantize_map(center_bias_map(ds.frame)), quant)

@@ -24,7 +24,7 @@ def workspace(tmp_path):
     pred_dir = tmp_path / "preds"
     pred_dir.mkdir()
     for rec in ds.images:
-        write_map(density_from_fixations(rec.fixations, 2.0).grid, pred_dir / f"{rec.id}.smap")
+        write_map(density_from_fixations(rec.fixations, 2.0), pred_dir / f"{rec.id}.smap")
     return tmp_path, manifest, pred_dir
 
 
@@ -183,6 +183,16 @@ def test_sweep_synth_config_unknown_key_exits_1(tmp_path, capsys):
     assert run(["sweep", str(config), "--out", str(tmp_path / "t.json")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "unknown synth config keys ['bogus']" in err
+
+
+def test_synth_config_fractional_frame_exits_1(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_images": 4, "frame": [24.5, 20]}))
+    out = tmp_path / "s"
+    assert run(["synth", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'frame' must be two integers" in err
+    assert not out.exists()
 
 
 def test_bad_jobs_environment_exits_1(workspace, monkeypatch, capsys):

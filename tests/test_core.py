@@ -104,17 +104,23 @@ def test_normalize_to_density_errors():
 
 def test_normalize_is_idempotent():
     rng = np.random.default_rng(3)
-    m = GridMap(rng.random((6, 7)))
-    once = normalize_to_density(m)
-    twice = normalize_to_density(once.grid)
-    assert np.allclose(once.values, twice.values, atol=1e-12)
+    once = normalize_to_density(GridMap(rng.random((6, 7))))
+    assert normalize_to_density(once) is once
+    # a plain map holding a density's values is divided by its mass again
+    again = normalize_to_density(GridMap(once.values))
+    assert type(again) is DensityMap and again is not once
+    assert np.allclose(once.values, again.values, rtol=0.0, atol=1e-12)
+    assert isinstance(once, GridMap)
+    assert not once.values.flags.writeable
+    with pytest.raises(ValueError):
+        once.values[0, 0] = 1.0
 
 
 def test_density_map_validation():
     with pytest.raises(ValueError):
-        DensityMap(GridMap([[0.5, 0.6]]))
+        DensityMap([[0.5, 0.6]])
     with pytest.raises(NegativeValueError):
-        DensityMap(GridMap([[1.5, -0.5]]))
+        DensityMap([[1.5, -0.5]])
 
 
 def test_complement_examples():

@@ -205,6 +205,10 @@ def test_manifest_duplicate_id(tmp_path):
      "images": [{"id": "a", "fixations": [[0, 0]]}]},
     {"name": "x", "width": 4, "height": True,
      "images": [{"id": "a", "fixations": [[0, 0]]}]},
+    {"name": "x", "width": 4.7, "height": 4,
+     "images": [{"id": "a", "fixations": [[0, 0]]}]},
+    {"name": "x", "width": 4, "height": "4",
+     "images": [{"id": "a", "fixations": [[0, 0]]}]},
     {"name": "x", "width": 4, "height": 4,
      "images": [{"id": "a", "fixations": [[True, False]]}]},
     {"name": "x", "width": 4, "height": 4, "sigma": True,
@@ -226,7 +230,7 @@ def test_manifest_invalid_json(tmp_path):
 
 def make_report():
     ds = sample_dataset()
-    preds = {rec.id: density_from_fixations(rec.fixations, 2.0).grid for rec in ds.images}
+    preds = {rec.id: density_from_fixations(rec.fixations, 2.0) for rec in ds.images}
     config = EvalConfig(metrics=("cc", "nss", "auc_judd", "auc_borji"), n_splits=5, seed=1)
     return evaluate_all(ds, preds, config)
 

@@ -18,6 +18,7 @@ from salmetric.errors import (
     UndersizedPoolWarning,
     ZeroVarianceError,
 )
+from salmetric import metrics as metrics_module
 from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.metrics import (
     EvalConfig,
@@ -37,7 +38,7 @@ from salmetric.smoothing import tie_break_global
 
 
 def density(rows):
-    return DensityMap(GridMap(rows))
+    return DensityMap(rows)
 
 
 def test_cc_examples():
@@ -126,7 +127,7 @@ def test_ig_examples():
     taken = vals[mask].sum()
     vals[mask] *= 2.0
     vals[~mask] *= (1.0 - 2.0 * taken) / (1.0 - taken)
-    doubled = DensityMap(GridMap(vals))
+    doubled = DensityMap(vals)
     assert abs(ig(doubled, fs, base) - 1.0) < 1e-6
     uniform = density(np.full((2, 2), 0.25))
     assert abs(ig(uniform, FixationSet([(0, 1)], (2, 2)), uniform)) < 1e-12
@@ -150,7 +151,7 @@ def test_auc_judd_perfect_and_constant():
 
 def test_auc_judd_own_density_peak():
     fs = FixationSet([(32, 30)], (64, 64))
-    pred = density_from_fixations(fs, 3.0).grid
+    pred = density_from_fixations(fs, 3.0)
     assert auc_judd(pred, fs) > 0.95
 
 
@@ -187,7 +188,7 @@ def two_image_toy():
 
 def test_s_auc_perfect_separation_toy():
     ds = two_image_toy()
-    pred = tie_break_global(density_from_fixations(ds.image("a").fixations, 1.5).grid)
+    pred = tie_break_global(density_from_fixations(ds.image("a").fixations, 1.5))
     mean, std = s_auc(pred, "a", ds, n_splits=10, seed=0)
     assert mean == 1.0 and std == 0.0
 
@@ -207,13 +208,13 @@ def test_fn_auc_toy_left_scores_one():
         ],
         sigma=3.0,
     )
-    pred = density_from_fixations(ds.image("left").fixations, 3.0).grid
+    pred = density_from_fixations(ds.image("left").fixations, 3.0)
     mean, _ = fn_auc(pred, "left", ds, k=1, n_splits=10, seed=0)
     assert mean == 1.0
 
 
 def test_fn_auc_reduces_to_s_auc(bias_dataset):
-    pred = center_bias_map((64, 64)).grid
+    pred = center_bias_map((64, 64))
     n = len(bias_dataset)
     for rec in bias_dataset.images[:3]:
         full = fn_auc(pred, rec.id, bias_dataset, k=n - 1, n_splits=25, seed=11)
@@ -236,7 +237,7 @@ def make_eval_inputs():
         ],
         sigma=1.5,
     )
-    preds = {rec.id: density_from_fixations(rec.fixations, 1.5).grid for rec in ds.images}
+    preds = {rec.id: density_from_fixations(rec.fixations, 1.5) for rec in ds.images}
     return ds, preds
 
 
@@ -252,7 +253,7 @@ def test_evaluate_all_aggregate_is_mean():
 
 def test_evaluate_all_single_image_dataset():
     ds = DatasetIndex([ImageRecord("solo", FixationSet([(2, 2)], (8, 8)))], sigma=1.0)
-    preds = {"solo": density_from_fixations(ds.image("solo").fixations, 1.0).grid}
+    preds = {"solo": density_from_fixations(ds.image("solo").fixations, 1.0)}
     config = EvalConfig(metrics=("cc", "nss", "auc_judd", "auc_borji"), n_splits=5)
     report = evaluate_all(ds, preds, config)
     assert report.aggregate == report.per_image["solo"]
@@ -266,7 +267,7 @@ def test_evaluate_all_identical_images_agree():
         ],
         sigma=1.0,
     )
-    preds = {i: density_from_fixations(ds.image(i).fixations, 1.0).grid for i in ds.ids}
+    preds = {i: density_from_fixations(ds.image(i).fixations, 1.0) for i in ds.ids}
     config = EvalConfig(metrics=("cc", "nss", "auc_judd"))
     report = evaluate_all(ds, preds, config)
     assert report.per_image["x"] == report.per_image["y"]
@@ -294,6 +295,20 @@ def test_evaluate_all_errors():
         evaluate_all(ds2, preds2, EvalConfig(metrics=("nss",)))
     with pytest.raises(ValueError):
         evaluate_all(ds2, {}, EvalConfig(metrics=("not_a_metric",)))
+
+
+def test_ig_only_evaluate_builds_no_ground_truth_density(monkeypatch):
+    ds, preds = make_eval_inputs()
+    calls = []
+
+    def counting(fixations, sigma):
+        calls.append(sigma)
+        return density_from_fixations(fixations, sigma)
+
+    monkeypatch.setattr(metrics_module, "density_from_fixations", counting)
+    report = evaluate_all(ds, preds, EvalConfig(metrics=("ig",)))
+    assert set(report.aggregate) == {"ig"}
+    assert calls == []
 
 
 def test_sampled_aucs_match_evaluate_all_with_undersized_pools():

@@ -4,6 +4,7 @@ import pytest
 from salmetric.core import DatasetIndex, FixationSet, ImageRecord
 from salmetric.errors import UnknownModeError
 from salmetric.gaussian import center_bias_map, density_from_fixations
+from salmetric.metrics import EvalConfig, evaluate_all
 from salmetric.stats import pearson
 from salmetric.synth import (
     SynthConfig,
@@ -129,6 +130,18 @@ def test_sweep_nss_prefers_sharp_predictions():
     table = sigma_sweep(ds, [4, 8, 16], sigma_gt=8, metrics=("nss",), seed=0)
     row = table.scores["nss"]
     assert row[0] > row[1] > row[2]
+
+
+def test_sweep_distribution_rows_match_evaluate_all():
+    ds = gen_dataset(SynthConfig(n_images=5, frame=(24, 24), fixations_per_image=8, seed=7))
+    names = ("cc", "sim", "kld", "ig")
+    sigmas = (2.0, 4.0, 8.0)
+    table = sigma_sweep(ds, sigmas, sigma_gt=4, metrics=names)
+    for i, st in enumerate(sigmas):
+        preds = {rec.id: density_from_fixations(rec.fixations, st) for rec in ds.images}
+        report = evaluate_all(ds, preds, EvalConfig(metrics=names, sigma=4.0))
+        for name in names:
+            assert abs(table.scores[name][i] - report.aggregate[name]) < 1e-12
 
 
 def test_sweep_validation():
