@@ -24,7 +24,7 @@ from pathlib import Path
 from . import io as sio
 from .errors import MissingPredictionError, SalmetricError
 from .gaussian import density_from_fixations
-from .metrics import ALL_METRICS, EvalConfig, evaluate_all
+from .metrics import ALL_METRICS, TIE_BREAK_MODES, EvalConfig, evaluate_all
 from .quality import quality_report
 from .sampling import negatives_farthest, negatives_shuffled
 from .seeding import derive_seed
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--tie-break", choices=("global", "noise", "off"), default="global")
+    p.add_argument("--tie-break", choices=TIE_BREAK_MODES, default="global")
     p.add_argument("--out", required=True, help="report file")
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_evaluate)

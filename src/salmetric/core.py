@@ -54,16 +54,13 @@ class GridMap:
     def frame(self) -> Frame:
         return (self.width, self.height)
 
-    def at(self, x: int, y: int) -> float:
-        return float(self.values[y, x])
-
     def values_at(self, fixations: "FixationSet") -> np.ndarray:
         """Map values at each fixation, in the set's canonical order."""
         if fixations.frame != self.frame:
             raise FrameMismatchError(
                 f"fixations index a {fixations.frame} frame, map is {self.frame}"
             )
-        return self.values[fixations.ys, fixations.xs]
+        return self.values.ravel()[fixations.linear]
 
     def __repr__(self):
         return f"{type(self).__name__}({self.width}x{self.height})"
@@ -78,35 +75,41 @@ class FixationSet:
 
     def __init__(self, coords, frame: Frame):
         w, h = int(frame[0]), int(frame[1])
-        if w < 1 or h < 1:
-            raise ValueError("frame must be at least 1x1")
-        pts = list(coords)
-        if pts:
-            arr = np.asarray(pts, dtype=np.int64)
+        linear = list(coords)
+        # with no coordinates or a frame under 1x1, _canonicalize does every check
+        if linear and w >= 1 and h >= 1:
+            arr = np.asarray(linear, dtype=np.int64)
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError("coords must be (x, y) pairs")
             xs, ys = arr[:, 0], arr[:, 1]
             if np.any((xs < 0) | (xs >= w) | (ys < 0) | (ys >= h)):
                 raise ValueError(f"coordinate outside the {w}x{h} frame")
-            linear = np.unique(ys * w + xs)
-        else:
-            linear = np.empty(0, dtype=np.int64)
-        linear.setflags(write=False)
-        self.frame = (w, h)
-        self._linear = linear
+            linear = ys * w + xs
+        self._canonicalize(linear, (w, h))
 
     @classmethod
     def from_linear(cls, linear, frame: Frame) -> "FixationSet":
         """Build from row-major linear indices (``y * width + x``)."""
+        out = cls.__new__(cls)
+        out._canonicalize(linear, frame)
+        return out
+
+    def _canonicalize(self, linear, frame: Frame) -> None:
+        """The one place a set gets its ``frame`` and ``_linear``: check the
+        frame, then sort, range-check, drop repeats and freeze the indices."""
         w, h = int(frame[0]), int(frame[1])
-        arr = np.unique(np.asarray(linear, dtype=np.int64))
+        if w < 1 or h < 1:
+            raise ValueError("frame must be at least 1x1")
+        arr = np.sort(np.asarray(linear, dtype=np.int64), axis=None)
         if arr.size and (arr[0] < 0 or arr[-1] >= w * h):
             raise ValueError(f"linear index outside the {w}x{h} frame")
-        out = cls.__new__(cls)
+        # sort, then mask out repeats: far faster on large sets than a hashing unique
+        first = np.ones(arr.size, dtype=bool)
+        np.not_equal(arr[1:], arr[:-1], out=first[1:])
+        arr = arr[first]
         arr.setflags(write=False)
-        out.frame = (w, h)
-        out._linear = arr
-        return out
+        self.frame = (w, h)
+        self._linear = arr
 
     @property
     def linear(self) -> np.ndarray:

@@ -257,3 +257,5 @@ def read_report(path) -> MetricReport:
         )
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path} is missing report fields: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"{path} has an invalid config: {exc}") from exc

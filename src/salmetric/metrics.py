@@ -147,7 +147,8 @@ def fn_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, k: int = 5,
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Everything that pins down an evaluation run."""
+    """Everything that pins down an evaluation run; a config that could not
+    run raises ``ValueError`` when it is built."""
 
     metrics: tuple = ALL_METRICS
     seed: int = 0
@@ -155,6 +156,23 @@ class EvalConfig:
     k: int = 5
     sigma: float | None = None
     tie_break: str = "global"
+
+    def __post_init__(self):
+        if not self.metrics:
+            raise ValueError(f"no metrics given; choose from {ALL_METRICS}")
+        unknown = [m for m in self.metrics if m not in ALL_METRICS]
+        if unknown:
+            raise ValueError(f"unknown metrics: {unknown}; choose from {ALL_METRICS}")
+        if self.tie_break not in TIE_BREAK_MODES:
+            raise ValueError(
+                f"unknown tie_break mode {self.tie_break!r}; expected one of {TIE_BREAK_MODES}"
+            )
+        if self.n_splits < 1:
+            raise ValueError(f"n_splits must be at least 1, got {self.n_splits}")
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+        if self.sigma is not None and not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
 @dataclass
@@ -170,20 +188,14 @@ class MetricReport:
     config: EvalConfig
 
 
-def _check_metrics(metrics) -> None:
-    unknown = [m for m in metrics if m not in ALL_METRICS]
-    if unknown:
-        raise ValueError(f"unknown metrics: {unknown}; choose from {ALL_METRICS}")
-
-
 def _image_inputs(dataset: DatasetIndex, metrics, k: int, sigma: float | None,
                   gt_sigma: float) -> list:
     """The part of each image's scoring task that does not depend on the
     prediction, in dataset order: its ``id``, ``fixations``, ground-truth
     ``gt_density`` at ``gt_sigma`` (built only for cc, sim and kld), the ig
     ``baseline`` and the negative ``pools`` of the sampled AUCs, with fn_auc
-    ranking neighbors at ``sigma``."""
-    _check_metrics(metrics)
+    ranking neighbors at ``sigma``. The names are checked by the caller's
+    :class:`EvalConfig`."""
     needs_gt = any(m in metrics for m in ("cc", "sim", "kld"))
     baseline = center_bias_map(dataset.frame) if "ig" in metrics else None
     inputs = []

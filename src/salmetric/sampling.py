@@ -47,11 +47,8 @@ def sample_from_pool(pool: NegativePool, count: int, seed: int) -> FixationSet:
 
     The support is in canonical order, so a seed pins the draw exactly."""
     rng = np.random.default_rng(seed)
-    if pool.weights is None:
-        take = rng.choice(pool.support.linear, size=int(count), replace=False)
-    else:
-        p = pool.weights / pool.weights.sum()
-        take = rng.choice(pool.support.linear, size=int(count), replace=False, p=p)
+    p = None if pool.weights is None else pool.weights / pool.weights.sum()
+    take = rng.choice(pool.support.linear, size=int(count), replace=False, p=p)
     return FixationSet.from_linear(take, pool.support.frame)
 
 
@@ -89,13 +86,16 @@ def negatives_borji(frame: Frame, positives: FixationSet, seed: int = 0) -> Fixa
     return _draw_negatives(NegativePool(complement_set(frame, positives)), positives, seed)
 
 
+def _pool_without(image_id: str, dataset: DatasetIndex, support, counts) -> NegativePool:
+    """Sorted, repeat-free ``support`` weighted by ``counts``, minus the image's own."""
+    keep = ~np.isin(support, dataset.image(image_id).fixations.linear, assume_unique=True)
+    kept = FixationSet.from_linear(support[keep], dataset.frame)
+    return NegativePool(kept, counts[keep].astype(np.float64))
+
+
 def shuffled_pool(image_id: str, dataset: DatasetIndex) -> NegativePool:
     """Fixations pooled from the whole dataset, minus this image's own."""
-    img = dataset.image(image_id)
-    pooled = dataset.pooled.linear
-    keep = ~np.isin(pooled, img.fixations.linear, assume_unique=True)
-    support = FixationSet.from_linear(pooled[keep], dataset.frame)
-    return NegativePool(support, dataset.pooled_counts[keep].astype(np.float64))
+    return _pool_without(image_id, dataset, dataset.pooled.linear, dataset.pooled_counts)
 
 
 def negatives_shuffled(image_id: str, dataset: DatasetIndex, seed: int = 0) -> FixationSet:
@@ -145,11 +145,7 @@ def farthest_pool(image_id: str, dataset: DatasetIndex, k: int, sigma: float | N
     ranking = neighbor_ranking(image_id, dataset, sigma)
     merged = np.concatenate([dataset.image(nid).fixations.linear for nid, _ in ranking.entries[:k]])
     support, counts = np.unique(merged, return_counts=True)
-    keep = ~np.isin(support, dataset.image(image_id).fixations.linear, assume_unique=True)
-    return NegativePool(
-        FixationSet.from_linear(support[keep], dataset.frame),
-        counts[keep].astype(np.float64),
-    )
+    return _pool_without(image_id, dataset, support, counts)
 
 
 def negatives_farthest(

@@ -177,6 +177,16 @@ def test_data_errors_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_empty_metric_list_exits_1(workspace, capsys):
+    tmp, manifest, preds = workspace
+    out = tmp / "r.json"
+    assert run(["evaluate", str(manifest), "--pred", str(preds), "--metrics", "",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no metrics given" in err
+    assert not out.exists()
+
+
 def test_sweep_synth_config_unknown_key_exits_1(tmp_path, capsys):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({"n_images": 4, "frame": [24, 24], "bogus": 1}))

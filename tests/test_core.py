@@ -50,6 +50,50 @@ def test_fixation_set_dedup_and_bounds():
         FixationSet([(-1, 0)], frame=(2, 2))
 
 
+@pytest.mark.parametrize("coords, frame, message", [
+    ([(0, 0)], (0, 0), "frame must be at least 1x1"),
+    ([], (3, -1), "frame must be at least 1x1"),
+    ([[]], (2, 2), "coords must be"),
+    ((1, 2), (2, 2), "coords must be"),
+    ([(0, 2)], (2, 2), "coordinate outside the 2x2 frame"),
+])
+def test_fixation_set_input_checks(coords, frame, message):
+    with pytest.raises(ValueError, match=message):
+        FixationSet(coords, frame)
+
+
+@pytest.mark.parametrize("frame", [(0, 0), (-3, 2)])
+def test_from_linear_rejects_frames_under_1x1(frame):
+    with pytest.raises(ValueError, match="frame must be at least 1x1"):
+        FixationSet.from_linear([], frame)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 15, 2240, 307200])
+def test_from_linear_matches_unique_oracle(size):
+    w, h = 640, 480
+    rng = np.random.default_rng(size)
+    drawn = rng.integers(0, w * h, size=size)
+    with_repeats = np.concatenate([drawn, drawn[: size // 3]])
+    rng.shuffle(with_repeats)
+    for arr in (with_repeats, np.sort(with_repeats)):
+        for given in (arr.tolist(), arr.astype(np.int32)):
+            fs = FixationSet.from_linear(given, (w, h))
+            assert fs.linear.dtype == np.int64
+            assert np.array_equal(fs.linear, np.unique(arr))
+            assert not fs.linear.flags.writeable
+    for bad in (-1, w * h):
+        with pytest.raises(ValueError, match="linear index outside"):
+            FixationSet.from_linear(np.append(drawn, bad), (w, h))
+
+
+def test_values_at_reads_fortran_ordered_maps():
+    v = np.random.default_rng(4).random((5, 7))
+    fs = FixationSet([(0, 0), (6, 4), (3, 1), (2, 3)], frame=(7, 5))
+    grid = GridMap(np.asfortranarray(v))
+    assert not grid.values.flags.c_contiguous
+    assert np.array_equal(grid.values_at(fs), v[fs.ys, fs.xs])
+
+
 def test_vectorize_single_center():
     fs = FixationSet([(1, 1)], frame=(3, 3))
     m = vectorize(fs)

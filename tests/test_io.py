@@ -303,3 +303,15 @@ def test_report_legacy_config_keys(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError):
         read_report(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("metrics", []), ("tie_break", "banana"), ("n_splits", 0), ("k", 0), ("sigma", -1.0),
+])
+def test_report_invalid_config_is_schema_error(tmp_path, field, value):
+    doc = json.loads(LEGACY_REPORT)
+    doc["config"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="invalid config"):
+        read_report(path)

@@ -297,6 +297,20 @@ def test_evaluate_all_errors():
         evaluate_all(ds2, {}, EvalConfig(metrics=("not_a_metric",)))
 
 
+@pytest.mark.parametrize("fields", [
+    {"metrics": ()},
+    {"metrics": ("cc", "not_a_metric")},
+    {"tie_break": "banana"},
+    {"n_splits": 0},
+    {"k": 0},
+    {"sigma": -1.0},
+    {"sigma": 0.0},
+])
+def test_eval_config_rejects_unrunnable_fields(fields):
+    with pytest.raises(ValueError):
+        EvalConfig(**fields)
+
+
 def test_ig_only_evaluate_builds_no_ground_truth_density(monkeypatch):
     ds, preds = make_eval_inputs()
     calls = []
