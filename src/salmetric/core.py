@@ -134,8 +134,13 @@ class FixationSet:
         return iter(self.coords)
 
     def __contains__(self, coord):
-        x, y = coord
-        return bool(np.any(self._linear == int(y) * self.frame[0] + int(x)))
+        x, y = map(int, coord)
+        w, h = self.frame
+        if not (0 <= x < w and 0 <= y < h):
+            return False
+        target = y * w + x
+        at = int(np.searchsorted(self._linear, target))
+        return at < self._linear.size and int(self._linear[at]) == target
 
     def __eq__(self, other):
         if not isinstance(other, FixationSet):

@@ -23,12 +23,14 @@ from .core import (
 from .errors import (
     DimensionMismatchError,
     EmptyFixationsError,
+    FrameMismatchError,
     MissingPredictionError,
+    SamplerExhaustedError,
     ZeroVarianceError,
 )
 from .gaussian import center_bias_map, density_from_fixations
-from .roc import auc_averaged, auc_single
-from .sampling import NegativePool, draw_count, farthest_pool, sample_from_pool, shuffled_pool
+from .roc import auc_single, auc_values
+from .sampling import NegativePool, draw_count, draw_linear, farthest_pool, shuffled_pool
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 from .stats import pearson
@@ -96,7 +98,7 @@ def _tie_break(pred: GridMap, mode: str, seed: int) -> GridMap:
     if mode == "off":
         return pred
     # a flat map carries no ranking; leave it to score at chance
-    if np.unique(pred.values).size < 2:
+    if pred.values.min() == pred.values.max():
         return pred
     if mode == "global":
         return tie_break_global(pred)
@@ -107,10 +109,26 @@ def _tie_break(pred: GridMap, mode: str, seed: int) -> GridMap:
 
 def _sampled_auc(scored: GridMap, positives: FixationSet, pool: NegativePool,
                  n_splits: int, seed: int):
+    """Mean and population std over ``n_splits`` draws from ``pool``: the same
+    numbers as :func:`auc_averaged` over :func:`sample_from_pool`, read
+    straight from the flat map with no per-split set."""
     count = draw_count(pool, positives)
-    return auc_averaged(
-        scored, positives, lambda s: sample_from_pool(pool, count, s), n_splits, seed
-    )
+    if n_splits < 1:
+        raise ValueError("n_splits must be at least 1")
+    if count == 0:
+        raise SamplerExhaustedError("negative sampler returned an empty set")
+    pv = scored.values_at(positives)
+    if pool.support.frame != scored.frame:
+        raise FrameMismatchError(
+            f"negatives index a {pool.support.frame} frame, map is {scored.frame}"
+        )
+    flat = scored.values.ravel()
+    p = pool.probabilities()
+    scores = np.empty(n_splits, dtype=np.float64)
+    for i in range(n_splits):
+        take = draw_linear(pool.support.linear, p, count, derive_seed(seed, i))
+        scores[i] = auc_values(pv, flat[take])
+    return float(scores.mean()), float(scores.std())
 
 
 def auc_judd(pred: GridMap, fixations: FixationSet, tie_break: str = "global",

@@ -1,4 +1,9 @@
-"""ROC construction and area computation for location-based scoring."""
+"""AUC of location-based scoring, and the ROC curve it is the area of.
+
+Scores come from :func:`auc_values`, the pairwise rank statistic. The curve
+API (:func:`roc_points`, :class:`RocCurve`, :func:`auc`) is for callers that
+want the curve itself, and is the oracle the rank statistic is tested against.
+"""
 
 from dataclasses import dataclass
 
@@ -62,8 +67,26 @@ def auc(curve: RocCurve) -> float:
     return float(0.5 * np.sum(np.diff(f) * (t[:-1] + t[1:])))
 
 
+def auc_values(pos_values: np.ndarray, neg_values: np.ndarray) -> float:
+    """Pairwise rank statistic of positive against negative values.
+
+    The Mann-Whitney form: each positive counts the negatives below it plus
+    one half for each tied negative, over P·N pairs. It equals the area under
+    the :func:`roc_points` curve. The counts are exact integers, so the
+    result is rounded once."""
+    nv = np.sort(neg_values, axis=None)
+    below = int(np.searchsorted(nv, pos_values, side="left").sum())
+    not_above = int(np.searchsorted(nv, pos_values, side="right").sum())
+    return (below + not_above) / (2 * np.size(pos_values) * nv.size)
+
+
 def auc_single(pred: GridMap, positives: FixationSet, negatives: FixationSet) -> float:
-    return auc(roc_points(pred, positives, negatives))
+    """AUC of ``pred`` with the given positive and negative locations."""
+    if len(positives) == 0:
+        raise EmptyPositivesError("no positive locations")
+    if len(negatives) == 0:
+        raise EmptyNegativesError("no negative locations")
+    return auc_values(pred.values_at(positives), pred.values_at(negatives))
 
 
 def auc_averaged(pred, positives, negative_sampler, n_splits: int = 100, seed: int = 0):
@@ -74,10 +97,13 @@ def auc_averaged(pred, positives, negative_sampler, n_splits: int = 100, seed: i
     """
     if n_splits < 1:
         raise ValueError("n_splits must be at least 1")
+    if len(positives) == 0:
+        raise EmptyPositivesError("no positive locations")
+    pv = pred.values_at(positives)
     scores = np.empty(n_splits, dtype=np.float64)
     for i in range(n_splits):
         negatives = negative_sampler(derive_seed(seed, i))
         if len(negatives) == 0:
             raise SamplerExhaustedError("negative sampler returned an empty set")
-        scores[i] = auc_single(pred, positives, negatives)
+        scores[i] = auc_values(pv, pred.values_at(negatives))
     return float(scores.mean()), float(scores.std())

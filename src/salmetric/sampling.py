@@ -29,6 +29,10 @@ class NegativePool:
     def __len__(self):
         return len(self.support)
 
+    def probabilities(self) -> np.ndarray | None:
+        """Draw probability of each support location; ``None`` means uniform."""
+        return None if self.weights is None else self.weights / self.weights.sum()
+
 
 @dataclass(frozen=True)
 class NeighborList:
@@ -42,13 +46,19 @@ class NeighborList:
     entries: tuple  # of (image id, dissimilarity)
 
 
+def draw_linear(linear: np.ndarray, p: np.ndarray | None, count: int, seed: int) -> np.ndarray:
+    """The one negative draw: ``count`` distinct entries of ``linear``, picked
+    with probabilities ``p`` (``None``: uniform) by a generator seeded with
+    ``seed``. Every sampler and sampled AUC draws through here."""
+    rng = np.random.default_rng(seed)
+    return rng.choice(linear, size=int(count), replace=False, p=p)
+
+
 def sample_from_pool(pool: NegativePool, count: int, seed: int) -> FixationSet:
     """Draw ``count`` distinct locations from the pool.
 
     The support is in canonical order, so a seed pins the draw exactly."""
-    rng = np.random.default_rng(seed)
-    p = None if pool.weights is None else pool.weights / pool.weights.sum()
-    take = rng.choice(pool.support.linear, size=int(count), replace=False, p=p)
+    take = draw_linear(pool.support.linear, pool.probabilities(), count, seed)
     return FixationSet.from_linear(take, pool.support.frame)
 
 
@@ -122,6 +132,17 @@ def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
     return cached
 
 
+def _id_rank(dataset: DatasetIndex) -> np.ndarray:
+    """Each image's position in id order, cached on the dataset."""
+    rank = dataset._cache.get("id_rank")
+    if rank is None:
+        by_id = sorted(range(len(dataset)), key=lambda j: dataset.images[j].id)
+        rank = np.empty(len(dataset), dtype=np.int64)
+        rank[by_id] = np.arange(len(dataset))
+        dataset._cache["id_rank"] = rank
+    return rank
+
+
 def neighbor_ranking(image_id: str, dataset: DatasetIndex, sigma: float | None = None) -> NeighborList:
     """Order the other images by how unlike their fixation density is."""
     if len(dataset) < 2:
@@ -129,12 +150,11 @@ def neighbor_ranking(image_id: str, dataset: DatasetIndex, sigma: float | None =
     sigma = dataset.sigma if sigma is None else sigma
     cmat = _cc_matrix(dataset, sigma)
     i = dataset.index(image_id)
-    entries = [
-        (rec.id, float(-cmat[i, j]))
-        for j, rec in enumerate(dataset.images)
-        if j != i
-    ]
-    entries.sort(key=lambda e: (-e[1], e[0]))
+    others = np.delete(np.arange(len(dataset)), i)
+    # lowest correlation first; equal correlations in id order
+    order = others[np.lexsort((_id_rank(dataset)[others], cmat[i, others]))]
+    ids = dataset.ids
+    entries = zip([ids[j] for j in order.tolist()], (-cmat[i, order]).tolist())
     return NeighborList(query=image_id, entries=tuple(entries))
 
 

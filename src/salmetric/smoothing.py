@@ -13,10 +13,12 @@ from .gaussian import global_gaussian_map
 
 
 def _tie_epsilon(values: np.ndarray, spread: float) -> float:
-    distinct = np.unique(values)
-    if distinct.size < 2 or spread <= 0.0:
+    # the positive gaps of the sorted values are the gaps between distinct values
+    gaps = np.diff(np.sort(values, axis=None))
+    gaps = gaps[gaps > 0.0]
+    if gaps.size == 0 or spread <= 0.0:
         return 1.0
-    return float(np.diff(distinct).min() / (2.0 * spread))
+    return float(gaps.min() / (2.0 * spread))
 
 
 def tie_break_global(pred: GridMap) -> GridMap:

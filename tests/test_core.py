@@ -50,6 +50,31 @@ def test_fixation_set_dedup_and_bounds():
         FixationSet([(-1, 0)], frame=(2, 2))
 
 
+@pytest.mark.parametrize("coord, inside", [
+    ((1, 0), False),
+    ((0, 1), True),
+    ((2, 0), False),   # y * w + x would alias (0, 1)
+    ((-2, 2), False),  # likewise
+    ((0, 2), False),
+    ((-1, 0), False),
+    ((0, -1), False),
+    ((1, 1), False),
+    ((5, 5), False),
+])
+def test_contains_is_false_outside_the_frame(coord, inside):
+    assert (coord in FixationSet([(0, 1)], (2, 2))) is inside
+
+
+def test_contains_matches_coordinate_list():
+    rng = np.random.default_rng(13)
+    for size in (0, 1, 7, 20):
+        fs = FixationSet.from_linear(rng.choice(20, size=size, replace=False), (5, 4))
+        members = set(fs.coords)
+        for x in range(-6, 12):
+            for y in range(-5, 10):
+                assert ((x, y) in fs) is ((x, y) in members)
+
+
 @pytest.mark.parametrize("coords, frame, message", [
     ([(0, 0)], (0, 0), "frame must be at least 1x1"),
     ([], (3, -1), "frame must be at least 1x1"),

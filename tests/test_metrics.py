@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from salmetric.core import (
     FixationSet,
     GridMap,
     ImageRecord,
+    complement_set,
     normalize_to_density,
 )
 from salmetric.errors import (
@@ -33,8 +35,10 @@ from salmetric.metrics import (
     s_auc,
     sim,
 )
+from salmetric.roc import auc_averaged
+from salmetric.sampling import NegativePool, draw_count, sample_from_pool, shuffled_pool
 from salmetric.seeding import derive_seed
-from salmetric.smoothing import tie_break_global
+from salmetric.smoothing import _tie_epsilon, tie_break_global
 
 
 def density(rows):
@@ -352,3 +356,53 @@ def test_sampled_aucs_match_evaluate_all_with_undersized_pools():
             for name, (mean, std) in alone.items():
                 assert report.per_image[image_id][name] == mean
                 assert report.per_image_std[image_id][name] == std
+
+
+@pytest.mark.parametrize("kind", ["unweighted", "weighted", "undersized"])
+def test_sampled_auc_matches_auc_averaged_over_pool_draws(kind, bias_dataset):
+    rec = bias_dataset.images[3]
+    fx = rec.fixations
+    if kind == "unweighted":
+        pool = NegativePool(complement_set(bias_dataset.frame, fx))
+    elif kind == "weighted":
+        pool = shuffled_pool(rec.id, bias_dataset)
+        assert pool.weights.max() > 1.0
+    else:
+        support = FixationSet([(0, 0), (5, 9), (63, 63)], bias_dataset.frame)
+        pool = NegativePool(support, np.array([1.0, 4.0, 2.0]))
+    rng = np.random.default_rng(59)
+    pred = GridMap(rng.choice([0.0, 0.25, 1.0], size=(64, 64)))
+    for scored in (pred, tie_break_global(pred)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            count = draw_count(pool, fx)
+            got = metrics_module._sampled_auc(scored, fx, pool, 13, 8)
+        assert (count < len(fx)) is bool(caught) is (kind == "undersized")
+        expected = auc_averaged(scored, fx, lambda s: sample_from_pool(pool, count, s), 13, 8)
+        assert got == expected
+
+
+def _unique_tie_epsilon(values, spread):
+    """The two-pass form: gaps between the distinct values."""
+    distinct = np.unique(values)
+    if distinct.size < 2 or spread <= 0.0:
+        return 1.0
+    return float(np.diff(distinct).min() / (2.0 * spread))
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(61).choice([0.0, 0.125, 0.5, 1.0], size=(48, 64)),
+    np.random.default_rng(67).choice([-3.0, 7.5], size=(30, 20)),
+    np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, 0.25]]),
+    np.array([[-0.0, 0.0], [0.0, -0.0]]),
+    np.full((5, 7), 0.3),
+    np.random.default_rng(71).normal(size=(40, 40)),
+])
+def test_tie_break_matches_unique_oracle(values):
+    pred = GridMap(values)
+    for spread in (0.0, 0.75, 2.0):
+        assert _tie_epsilon(pred.values, spread) == _unique_tie_epsilon(pred.values, spread)
+    flat = np.unique(pred.values).size < 2
+    for mode in ("global", "noise"):
+        out = metrics_module._tie_break(pred, mode, 5)
+        assert (out is pred) is flat

@@ -142,3 +142,38 @@ def test_auc_averaged_empty_draw():
     pos = FixationSet([(0, 0)], (2, 2))
     with pytest.raises(SamplerExhaustedError):
         auc_averaged(pred, pos, lambda s: FixationSet([], (2, 2)), n_splits=3, seed=0)
+
+
+def test_auc_single_heavily_tied_maps_match_brute_force():
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        w, h = 12, 9
+        pred = GridMap(rng.choice([0.0, 0.5, 1.0], size=(h, w)))
+        picks = rng.permutation(w * h)
+        n_pos = int(rng.integers(1, 20))
+        pos = FixationSet.from_linear(picks[:n_pos], (w, h))
+        neg = FixationSet.from_linear(picks[n_pos:], (w, h))
+        assert abs(auc_single(pred, pos, neg) - pairwise_rank_oracle(pred, pos, neg)) < 1e-12
+
+
+def test_auc_single_fully_tied_map_is_exactly_half():
+    pred = GridMap(np.full((9, 12), -0.25))
+    rng = np.random.default_rng(47)
+    for n_pos in (1, 5, 107):
+        picks = rng.permutation(108)
+        pos = FixationSet.from_linear(picks[:n_pos], (12, 9))
+        neg = FixationSet.from_linear(picks[n_pos:], (12, 9))
+        assert auc_single(pred, pos, neg) == 0.5
+
+
+def test_auc_single_equals_curve_area_on_random_maps():
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        w, h = 16, 12
+        pred = GridMap(rng.normal(size=(h, w)))
+        picks = rng.permutation(w * h)
+        n_pos = int(rng.integers(1, 40))
+        n_neg = int(rng.integers(1, w * h - n_pos + 1))
+        pos = FixationSet.from_linear(picks[:n_pos], (w, h))
+        neg = FixationSet.from_linear(picks[n_pos:n_pos + n_neg], (w, h))
+        assert abs(auc_single(pred, pos, neg) - auc(roc_points(pred, pos, neg))) < 1e-12

@@ -13,6 +13,7 @@ from salmetric.sampling import (
     neighbor_ranking,
     shuffled_pool,
 )
+from salmetric import sampling as sampling_module
 from salmetric.seeding import derive_seed
 from salmetric.stats import pearson
 
@@ -137,6 +138,26 @@ def test_identical_images_are_closest():
     ranking = neighbor_ranking("a", ds)
     assert ranking.entries[-1][0] == "b"
     assert abs(ranking.entries[-1][1] - (-1.0)) < 1e-9
+
+
+def test_neighbor_ranking_breaks_exact_ties_by_id():
+    # five fixation patterns, each repeated under ids whose string order is
+    # neither dataset order nor numeric order, so correlations tie exactly
+    rng = np.random.default_rng(19)
+    patterns = [FixationSet.from_linear(rng.choice(24 * 16, size=4, replace=False), (24, 16))
+                for _ in range(5)]
+    ids = [f"img{n}" for n in rng.permutation(30)]
+    ds = DatasetIndex([ImageRecord(image_id, patterns[n % 5]) for n, image_id in enumerate(ids)],
+                      sigma=3.0)
+    cmat = sampling_module._cc_matrix(ds, ds.sigma)
+    ties = 0
+    for i, image_id in enumerate(ids):
+        expected = sorted(((rec.id, float(-cmat[i, j])) for j, rec in enumerate(ds.images)
+                           if j != i), key=lambda e: (-e[1], e[0]))
+        entries = neighbor_ranking(image_id, ds).entries
+        assert entries == tuple(expected)
+        ties += sum(a[1] == b[1] for a, b in zip(entries, entries[1:]))
+    assert ties > 100
 
 
 def test_farthest_pool_monotone_in_k(bias_dataset):
