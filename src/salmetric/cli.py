@@ -26,7 +26,7 @@ from .errors import MissingPredictionError, SalmetricError
 from .gaussian import density_from_fixations
 from .metrics import ALL_METRICS, TIE_BREAK_MODES, EvalConfig, evaluate_all
 from .quality import quality_report
-from .sampling import negatives_farthest, negatives_shuffled
+from .sampling import negative_pool, sample_from_pool
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 from .synth import PREDICTOR_MODES, SynthConfig, gen_dataset, gen_prediction, sigma_sweep
@@ -120,10 +120,8 @@ def _cmd_negatives(args) -> int:
     drawn = []
     for rec in dataset.images:
         seed = derive_seed(args.seed, "negatives", rec.id)
-        if args.sampler == "shuffled":
-            negatives = negatives_shuffled(rec.id, dataset, seed)
-        else:
-            negatives = negatives_farthest(rec.id, dataset, args.k, seed=seed)
+        negatives = sample_from_pool(negative_pool(args.sampler, rec.id, dataset, args.k),
+                                     rec.fixations, seed)
         drawn.append({"id": rec.id, "fixations": [[x, y] for x, y in negatives.coords]})
     width, height = dataset.frame
     doc = {

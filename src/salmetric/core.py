@@ -201,6 +201,7 @@ class DatasetIndex:
                 raise EmptyFixationsError(f"image {rec.id!r} has no fixations")
             by_id[rec.id] = pos
         self.images = images
+        self.ids = tuple(rec.id for rec in images)
         self.name = name
         self.sigma = float(sigma)
         all_linear = np.concatenate([rec.fixations.linear for rec in images])
@@ -215,10 +216,6 @@ class DatasetIndex:
     @property
     def frame(self) -> Frame:
         return self.images[0].frame
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(rec.id for rec in self.images)
 
     def image(self, image_id: str) -> ImageRecord:
         return self.images[self.index(image_id)]

@@ -44,8 +44,8 @@ def kernel_radius(sigma: float) -> int:
 
 
 def _check_sigma(sigma):
-    if not (float(sigma) > 0.0):
-        raise InvalidSigmaError(f"sigma must be positive, got {sigma!r}")
+    if not (0.0 < float(sigma) < math.inf):
+        raise InvalidSigmaError(f"sigma must be positive and finite, got {sigma!r}")
 
 
 def gaussian_kernel(sigma: float) -> GridMap:
@@ -62,8 +62,10 @@ def gaussian_kernel(sigma: float) -> GridMap:
     return GridMap(peak * np.exp(-(sq[:, None] + sq[None, :]) / (2.0 * sigma * sigma)))
 
 
-def _kernel_1d(sigma: float) -> np.ndarray:
-    r = kernel_radius(sigma)
+def _kernel_1d(sigma: float, n: int) -> np.ndarray:
+    # On an axis of n pixels a tap more than n - 1 away from the centre only
+    # ever meets the zero padding and adds +0.0, so it is left out.
+    r = min(kernel_radius(sigma), n - 1)
     offsets = np.arange(-r, r + 1, dtype=np.float64)
     return np.exp(-(offsets ** 2) / (2.0 * sigma * sigma)) / (math.sqrt(2.0 * math.pi) * sigma)
 
@@ -87,9 +89,9 @@ def _correlate_axis(values: np.ndarray, kernel: np.ndarray, axis: int) -> np.nda
 def blur(grid: GridMap, sigma: float) -> GridMap:
     """Separable Gaussian blur; output has the same dimensions as the input."""
     _check_sigma(sigma)
-    k1 = _kernel_1d(float(sigma))
-    out = _correlate_axis(grid.values, k1, axis=1)
-    out = _correlate_axis(out, k1, axis=0)
+    sigma = float(sigma)
+    out = _correlate_axis(grid.values, _kernel_1d(sigma, grid.width), axis=1)
+    out = _correlate_axis(out, _kernel_1d(sigma, grid.height), axis=0)
     return GridMap(out)
 
 

@@ -15,6 +15,7 @@ are JSON with sorted keys, so equal content always produces equal bytes.
 
 import json
 import struct
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -184,8 +185,10 @@ def manifest_to_dataset(doc) -> DatasetIndex:
         records.append(ImageRecord(id=image_id, fixations=FixationSet(coords, (width, height))))
     if "sigma" in doc:
         sigma = doc["sigma"]
-        if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not sigma > 0:
-            raise SchemaError("manifest 'sigma' must be a positive number")
+        # the upper bound also turns away an integer too large for a float
+        if (isinstance(sigma, bool) or not isinstance(sigma, (int, float))
+                or not 0 < sigma <= sys.float_info.max):
+            raise SchemaError("manifest 'sigma' must be a positive finite number")
         sigma = float(sigma)
     else:
         sigma = sigma_for_dataset(name)

@@ -7,6 +7,7 @@ scores (nss, the AUCs) consume the raw prediction and the fixation set.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -23,14 +24,12 @@ from .core import (
 from .errors import (
     DimensionMismatchError,
     EmptyFixationsError,
-    FrameMismatchError,
     MissingPredictionError,
-    SamplerExhaustedError,
     ZeroVarianceError,
 )
 from .gaussian import center_bias_map, density_from_fixations
-from .roc import auc_single, auc_values
-from .sampling import NegativePool, draw_count, draw_linear, farthest_pool, shuffled_pool
+from .roc import auc_averaged, auc_single
+from .sampling import NegativePool, _cc_matrix, negative_pool
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 from .stats import pearson
@@ -38,7 +37,8 @@ from .stats import pearson
 EPS = float(np.finfo(np.float64).eps)
 
 ALL_METRICS = ("cc", "nss", "sim", "kld", "ig", "auc_judd", "auc_borji", "s_auc", "fn_auc")
-SAMPLED_METRICS = ("auc_borji", "s_auc", "fn_auc")
+# each sampled AUC and the sampler whose pool it draws from
+SAMPLED_METRICS = {"auc_borji": "borji", "s_auc": "shuffled", "fn_auc": "fn"}
 TIE_BREAK_MODES = ("global", "noise", "off")
 
 
@@ -107,30 +107,6 @@ def _tie_break(pred: GridMap, mode: str, seed: int) -> GridMap:
     raise ValueError(f"unknown tie_break mode {mode!r}; expected one of {TIE_BREAK_MODES}")
 
 
-def _sampled_auc(scored: GridMap, positives: FixationSet, pool: NegativePool,
-                 n_splits: int, seed: int):
-    """Mean and population std over ``n_splits`` draws from ``pool``: the same
-    numbers as :func:`auc_averaged` over :func:`sample_from_pool`, read
-    straight from the flat map with no per-split set."""
-    count = draw_count(pool, positives)
-    if n_splits < 1:
-        raise ValueError("n_splits must be at least 1")
-    if count == 0:
-        raise SamplerExhaustedError("negative sampler returned an empty set")
-    pv = scored.values_at(positives)
-    if pool.support.frame != scored.frame:
-        raise FrameMismatchError(
-            f"negatives index a {pool.support.frame} frame, map is {scored.frame}"
-        )
-    flat = scored.values.ravel()
-    p = pool.probabilities()
-    scores = np.empty(n_splits, dtype=np.float64)
-    for i in range(n_splits):
-        take = draw_linear(pool.support.linear, p, count, derive_seed(seed, i))
-        scores[i] = auc_values(pv, flat[take])
-    return float(scores.mean()), float(scores.std())
-
-
 def auc_judd(pred: GridMap, fixations: FixationSet, tie_break: str = "global",
              seed: int = 0) -> float:
     """AUC with every non-fixated pixel as a negative."""
@@ -143,15 +119,15 @@ def auc_borji(pred: GridMap, fixations: FixationSet, n_splits: int = 100, seed: 
     """AUC against uniform draws of non-fixated pixels; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
     pool = NegativePool(complement_set(pred.frame, fixations))
-    return _sampled_auc(scored, fixations, pool, n_splits, seed)
+    return auc_averaged(scored, fixations, pool, n_splits, seed)
 
 
 def s_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, n_splits: int = 100,
           seed: int = 0, tie_break: str = "global"):
     """AUC against fixations pooled from the other images; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
-    pool = shuffled_pool(image_id, dataset)
-    return _sampled_auc(scored, dataset.image(image_id).fixations, pool, n_splits, seed)
+    pool = negative_pool("shuffled", image_id, dataset)
+    return auc_averaged(scored, dataset.image(image_id).fixations, pool, n_splits, seed)
 
 
 def fn_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, k: int = 5,
@@ -159,8 +135,8 @@ def fn_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, k: int = 5,
            tie_break: str = "global"):
     """AUC against fixations of the k least similar images; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
-    pool = farthest_pool(image_id, dataset, k, sigma)
-    return _sampled_auc(scored, dataset.image(image_id).fixations, pool, n_splits, seed)
+    pool = negative_pool("fn", image_id, dataset, k, sigma)
+    return auc_averaged(scored, dataset.image(image_id).fixations, pool, n_splits, seed)
 
 
 @dataclass(frozen=True)
@@ -189,8 +165,8 @@ class EvalConfig:
             raise ValueError(f"n_splits must be at least 1, got {self.n_splits}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma is not None and not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass
@@ -206,7 +182,7 @@ class MetricReport:
     config: EvalConfig
 
 
-def _image_inputs(dataset: DatasetIndex, metrics, k: int, sigma: float | None,
+def _image_inputs(dataset: DatasetIndex, metrics, k: int, sigma: float,
                   gt_sigma: float) -> list:
     """The part of each image's scoring task that does not depend on the
     prediction, in dataset order: its ``id``, ``fixations``, ground-truth
@@ -214,27 +190,24 @@ def _image_inputs(dataset: DatasetIndex, metrics, k: int, sigma: float | None,
     ``baseline`` and the negative ``pools`` of the sampled AUCs, with fn_auc
     ranking neighbors at ``sigma``. The names are checked by the caller's
     :class:`EvalConfig`."""
-    needs_gt = any(m in metrics for m in ("cc", "sim", "kld"))
+    gt = [None] * len(dataset)
+    if any(m in metrics for m in ("cc", "sim", "kld")):
+        gt = [density_from_fixations(rec.fixations, gt_sigma) for rec in dataset.images]
+        # the neighbour matrix reuses these densities instead of blurring again
+        if "fn_auc" in metrics and sigma == gt_sigma:
+            _cc_matrix(dataset, gt_sigma, gt)
     baseline = center_bias_map(dataset.frame) if "ig" in metrics else None
-    inputs = []
-    for rec in dataset.images:
-        # the density is built before the pools: on large frames the other
-        # order raises the peak heap by about one map
-        task = {
+    return [
+        {
             "id": rec.id,
             "fixations": rec.fixations,
-            "gt_density": density_from_fixations(rec.fixations, gt_sigma) if needs_gt else None,
+            "gt_density": density,
             "baseline": baseline,
-            "pools": {},
+            "pools": {name: negative_pool(sampler, rec.id, dataset, k, sigma)
+                      for name, sampler in SAMPLED_METRICS.items() if name in metrics},
         }
-        if "auc_borji" in metrics:
-            task["pools"]["auc_borji"] = NegativePool(complement_set(dataset.frame, rec.fixations))
-        if "s_auc" in metrics:
-            task["pools"]["s_auc"] = shuffled_pool(rec.id, dataset)
-        if "fn_auc" in metrics:
-            task["pools"]["fn_auc"] = farthest_pool(rec.id, dataset, k, sigma)
-        inputs.append(task)
-    return inputs
+        for rec, density in zip(dataset.images, gt)
+    ]
 
 
 def _score_image(task: dict):
@@ -275,7 +248,7 @@ def _score_image(task: dict):
                 scores[name] = auc_single(scored, fx, complement_set(pred.frame, fx))
             else:
                 pool = task["pools"][name]
-                mean, std = _sampled_auc(scored, fx, pool, cfg.n_splits, image_seed)
+                mean, std = auc_averaged(scored, fx, pool, cfg.n_splits, image_seed)
                 scores[name] = mean
                 stds[name] = std
     return task["id"], scores, stds

@@ -15,7 +15,7 @@ from .core import DatasetIndex, DensityMap, FixationSet
 from .errors import EmptyFixationsError
 from .gaussian import center_bias_map, density_from_fixations
 from .metrics import auc_judd
-from .sampling import negatives_farthest, negatives_shuffled
+from .sampling import negative_pool, sample_from_pool
 from .seeding import derive_seed
 from .stats import pearson
 
@@ -70,19 +70,15 @@ def positive_contamination(negatives: FixationSet, positives: FixationSet,
 
 
 def _parse_sampler(label: str):
-    """Sampler spec: "shuffled" or "fn:K"."""
+    """Sampler spec "shuffled" or "fn:K" as ``(sampler, k)`` for :func:`negative_pool`."""
     kind, *params = label.split(":")
-    if kind == "shuffled":
-        if params:
-            raise ValueError(f"sampler {label!r} takes no parameters")
-        return lambda image_id, dataset, sigma, seed: negatives_shuffled(image_id, dataset, seed)
-    if kind == "fn":
-        if len(params) != 1:
-            raise ValueError(f"sampler {label!r} needs one neighbor count, e.g. 'fn:5'")
-        k = int(params[0])
-        return lambda image_id, dataset, sigma, seed: negatives_farthest(
-            image_id, dataset, k, sigma, seed
-        )
+    if kind == "shuffled" and not params:
+        return "shuffled", None
+    if kind == "fn" and len(params) == 1:
+        try:
+            return "fn", int(params[0])
+        except ValueError as exc:
+            raise ValueError(f"sampler {label!r}: {exc}") from None
     raise ValueError(f"unknown sampler {label!r}; expected shuffled or fn:K")
 
 
@@ -96,10 +92,11 @@ def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: i
     center = center_bias_map(dataset.frame)
     out = {}
     for label in samplers:
-        draw = _parse_sampler(label)
+        sampler, k = _parse_sampler(label)
         pen, con, ratios = [], [], []
         for rec in dataset.images:
-            negatives = draw(rec.id, dataset, sigma, derive_seed(seed, label, rec.id))
+            pool = negative_pool(sampler, rec.id, dataset, k, sigma)
+            negatives = sample_from_pool(pool, rec.fixations, derive_seed(seed, label, rec.id))
             triple = make_triple(
                 center_penalization(negatives, center, sigma, measure),
                 positive_contamination(negatives, rec.fixations, sigma, measure),

@@ -10,7 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FixationSet, GridMap
-from .errors import EmptyNegativesError, EmptyPositivesError, SamplerExhaustedError
+from .errors import (
+    EmptyNegativesError,
+    EmptyPositivesError,
+    FrameMismatchError,
+    SamplerExhaustedError,
+)
+from .sampling import NegativePool, draw_count, draw_linear
 from .seeding import derive_seed
 
 
@@ -89,21 +95,27 @@ def auc_single(pred: GridMap, positives: FixationSet, negatives: FixationSet) ->
     return auc_values(pred.values_at(positives), pred.values_at(negatives))
 
 
-def auc_averaged(pred, positives, negative_sampler, n_splits: int = 100, seed: int = 0):
-    """Mean and population std of ``auc_single`` over seeded negative draws.
+def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
+                 n_splits: int = 100, seed: int = 0):
+    """Mean and population std of the AUC over ``n_splits`` draws from ``pool``.
 
-    ``negative_sampler`` gets one derived seed per split, so the result does
-    not depend on evaluation order.
-    """
+    The one split loop of every sampled AUC. Split i draws :func:`draw_count`
+    negatives with seed ``derive_seed(seed, i)``, so the result does not
+    depend on evaluation order, and reads them straight from the flat map."""
+    count = draw_count(pool, positives)
     if n_splits < 1:
         raise ValueError("n_splits must be at least 1")
-    if len(positives) == 0:
-        raise EmptyPositivesError("no positive locations")
+    if count == 0:
+        raise SamplerExhaustedError("negative sampler returned an empty set")
     pv = pred.values_at(positives)
+    if pool.support.frame != pred.frame:
+        raise FrameMismatchError(
+            f"negatives index a {pool.support.frame} frame, map is {pred.frame}"
+        )
+    flat = pred.values.ravel()
+    p = pool.probabilities()
     scores = np.empty(n_splits, dtype=np.float64)
     for i in range(n_splits):
-        negatives = negative_sampler(derive_seed(seed, i))
-        if len(negatives) == 0:
-            raise SamplerExhaustedError("negative sampler returned an empty set")
-        scores[i] = auc_values(pv, pred.values_at(negatives))
+        take = draw_linear(pool.support.linear, p, count, derive_seed(seed, i))
+        scores[i] = auc_values(pv, flat[take])
     return float(scores.mean()), float(scores.std())

@@ -54,14 +54,6 @@ def draw_linear(linear: np.ndarray, p: np.ndarray | None, count: int, seed: int)
     return rng.choice(linear, size=int(count), replace=False, p=p)
 
 
-def sample_from_pool(pool: NegativePool, count: int, seed: int) -> FixationSet:
-    """Draw ``count`` distinct locations from the pool.
-
-    The support is in canonical order, so a seed pins the draw exactly."""
-    take = draw_linear(pool.support.linear, pool.probabilities(), count, seed)
-    return FixationSet.from_linear(take, pool.support.frame)
-
-
 def draw_count(pool: NegativePool, positives: FixationSet) -> int:
     """How many negatives to draw from ``pool`` against ``positives``.
 
@@ -82,8 +74,13 @@ def draw_count(pool: NegativePool, positives: FixationSet) -> int:
     return len(positives)
 
 
-def _draw_negatives(pool: NegativePool, positives: FixationSet, seed: int) -> FixationSet:
-    return sample_from_pool(pool, draw_count(pool, positives), seed)
+def sample_from_pool(pool: NegativePool, positives: FixationSet, seed: int) -> FixationSet:
+    """Draw :func:`draw_count` distinct locations from the pool.
+
+    The support is in canonical order, so a seed pins the draw exactly."""
+    count = draw_count(pool, positives)
+    take = draw_linear(pool.support.linear, pool.probabilities(), count, seed)
+    return FixationSet.from_linear(take, pool.support.frame)
 
 
 def negatives_judd(frame: Frame, positives: FixationSet) -> FixationSet:
@@ -93,7 +90,7 @@ def negatives_judd(frame: Frame, positives: FixationSet) -> FixationSet:
 
 def negatives_borji(frame: Frame, positives: FixationSet, seed: int = 0) -> FixationSet:
     """Uniform sample of non-fixated locations, as many as there are positives."""
-    return _draw_negatives(NegativePool(complement_set(frame, positives)), positives, seed)
+    return sample_from_pool(NegativePool(complement_set(frame, positives)), positives, seed)
 
 
 def _pool_without(image_id: str, dataset: DatasetIndex, support, counts) -> NegativePool:
@@ -111,18 +108,21 @@ def shuffled_pool(image_id: str, dataset: DatasetIndex) -> NegativePool:
 def negatives_shuffled(image_id: str, dataset: DatasetIndex, seed: int = 0) -> FixationSet:
     """Draw of other images' fixations, as many as this image's positives."""
     pool = shuffled_pool(image_id, dataset)
-    return _draw_negatives(pool, dataset.image(image_id).fixations, seed)
+    return sample_from_pool(pool, dataset.image(image_id).fixations, seed)
 
 
-def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
-    """Pairwise correlation of per-image densities, cached on the dataset."""
+def _cc_matrix(dataset: DatasetIndex, sigma: float, densities=None) -> np.ndarray:
+    """Pairwise correlation of per-image densities, cached on the dataset.
+
+    ``densities``, the images' densities at ``sigma`` in dataset order, are
+    used in place of blurring every image again; only the matrix is cached."""
     key = ("density_cc", float(sigma))
     cached = dataset._cache.get(key)
     if cached is None:
-        rows = np.stack(
-            [density_from_fixations(rec.fixations, sigma).values.ravel() for rec in dataset.images]
-        )
-        rows = rows - rows.mean(axis=1, keepdims=True)
+        if densities is None:
+            densities = (density_from_fixations(rec.fixations, sigma) for rec in dataset.images)
+        rows = np.stack([d.values.ravel() for d in densities])
+        rows -= rows.mean(axis=1, keepdims=True)
         norms = np.linalg.norm(rows, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise ZeroVarianceError("an image density is constant; cannot correlate")
@@ -177,4 +177,18 @@ def negatives_farthest(
 ) -> FixationSet:
     """Draw from the farthest-neighbor pool, matching the positives' size."""
     pool = farthest_pool(image_id, dataset, k, sigma)
-    return _draw_negatives(pool, dataset.image(image_id).fixations, seed)
+    return sample_from_pool(pool, dataset.image(image_id).fixations, seed)
+
+
+def negative_pool(sampler: str, image_id: str, dataset: DatasetIndex, k: int = 5,
+                  sigma: float | None = None) -> NegativePool:
+    """The one map from a sampler name to the image's pool: ``borji``, every
+    non-fixated location; ``shuffled``, :func:`shuffled_pool`; ``fn``,
+    :func:`farthest_pool` over ``k`` neighbours ranked at ``sigma``."""
+    if sampler == "borji":
+        return NegativePool(complement_set(dataset.frame, dataset.image(image_id).fixations))
+    if sampler == "shuffled":
+        return shuffled_pool(image_id, dataset)
+    if sampler == "fn":
+        return farthest_pool(image_id, dataset, k, sigma)
+    raise ValueError(f"unknown sampler {sampler!r}; expected borji, shuffled or fn")

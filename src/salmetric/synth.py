@@ -156,7 +156,7 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
     sigma_gt = dataset.sigma if sigma_gt is None else float(sigma_gt)
     config = EvalConfig(metrics=metrics, n_splits=n_splits)
     # fn_auc ranks neighbors at the dataset's own width, not at sigma_gt
-    inputs = _image_inputs(dataset, metrics, k, None, sigma_gt)
+    inputs = _image_inputs(dataset, metrics, k, dataset.sigma, sigma_gt)
 
     rows = {m: [] for m in metrics}
     for st in sigma_train:

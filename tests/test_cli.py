@@ -177,6 +177,24 @@ def test_data_errors_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_sigma_exits_1(workspace, capsys):
+    tmp, manifest, preds = workspace
+    doc = json.loads(manifest.read_text())
+    doc["sigma"] = float("inf")
+    inf_manifest = tmp / "inf.json"
+    inf_manifest.write_text(json.dumps(doc))  # written as Infinity, which json.load accepts
+    for argv in (
+        ["density", str(manifest), "--sigma", "inf", "--out", str(tmp / "d")],
+        ["evaluate", str(manifest), "--pred", str(preds), "--sigma", "inf",
+         "--out", str(tmp / "r.json")],
+        ["sweep", str(manifest), "--sigmas", "2,inf", "--out", str(tmp / "t.json")],
+        ["evaluate", str(inf_manifest), "--pred", str(preds), "--out", str(tmp / "r.json")],
+    ):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err
+
+
 def test_evaluate_empty_metric_list_exits_1(workspace, capsys):
     tmp, manifest, preds = workspace
     out = tmp / "r.json"

@@ -54,7 +54,7 @@ def test_kernel_size_rule():
 
 
 def test_invalid_sigma():
-    for bad in (0.0, -1.0, float("nan")):
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidSigmaError):
             gaussian_kernel(bad)
         with pytest.raises(InvalidSigmaError):
@@ -83,7 +83,8 @@ def test_blur_preserves_mass_for_interior_input():
     assert abs(out.values.sum() - values.sum() * kernel_mass) < 1e-9
 
 
-@pytest.mark.parametrize("sigma", [1.0, 2.0, 4.0])
+# 20.0 cuts the kernel at 60 pixels, far past the 16-pixel frame
+@pytest.mark.parametrize("sigma", [1.0, 2.0, 4.0, 20.0])
 def test_blur_matches_dense_oracle(sigma):
     rng = np.random.default_rng(int(sigma * 10))
     for _ in range(5):

@@ -213,6 +213,10 @@ def test_manifest_duplicate_id(tmp_path):
      "images": [{"id": "a", "fixations": [[True, False]]}]},
     {"name": "x", "width": 4, "height": 4, "sigma": True,
      "images": [{"id": "a", "fixations": [[0, 0]]}]},
+    {"name": "x", "width": 4, "height": 4, "sigma": float("inf"),
+     "images": [{"id": "a", "fixations": [[0, 0]]}]},
+    {"name": "x", "width": 4, "height": 4, "sigma": 10 ** 400,
+     "images": [{"id": "a", "fixations": [[0, 0]]}]},
 ])
 def test_manifest_schema_errors(tmp_path, doc):
     path = tmp_path / "m.json"

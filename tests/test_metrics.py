@@ -21,6 +21,7 @@ from salmetric.errors import (
     ZeroVarianceError,
 )
 from salmetric import metrics as metrics_module
+from salmetric import sampling as sampling_module
 from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.metrics import (
     EvalConfig,
@@ -36,7 +37,7 @@ from salmetric.metrics import (
     sim,
 )
 from salmetric.roc import auc_averaged
-from salmetric.sampling import NegativePool, draw_count, sample_from_pool, shuffled_pool
+from salmetric.sampling import NegativePool, draw_linear, shuffled_pool
 from salmetric.seeding import derive_seed
 from salmetric.smoothing import _tie_epsilon, tie_break_global
 
@@ -309,6 +310,7 @@ def test_evaluate_all_errors():
     {"k": 0},
     {"sigma": -1.0},
     {"sigma": 0.0},
+    {"sigma": math.inf},
 ])
 def test_eval_config_rejects_unrunnable_fields(fields):
     with pytest.raises(ValueError):
@@ -327,6 +329,28 @@ def test_ig_only_evaluate_builds_no_ground_truth_density(monkeypatch):
     report = evaluate_all(ds, preds, EvalConfig(metrics=("ig",)))
     assert set(report.aggregate) == {"ig"}
     assert calls == []
+
+
+def test_cc_with_fn_auc_blurs_each_image_once(monkeypatch):
+    ds, preds = make_eval_inputs()
+    alone = {m: evaluate_all(DatasetIndex(ds.images, sigma=ds.sigma), preds,
+                             EvalConfig(metrics=(m,), k=1))
+             for m in ("cc", "fn_auc")}
+    calls = []
+
+    def counting(fixations, sigma):
+        calls.append(sigma)
+        return density_from_fixations(fixations, sigma)
+
+    monkeypatch.setattr(metrics_module, "density_from_fixations", counting)
+    monkeypatch.setattr(sampling_module, "density_from_fixations", counting)
+    report = evaluate_all(ds, preds, EvalConfig(metrics=("cc", "fn_auc"), k=1))
+    assert calls == [ds.sigma] * len(ds)
+    for m, single in alone.items():
+        assert {i: s[m] for i, s in report.per_image.items()} == \
+            {i: s[m] for i, s in single.per_image.items()}
+    # the neighbour matrix is cached; the densities it was built from are not
+    assert set(ds._cache) == {("density_cc", ds.sigma), "id_rank"}
 
 
 def test_sampled_aucs_match_evaluate_all_with_undersized_pools():
@@ -358,8 +382,15 @@ def test_sampled_aucs_match_evaluate_all_with_undersized_pools():
                 assert report.per_image_std[image_id][name] == std
 
 
+def _pairwise_auc(pos_values, neg_values):
+    """Brute-force pairwise statistic: each pair above counts 1, each tie 1/2."""
+    above = int((pos_values[:, None] > neg_values[None, :]).sum())
+    ties = int((pos_values[:, None] == neg_values[None, :]).sum())
+    return (2 * above + ties) / (2 * pos_values.size * neg_values.size)
+
+
 @pytest.mark.parametrize("kind", ["unweighted", "weighted", "undersized"])
-def test_sampled_auc_matches_auc_averaged_over_pool_draws(kind, bias_dataset):
+def test_auc_averaged_matches_pairwise_oracle_over_pool_draws(kind, bias_dataset):
     rec = bias_dataset.images[3]
     fx = rec.fixations
     if kind == "unweighted":
@@ -370,16 +401,22 @@ def test_sampled_auc_matches_auc_averaged_over_pool_draws(kind, bias_dataset):
     else:
         support = FixationSet([(0, 0), (5, 9), (63, 63)], bias_dataset.frame)
         pool = NegativePool(support, np.array([1.0, 4.0, 2.0]))
+    count = min(len(pool), len(fx))
+    p = None if pool.weights is None else pool.weights / pool.weights.sum()
     rng = np.random.default_rng(59)
     pred = GridMap(rng.choice([0.0, 0.25, 1.0], size=(64, 64)))
     for scored in (pred, tie_break_global(pred)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            count = draw_count(pool, fx)
-            got = metrics_module._sampled_auc(scored, fx, pool, 13, 8)
-        assert (count < len(fx)) is bool(caught) is (kind == "undersized")
-        expected = auc_averaged(scored, fx, lambda s: sample_from_pool(pool, count, s), 13, 8)
-        assert got == expected
+            got = auc_averaged(scored, fx, pool, 13, 8)
+        assert bool(caught) is (kind == "undersized")
+        flat = scored.values.ravel()
+        splits = [
+            _pairwise_auc(flat[fx.linear],
+                          flat[draw_linear(pool.support.linear, p, count, derive_seed(8, i))])
+            for i in range(13)
+        ]
+        assert got == (float(np.mean(splits)), float(np.std(splits)))
 
 
 def _unique_tie_epsilon(values, spread):

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from salmetric.core import FixationSet, GridMap
-from salmetric.errors import EmptyNegativesError, EmptyPositivesError, SamplerExhaustedError
+from salmetric.core import FixationSet, GridMap, complement_set
+from salmetric.errors import (
+    EmptyNegativesError,
+    EmptyPoolError,
+    EmptyPositivesError,
+    SamplerExhaustedError,
+)
 from salmetric.roc import RocCurve, auc, auc_averaged, auc_single, roc_points
+from salmetric.sampling import NegativePool
 
 
 def pairwise_rank_oracle(pred, positives, negatives):
@@ -112,36 +118,36 @@ def test_antisymmetry_under_set_swap():
 
 
 def test_auc_averaged_single_split_and_fixed_sampler():
+    # a pool exactly the size of the positive set is drawn whole in every split
     rng = np.random.default_rng(37)
     pred, pos, neg = _random_case(rng)
-    mean, std = auc_averaged(pred, pos, lambda s: neg, n_splits=1, seed=0)
+    pool = NegativePool(neg)
+    mean, std = auc_averaged(pred, pos, pool, n_splits=1, seed=0)
     assert mean == auc_single(pred, pos, neg)
     assert std == 0.0
-    mean, std = auc_averaged(pred, pos, lambda s: neg, n_splits=25, seed=0)
+    mean, std = auc_averaged(pred, pos, pool, n_splits=25, seed=0)
+    assert mean == auc_single(pred, pos, neg)
     assert std == 0.0
 
 
 def test_auc_averaged_deterministic():
     rng = np.random.default_rng(41)
     pred, pos, _ = _random_case(rng)
-    pool = np.setdiff1d(np.arange(64), pos.linear)
-
-    def sampler(seed):
-        take = np.random.default_rng(seed).choice(pool, size=8, replace=False)
-        return FixationSet.from_linear(take, (8, 8))
-
-    first = auc_averaged(pred, pos, sampler, n_splits=20, seed=9)
-    second = auc_averaged(pred, pos, sampler, n_splits=20, seed=9)
+    pool = NegativePool(complement_set((8, 8), pos))
+    first = auc_averaged(pred, pos, pool, n_splits=20, seed=9)
+    second = auc_averaged(pred, pos, pool, n_splits=20, seed=9)
     assert first == second
-    third = auc_averaged(pred, pos, sampler, n_splits=20, seed=10)
+    third = auc_averaged(pred, pos, pool, n_splits=20, seed=10)
     assert first != third
 
 
 def test_auc_averaged_empty_draw():
     pred = GridMap(np.ones((2, 2)))
-    pos = FixationSet([(0, 0)], (2, 2))
+    pool = NegativePool(FixationSet([(1, 1)], (2, 2)))
     with pytest.raises(SamplerExhaustedError):
-        auc_averaged(pred, pos, lambda s: FixationSet([], (2, 2)), n_splits=3, seed=0)
+        auc_averaged(pred, FixationSet([], (2, 2)), pool, n_splits=3, seed=0)
+    with pytest.raises(EmptyPoolError):
+        auc_averaged(pred, FixationSet([(0, 0)], (2, 2)), NegativePool(FixationSet([], (2, 2))))
 
 
 def test_auc_single_heavily_tied_maps_match_brute_force():
