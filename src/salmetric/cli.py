@@ -15,13 +15,12 @@ is never used). Usage errors exit with 2, data errors with 1.
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
 from . import io as sio
+from .core import DatasetIndex, ImageRecord
 from .errors import MissingPredictionError, SalmetricError
 from .gaussian import density_from_fixations
 from .metrics import ALL_METRICS, TIE_BREAK_MODES, EvalConfig, evaluate_all
@@ -30,14 +29,6 @@ from .sampling import negative_pool, sample_from_pool
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 from .synth import PREDICTOR_MODES, SynthConfig, gen_dataset, gen_prediction, sigma_sweep
-
-
-def _default_jobs() -> int:
-    text = os.environ.get("SALMETRIC_JOBS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise SalmetricError(f"SALMETRIC_JOBS must be an integer, got {text!r}") from None
 
 
 def _comma_list(text: str) -> list[str]:
@@ -67,24 +58,13 @@ def _load_synth_config(path, doc) -> SynthConfig:
         raise SalmetricError(f"{path}: bad synth config: {exc}") from exc
 
 
-def _density_task(args):
-    image_id, fixations, sigma = args
-    return image_id, density_from_fixations(fixations, sigma)
-
-
 def _cmd_density(args) -> int:
     dataset = sio.read_manifest(args.manifest)
     sigma = dataset.sigma if args.sigma is None else args.sigma
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(rec.id, rec.fixations, sigma) for rec in dataset.images]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(_density_task, tasks))
-    else:
-        results = dict(_density_task(t) for t in tasks)
-    for image_id in sorted(results):
-        sio.write_map(results[image_id], out / f"{image_id}.smap")
+    for rec in dataset.images:
+        sio.write_map(density_from_fixations(rec.fixations, sigma), out / f"{rec.id}.smap")
     return 0
 
 
@@ -119,19 +99,12 @@ def _cmd_negatives(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     drawn = []
     for rec in dataset.images:
+        pool = negative_pool(args.sampler, rec.id, dataset, args.k)
         seed = derive_seed(args.seed, "negatives", rec.id)
-        negatives = sample_from_pool(negative_pool(args.sampler, rec.id, dataset, args.k),
-                                     rec.fixations, seed)
-        drawn.append({"id": rec.id, "fixations": [[x, y] for x, y in negatives.coords]})
-    width, height = dataset.frame
-    doc = {
-        "name": f"{dataset.name}-negatives-{args.sampler}",
-        "width": width,
-        "height": height,
-        "sigma": dataset.sigma,
-        "images": drawn,
-    }
-    sio.dump_json(doc, out / "negatives.json")
+        drawn.append(ImageRecord(rec.id, sample_from_pool(pool, rec.fixations, seed)))
+    negatives = DatasetIndex(drawn, name=f"{dataset.name}-negatives-{args.sampler}",
+                             sigma=dataset.sigma)
+    sio.write_manifest(negatives, out / "negatives.json")
     return 0
 
 
@@ -216,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--sigma", type=float, default=None, help="blur width; defaults to the dataset's")
     p.add_argument("--out", required=True, help="output directory for .smap files")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("evaluate", help="score prediction maps and write a report")
@@ -229,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--tie-break", choices=TIE_BREAK_MODES, default="global")
     p.add_argument("--out", required=True, help="report file")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("negatives", help="draw one negative set per image")

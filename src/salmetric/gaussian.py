@@ -64,26 +64,28 @@ def gaussian_kernel(sigma: float) -> GridMap:
 
 def _kernel_1d(sigma: float, n: int) -> np.ndarray:
     # On an axis of n pixels a tap more than n - 1 away from the centre only
-    # ever meets the zero padding and adds +0.0, so it is left out.
-    r = min(kernel_radius(sigma), n - 1)
+    # ever meets the zero padding and adds +0.0, so it is left out. Any width
+    # past n reaches that clip, so it is capped at n first: the radius of a
+    # width near the float limit would not fit an integer.
+    r = min(kernel_radius(min(sigma, n)), n - 1)
     offsets = np.arange(-r, r + 1, dtype=np.float64)
     return np.exp(-(offsets ** 2) / (2.0 * sigma * sigma)) / (math.sqrt(2.0 * math.pi) * sigma)
 
 
 def _correlate_axis(values: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    # Zero padding outside the grid; taps accumulate in a fixed order so the
-    # result is reproducible bit for bit regardless of the caller's threading.
-    n = values.shape[axis]
-    r = kernel.size // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    padded = np.pad(values, pad)
-    out = np.zeros_like(values)
-    index = [slice(None), slice(None)]
-    for k in range(kernel.size):
-        index[axis] = slice(k, k + n)
-        out += kernel[k] * padded[tuple(index)]
-    return out
+    # Zero padding outside the grid. Each line along ``axis`` that holds mass
+    # adds its kernel-weighted copy to the lines in reach, lines taken in
+    # ascending order. The kernel is exactly symmetric, so every output pixel
+    # sums the same products in the same order as a loop over the taps would;
+    # a line of zeros would only add +0.0, so skipping it changes no bit. The
+    # result is reproducible bit for bit regardless of the caller's threading,
+    # and the work follows the lines that hold mass, not the frame.
+    lines = np.ascontiguousarray(np.moveaxis(values, axis, 0))
+    n, r = lines.shape[0], kernel.size // 2
+    out = np.zeros((n + 2 * r, lines.shape[1]))
+    for j in np.flatnonzero(lines.any(axis=1)):
+        out[j : j + kernel.size] += kernel[:, None] * lines[j]
+    return np.ascontiguousarray(np.moveaxis(out[r : r + n], 0, axis))
 
 
 def blur(grid: GridMap, sigma: float) -> GridMap:
@@ -100,7 +102,12 @@ def density_from_fixations(fixations: FixationSet, sigma: float) -> DensityMap:
     if len(fixations) == 0:
         raise EmptyFixationsError("need at least one fixation to build a density")
     blurred = blur(vectorize(fixations), sigma)
-    return DensityMap(blurred.values / blurred.values.sum())
+    mass = blurred.values.sum()
+    if mass == 0.0:
+        raise InvalidSigmaError(
+            f"sigma {float(sigma)!r} is so wide that the blurred fixation map underflows to 0"
+        )
+    return DensityMap(blurred.values / mass)
 
 
 def aggregate_density(dataset: DatasetIndex, sigma: float | None = None) -> DensityMap:

@@ -237,7 +237,6 @@ def test_criterion_10_cli_end_to_end_determinism(tmp_path):
 
     commands = {
         "density": ["density", str(manifest)],
-        "density-jobs": ["density", str(manifest), "--jobs", "JOBS"],
         "evaluate": ["evaluate", str(manifest), "--pred", str(pred_dir),
                      "--splits", "8", "--k", "3", "--seed", "5", "--jobs", "JOBS"],
         "negatives": ["negatives", str(manifest), "--sampler", "fn", "--k", "3", "--seed", "2"],

@@ -8,7 +8,7 @@ import pytest
 from salmetric.cli import run
 from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord
 from salmetric.gaussian import density_from_fixations
-from salmetric.io import read_map, write_manifest, write_map
+from salmetric.io import read_manifest, read_map, write_manifest, write_map
 
 
 @pytest.fixture()
@@ -40,14 +40,6 @@ def test_density_command_deterministic(workspace):
     assert list(read_tree(out1).values()) == list(read_tree(out2).values())
     d = read_map(out1 / "img00.smap")
     assert abs(d.values.sum() - 1.0) < 1e-3  # float32 payload
-
-
-def test_density_jobs_invariant(workspace):
-    tmp, manifest, _ = workspace
-    out1, out2 = tmp / "j1", tmp / "j2"
-    assert run(["density", str(manifest), "--out", str(out1), "--jobs", "1"]) == 0
-    assert run(["density", str(manifest), "--out", str(out2), "--jobs", "3"]) == 0
-    assert list(read_tree(out1).values()) == list(read_tree(out2).values())
 
 
 def test_evaluate_command_and_jobs(workspace):
@@ -92,6 +84,9 @@ def test_negatives_command(workspace):
         assert (out1 / "negatives.json").read_bytes() == (out2 / "negatives.json").read_bytes()
         doc = json.loads((out1 / "negatives.json").read_text())
         assert len(doc["images"]) == 10
+        negatives = read_manifest(out1 / "negatives.json")
+        for rec in read_manifest(manifest).images:
+            assert len(negatives.image(rec.id).fixations) == len(rec.fixations)
 
 
 def test_quality_command(workspace):
@@ -195,6 +190,13 @@ def test_non_finite_sigma_exits_1(workspace, capsys):
         assert err.count("\n") == 1 and "finite" in err
 
 
+def test_underflowing_sigma_exits_1(workspace, capsys):
+    tmp, manifest, _ = workspace
+    assert run(["density", str(manifest), "--sigma", "1e200", "--out", str(tmp / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sigma 1e+200" in err
+
+
 def test_evaluate_empty_metric_list_exits_1(workspace, capsys):
     tmp, manifest, preds = workspace
     out = tmp / "r.json"
@@ -221,14 +223,6 @@ def test_synth_config_fractional_frame_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "'frame' must be two integers" in err
     assert not out.exists()
-
-
-def test_bad_jobs_environment_exits_1(workspace, monkeypatch, capsys):
-    tmp, manifest, _ = workspace
-    monkeypatch.setenv("SALMETRIC_JOBS", "abc")
-    assert run(["density", str(manifest), "--out", str(tmp / "d")]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "SALMETRIC_JOBS" in err
 
 
 def test_module_entry_point(workspace):

@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord
+from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord, vectorize
 from salmetric.errors import EmptyFixationsError, InvalidSigmaError
 from salmetric.gaussian import (
     GaussianParams,
+    _correlate_axis,
+    _kernel_1d,
     aggregate_density,
     blur,
     center_bias_map,
@@ -30,6 +33,22 @@ def dense_blur_oracle(values, sigma):
         for x in range(w):
             window = padded[y : y + 2 * r + 1, x : x + 2 * r + 1]
             out[y, x] = np.sum(window * kernel)
+    return out
+
+
+def tap_loop_correlate(values, kernel, axis):
+    """Reference for the blur's bits: a loop over the kernel taps, each adding
+    its weighted, shifted copy of the zero-padded map to every output pixel."""
+    n = values.shape[axis]
+    r = kernel.size // 2
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (r, r)
+    padded = np.pad(values, pad)
+    out = np.zeros_like(values)
+    index = [slice(None), slice(None)]
+    for k in range(kernel.size):
+        index[axis] = slice(k, k + n)
+        out += kernel[k] * padded[tuple(index)]
     return out
 
 
@@ -92,6 +111,51 @@ def test_blur_matches_dense_oracle(sigma):
         fast = blur(GridMap(values), sigma).values
         slow = dense_blur_oracle(values, sigma)
         assert np.max(np.abs(fast - slow)) < 1e-9
+
+
+def blur_input(family, rng, shape):
+    values = rng.random(shape)
+    if family == "sparse":
+        values *= rng.random(shape) < 0.05
+    elif family == "signed":
+        values = (values - 0.5) * (rng.random(shape) < 0.3)
+    elif family == "negative_zero":
+        values *= rng.random(shape) < 0.1
+        values[rng.random(shape) < 0.3] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("family", ["dense", "sparse", "signed", "negative_zero"])
+def test_correlate_axis_matches_tap_loop_bit_for_bit(family):
+    rng = np.random.default_rng(sum(map(ord, family)))
+    # frames of 1-40 px; sigma up to 500 is wider than every frame
+    cases = [((1, 1), 0.3), ((40, 40), 500.0), ((3, 37), 20.0)]
+    for _ in range(50):
+        sigma = float(np.exp(rng.uniform(np.log(0.3), np.log(500.0))))
+        cases.append((tuple(rng.integers(1, 41, size=2)), sigma))
+    for shape, sigma in cases:
+        values = blur_input(family, rng, shape)
+        for axis in (0, 1):
+            kernel = _kernel_1d(sigma, shape[axis])
+            fast = _correlate_axis(values, kernel, axis)
+            assert fast.tobytes() == tap_loop_correlate(values, kernel, axis).tobytes()
+
+
+def test_density_matches_tap_loop_bit_for_bit():
+    rng = np.random.default_rng(30)
+    fixations = FixationSet.from_linear(rng.choice(640 * 480, size=30, replace=False), (640, 480))
+    out = tap_loop_correlate(vectorize(fixations).values, _kernel_1d(19.0, 640), axis=1)
+    out = tap_loop_correlate(out, _kernel_1d(19.0, 480), axis=0)
+    expected = out / out.sum()
+    assert density_from_fixations(fixations, 19.0).values.tobytes() == expected.tobytes()
+
+
+def test_density_rejects_sigma_whose_blur_underflows():
+    fixations = FixationSet([(3, 3), (10, 4)], (16, 12))
+    # 1e308 also has a three-width radius too large for an integer
+    for sigma in (1e200, 1e308):
+        with pytest.raises(InvalidSigmaError, match=re.escape(f"sigma {sigma!r}")):
+            density_from_fixations(fixations, sigma)
 
 
 def test_density_single_fixation_peak():
