@@ -57,6 +57,20 @@ CASES = {
         )
         for measure in ("cc", "auc")
     },
+    "density": (
+        "density_synth_0000.smap",
+        ["density", MANIFEST, "--out", "{work}/densities"],
+        "{work}/densities/synth_0000.smap",
+    ),
+    **{
+        f"smooth-{mode}": (
+            f"smooth_{mode}.smap",
+            ["smooth", "{data}/pred_quantized/synth_0000.smap", "--mode", mode,
+             "--out", "{work}/smoothed.smap"],
+            "{work}/smoothed.smap",
+        )
+        for mode in ("global", "noise")
+    },
 }
 
 
