@@ -45,11 +45,9 @@ from .roc import RocCurve, auc, auc_averaged, auc_single, roc_points
 from .sampling import (
     NegativePool,
     NeighborList,
-    negatives_borji,
-    negatives_farthest,
-    negatives_judd,
-    negatives_shuffled,
+    negative_pool,
     neighbor_ranking,
+    sample_from_pool,
 )
 from .smoothing import tie_break_global, tie_break_noise
 from .synth import SynthConfig, SweepTable, gen_dataset, gen_prediction, sigma_sweep

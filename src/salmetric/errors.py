@@ -38,15 +38,11 @@ class EmptyDatasetError(SalmetricError):
 
 
 class EmptyPositivesError(SalmetricError):
-    """ROC construction needs a non-empty positive set."""
+    """ROC construction and negative draws need a non-empty positive set."""
 
 
 class EmptyNegativesError(SalmetricError):
     """ROC construction needs a non-empty negative set."""
-
-
-class SamplerExhaustedError(SalmetricError):
-    """A negative sampler produced an empty draw."""
 
 
 class EmptyPoolError(SalmetricError):

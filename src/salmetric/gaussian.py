@@ -43,9 +43,18 @@ def kernel_radius(sigma: float) -> int:
     return int(math.ceil(3.0 * float(sigma)))
 
 
-def _check_sigma(sigma):
+def _check_sigma(sigma, reach: float = 1.0):
+    """Reject a width whose kernel cannot be computed: one that is not
+    positive and finite, or so small that ``reach``, the largest squared tap
+    offset of a kernel that width, overflows when divided by 2 sigma^2
+    (below about 5.27e-155 for a 1D kernel)."""
     if not (0.0 < float(sigma) < math.inf):
         raise InvalidSigmaError(f"sigma must be positive and finite, got {sigma!r}")
+    two_var = 2.0 * float(sigma) * float(sigma)
+    if two_var == 0.0 or reach / two_var == math.inf:
+        raise InvalidSigmaError(
+            f"sigma {float(sigma)!r} is so small that the Gaussian kernel overflows"
+        )
 
 
 def gaussian_kernel(sigma: float) -> GridMap:
@@ -54,7 +63,7 @@ def gaussian_kernel(sigma: float) -> GridMap:
     The center value is exactly 1 / (2 pi sigma^2); the kernel is not
     renormalized after truncation.
     """
-    _check_sigma(sigma)
+    _check_sigma(sigma, reach=2.0)  # the corner taps of a 3x3 kernel
     sigma = float(sigma)
     r = kernel_radius(sigma)
     sq = np.arange(-r, r + 1, dtype=np.float64) ** 2
@@ -101,13 +110,19 @@ def density_from_fixations(fixations: FixationSet, sigma: float) -> DensityMap:
     """Blur the fixation map and renormalize it to total mass 1."""
     if len(fixations) == 0:
         raise EmptyFixationsError("need at least one fixation to build a density")
-    blurred = blur(vectorize(fixations), sigma)
-    mass = blurred.values.sum()
+    values = blur(vectorize(fixations), sigma).values
+    with np.errstate(over="ignore"):
+        mass = values.sum()
+    if mass == math.inf:
+        # peaks near the float limit (sigma just above its lower bound) sum
+        # past it; scaled to a peak of 1 they give the same point masses
+        values = values / values.max()
+        mass = values.sum()
     if mass == 0.0:
         raise InvalidSigmaError(
             f"sigma {float(sigma)!r} is so wide that the blurred fixation map underflows to 0"
         )
-    return DensityMap(blurred.values / mass)
+    return DensityMap(values / mass)
 
 
 def aggregate_density(dataset: DatasetIndex, sigma: float | None = None) -> DensityMap:

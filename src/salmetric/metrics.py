@@ -8,7 +8,6 @@ scores (nss, the AUCs) consume the raw prediction and the fixation set.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -279,6 +278,9 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict, config: EvalConfig | 
                       "image_seed": derive_seed(cfg.seed, image_id)})
 
     if jobs > 1:
+        # imported here so serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as executor:
             results = list(executor.map(_score_image, tasks))
     else:

@@ -10,12 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FixationSet, GridMap
-from .errors import (
-    EmptyNegativesError,
-    EmptyPositivesError,
-    FrameMismatchError,
-    SamplerExhaustedError,
-)
+from .errors import EmptyNegativesError, EmptyPositivesError, FrameMismatchError
 from .sampling import NegativePool, draw_count, draw_linear
 from .seeding import derive_seed
 
@@ -105,8 +100,6 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
     count = draw_count(pool, positives)
     if n_splits < 1:
         raise ValueError("n_splits must be at least 1")
-    if count == 0:
-        raise SamplerExhaustedError("negative sampler returned an empty set")
     pv = pred.values_at(positives)
     if pool.support.frame != pred.frame:
         raise FrameMismatchError(

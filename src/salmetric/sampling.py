@@ -1,10 +1,11 @@
-"""Negative-set construction: complements, pooled fixations, farthest neighbors.
+"""Negative sets: the pools every sampled AUC and sampler draws from.
 
-Pooled samplers expose their candidates as a :class:`NegativePool`: the
-deduplicated support set plus per-location draw weights. Weights count how
+:func:`negative_pool` maps a sampler name to an image's :class:`NegativePool`:
+the deduplicated support set plus per-location draw weights. Weights count how
 many images fixated a location, so sampling reproduces the dataset's fixation
 distribution even when many fixations collide on a small grid; the support
-set alone would flatten it.
+set alone would flatten it. :func:`sample_from_pool` draws one negative set
+from a pool, and :func:`draw_count` decides its size.
 """
 
 import warnings
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DatasetIndex, FixationSet, Frame, complement_set
-from .errors import EmptyPoolError, UndersizedPoolWarning, ZeroVarianceError
+from .core import DatasetIndex, FixationSet, complement_set
+from .errors import EmptyPoolError, EmptyPositivesError, UndersizedPoolWarning, ZeroVarianceError
 from .gaussian import density_from_fixations
 
 
@@ -57,40 +58,34 @@ def draw_linear(linear: np.ndarray, p: np.ndarray | None, count: int, seed: int)
 def draw_count(pool: NegativePool, positives: FixationSet) -> int:
     """How many negatives to draw from ``pool`` against ``positives``.
 
-    The one pool-size rule of every sampler and sampled AUC: one negative per
-    positive; a smaller pool is used whole, with an
-    :class:`UndersizedPoolWarning`; an empty pool raises
-    :class:`EmptyPoolError`."""
+    The one pool-size rule of every sampler and sampled AUC, and the one
+    place a degenerate draw is decided: one negative per positive; an empty
+    pool raises :class:`EmptyPoolError`; empty positives raise
+    :class:`EmptyPositivesError`; a pool smaller than the positives is used
+    whole, with an :class:`UndersizedPoolWarning`."""
     if len(pool) == 0:
         raise EmptyPoolError("no negative candidates left after removing the positives")
+    if len(positives) == 0:
+        raise EmptyPositivesError("no positive locations to draw negatives against")
     if len(pool) < len(positives):
         warnings.warn(
             f"negative pool ({len(pool)}) smaller than the positive set "
             f"({len(positives)}); using the whole pool",
             UndersizedPoolWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
         return len(pool)
     return len(positives)
 
 
 def sample_from_pool(pool: NegativePool, positives: FixationSet, seed: int) -> FixationSet:
-    """Draw :func:`draw_count` distinct locations from the pool.
+    """One negative set: :func:`draw_count` distinct locations of the pool.
 
+    With :func:`negative_pool`, the public way to draw a sampler's negatives.
     The support is in canonical order, so a seed pins the draw exactly."""
     count = draw_count(pool, positives)
     take = draw_linear(pool.support.linear, pool.probabilities(), count, seed)
     return FixationSet.from_linear(take, pool.support.frame)
-
-
-def negatives_judd(frame: Frame, positives: FixationSet) -> FixationSet:
-    """Every non-fixated grid location."""
-    return complement_set(frame, positives)
-
-
-def negatives_borji(frame: Frame, positives: FixationSet, seed: int = 0) -> FixationSet:
-    """Uniform sample of non-fixated locations, as many as there are positives."""
-    return sample_from_pool(NegativePool(complement_set(frame, positives)), positives, seed)
 
 
 def _pool_without(image_id: str, dataset: DatasetIndex, support, counts) -> NegativePool:
@@ -103,12 +98,6 @@ def _pool_without(image_id: str, dataset: DatasetIndex, support, counts) -> Nega
 def shuffled_pool(image_id: str, dataset: DatasetIndex) -> NegativePool:
     """Fixations pooled from the whole dataset, minus this image's own."""
     return _pool_without(image_id, dataset, dataset.pooled.linear, dataset.pooled_counts)
-
-
-def negatives_shuffled(image_id: str, dataset: DatasetIndex, seed: int = 0) -> FixationSet:
-    """Draw of other images' fixations, as many as this image's positives."""
-    pool = shuffled_pool(image_id, dataset)
-    return sample_from_pool(pool, dataset.image(image_id).fixations, seed)
 
 
 def _cc_matrix(dataset: DatasetIndex, sigma: float, densities=None) -> np.ndarray:
@@ -166,18 +155,6 @@ def farthest_pool(image_id: str, dataset: DatasetIndex, k: int, sigma: float | N
     merged = np.concatenate([dataset.image(nid).fixations.linear for nid, _ in ranking.entries[:k]])
     support, counts = np.unique(merged, return_counts=True)
     return _pool_without(image_id, dataset, support, counts)
-
-
-def negatives_farthest(
-    image_id: str,
-    dataset: DatasetIndex,
-    k: int = 5,
-    sigma: float | None = None,
-    seed: int = 0,
-) -> FixationSet:
-    """Draw from the farthest-neighbor pool, matching the positives' size."""
-    pool = farthest_pool(image_id, dataset, k, sigma)
-    return sample_from_pool(pool, dataset.image(image_id).fixations, seed)
 
 
 def negative_pool(sampler: str, image_id: str, dataset: DatasetIndex, k: int = 5,

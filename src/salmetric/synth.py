@@ -56,11 +56,14 @@ def gen_dataset(config: SynthConfig) -> DatasetIndex:
     from a cluster Gaussian otherwise, clamped in-bounds. Duplicates are
     redrawn."""
     w, h = config.frame
-    center_flat = center_bias_map(config.frame).values.ravel()
+    # the CDF numpy's weighted choice would rebuild on every call; drawing
+    # through it with uniforms takes the same stream
+    center_cdf = center_bias_map(config.frame).values.ravel().cumsum()
+    center_cdf /= center_cdf[-1]
     images = []
     for i in range(config.n_images):
         rng = np.random.default_rng(derive_seed(config.seed, "image", i))
-        center_linear = rng.choice(w * h, size=config.n_object_clusters, p=center_flat)
+        center_linear = center_cdf.searchsorted(rng.random(config.n_object_clusters), side="right")
         clusters = [(int(lin) % w, int(lin) // w) for lin in center_linear]
         chosen: set[int] = set()
         attempts = 0
@@ -74,7 +77,7 @@ def gen_dataset(config: SynthConfig) -> DatasetIndex:
                 chosen.update(int(v) for v in rng.choice(rest, size=need, replace=False))
                 break
             if rng.random() < config.center_bias_strength:
-                linear = int(rng.choice(w * h, p=center_flat))
+                linear = int(center_cdf.searchsorted(rng.random(), side="right"))
             else:
                 cx, cy = clusters[int(rng.integers(config.n_object_clusters))]
                 x = int(round(cx + rng.normal(0.0, config.cluster_sigma)))

@@ -197,6 +197,18 @@ def test_underflowing_sigma_exits_1(workspace, capsys):
     assert err.count("\n") == 1 and "sigma 1e+200" in err
 
 
+def test_sigma_whose_kernel_overflows_exits_1(workspace, capsys):
+    tmp, manifest, preds = workspace
+    for argv, named in (
+        (["density", str(manifest), "--sigma", "1e-200", "--out", str(tmp / "d")], "sigma 1e-200"),
+        (["evaluate", str(manifest), "--pred", str(preds), "--sigma", "1e-320",
+          "--out", str(tmp / "r.json")], "sigma 1e-320"),
+    ):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+
+
 def test_evaluate_empty_metric_list_exits_1(workspace, capsys):
     tmp, manifest, preds = workspace
     out = tmp / "r.json"
@@ -234,3 +246,13 @@ def test_module_entry_point(workspace):
     )
     assert proc.returncode == 0
     assert len(list(out.glob("*.smap"))) == 10
+
+
+def test_import_loads_no_process_pool():
+    # only evaluate_all's jobs > 1 branch needs the process pool
+    code = ("import sys, salmetric.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -282,3 +282,29 @@ def test_dataset_sigma_defaults():
     assert sigma_for_dataset("CAT2000") == 41.0
     assert sigma_for_dataset("SALICON") == 19.0
     assert sigma_for_dataset("whatever") == 19.0
+
+
+def test_density_rejects_sigma_whose_kernel_overflows():
+    # 2 sigma^2 is 0 at 1e-320; 1 / (2 sigma^2) overflows below 5.273843307431501e-155
+    fixations = FixationSet([(3, 3), (10, 4)], (16, 12))
+    for sigma in (1e-200, 1e-320, 5.2738433074315e-155):
+        with pytest.raises(InvalidSigmaError, match=re.escape(f"sigma {sigma!r}")):
+            density_from_fixations(fixations, sigma)
+        with pytest.raises(InvalidSigmaError, match=re.escape(f"sigma {sigma!r}")):
+            blur(vectorize(fixations), sigma)
+    # the dense kernel's corner taps sit twice as far, so its bound is sqrt(2) higher
+    for sigma in (1e-200, 7.458340731200207e-155):
+        with pytest.raises(InvalidSigmaError, match=re.escape(f"sigma {sigma!r}")):
+            gaussian_kernel(sigma)
+
+
+def test_sigma_just_above_the_kernel_bound_gives_point_masses():
+    # 20 peaks near the float limit sum past it, so the density rescales them first
+    rng = np.random.default_rng(31)
+    many = FixationSet.from_linear(rng.choice(16 * 12, size=20, replace=False), (16, 12))
+    one = FixationSet([(3, 3)], (16, 12))
+    for sigma in (5.273843307431501e-155, 5.3e-155, 1e-154):
+        for fixations in (one, many):
+            expected = vectorize(fixations).values / len(fixations)
+            assert np.array_equal(density_from_fixations(fixations, sigma).values, expected)
+    assert np.isfinite(gaussian_kernel(7.458340731200208e-155).values).all()

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from salmetric.core import FixationSet, GridMap, complement_set
-from salmetric.errors import (
-    EmptyNegativesError,
-    EmptyPoolError,
-    EmptyPositivesError,
-    SamplerExhaustedError,
-)
+from salmetric.errors import EmptyNegativesError, EmptyPoolError, EmptyPositivesError
 from salmetric.roc import RocCurve, auc, auc_averaged, auc_single, roc_points
 from salmetric.sampling import NegativePool
 
@@ -144,7 +139,7 @@ def test_auc_averaged_deterministic():
 def test_auc_averaged_empty_draw():
     pred = GridMap(np.ones((2, 2)))
     pool = NegativePool(FixationSet([(1, 1)], (2, 2)))
-    with pytest.raises(SamplerExhaustedError):
+    with pytest.raises(EmptyPositivesError):
         auc_averaged(pred, FixationSet([], (2, 2)), pool, n_splits=3, seed=0)
     with pytest.raises(EmptyPoolError):
         auc_averaged(pred, FixationSet([(0, 0)], (2, 2)), NegativePool(FixationSet([], (2, 2))))

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from salmetric.core import DatasetIndex, FixationSet, ImageRecord
-from salmetric.errors import EmptyPoolError, UndersizedPoolWarning
+from salmetric.core import DatasetIndex, FixationSet, ImageRecord, complement_set
+from salmetric.errors import EmptyPoolError, EmptyPositivesError, UndersizedPoolWarning
 from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.sampling import (
+    NegativePool,
+    draw_count,
     farthest_pool,
-    negatives_borji,
-    negatives_farthest,
-    negatives_judd,
-    negatives_shuffled,
+    negative_pool,
     neighbor_ranking,
+    sample_from_pool,
     shuffled_pool,
 )
 from salmetric import sampling as sampling_module
@@ -33,34 +33,45 @@ def toy_dataset(sigma=8.0):
     )
 
 
+def draw(sampler, image_id, dataset, seed, k=5):
+    """One draw of the image's negatives from its ``sampler`` pool."""
+    pool = negative_pool(sampler, image_id, dataset, k)
+    return sample_from_pool(pool, dataset.image(image_id).fixations, seed)
+
+
+def borji(positives, seed):
+    """A uniform draw of non-fixated locations, from a one-image dataset."""
+    return draw("borji", "img", DatasetIndex([ImageRecord("img", positives)]), seed)
+
+
 def test_judd_examples():
     pos = FixationSet([(0, 0)], (2, 2))
-    assert len(negatives_judd((2, 2), pos)) == 3
+    assert len(complement_set((2, 2), pos)) == 3
     full = FixationSet([(x, y) for x in range(2) for y in range(2)], (2, 2))
-    assert len(negatives_judd((2, 2), full)) == 0
+    assert len(complement_set((2, 2), full)) == 0
     for n in (0, 1, 3):
         pos = FixationSet.from_linear(np.arange(n), (3, 3))
-        assert len(negatives_judd((3, 3), pos)) + len(pos) == 9
+        assert len(complement_set((3, 3), pos)) + len(pos) == 9
 
 
 def test_borji_cardinality_and_disjointness():
     rng = np.random.default_rng(0)
     pos = FixationSet.from_linear(rng.choice(32 * 32, size=10, replace=False), (32, 32))
-    negs = negatives_borji((32, 32), pos, seed=5)
+    negs = borji(pos, seed=5)
     assert len(negs) == len(pos)
     assert np.intersect1d(negs.linear, pos.linear).size == 0
 
 
 def test_borji_determinism_and_seed_sensitivity():
     pos = FixationSet.from_linear(np.arange(10), (32, 32))
-    assert negatives_borji((32, 32), pos, seed=1) == negatives_borji((32, 32), pos, seed=1)
-    assert negatives_borji((32, 32), pos, seed=1) != negatives_borji((32, 32), pos, seed=2)
+    assert borji(pos, seed=1) == borji(pos, seed=1)
+    assert borji(pos, seed=1) != borji(pos, seed=2)
 
 
 def test_borji_insufficient():
     pos = FixationSet([(0, 0), (1, 0), (0, 1)], (2, 2))
     with pytest.warns(UndersizedPoolWarning):
-        negs = negatives_borji((2, 2), pos, seed=0)
+        negs = borji(pos, seed=0)
     assert negs == FixationSet([(1, 1)], (2, 2))  # the whole pool
 
 
@@ -71,13 +82,13 @@ def test_shuffled_two_image_toy():
             ImageRecord("b", FixationSet([(5, 5)], (8, 8))),
         ]
     )
-    assert negatives_shuffled("a", ds, seed=0) == FixationSet([(5, 5)], (8, 8))
-    assert negatives_shuffled("b", ds, seed=0) == FixationSet([(0, 0)], (8, 8))
+    assert draw("shuffled", "a", ds, seed=0) == FixationSet([(5, 5)], (8, 8))
+    assert draw("shuffled", "b", ds, seed=0) == FixationSet([(0, 0)], (8, 8))
 
 
 def test_shuffled_disjoint_from_positives(bias_dataset):
     for rec in bias_dataset.images[:10]:
-        negs = negatives_shuffled(rec.id, bias_dataset, seed=3)
+        negs = draw("shuffled", rec.id, bias_dataset, seed=3)
         assert np.intersect1d(negs.linear, rec.fixations.linear).size == 0
         assert len(negs) == len(rec.fixations)
 
@@ -90,7 +101,7 @@ def test_shuffled_insufficient():
         ]
     )
     with pytest.warns(UndersizedPoolWarning):
-        negs = negatives_shuffled("a", ds, seed=0)
+        negs = draw("shuffled", "a", ds, seed=0)
     assert negs == FixationSet([(5, 5)], (8, 8))  # the whole pool
 
 
@@ -100,7 +111,7 @@ def test_shuffled_draws_concentrate_centrally(bias_dataset):
     w, h = FRAME
     hits = np.zeros(w * h)
     for rec in bias_dataset.images:
-        negs = negatives_shuffled(rec.id, bias_dataset, seed=derive_seed(1, rec.id))
+        negs = draw("shuffled", rec.id, bias_dataset, seed=derive_seed(1, rec.id))
         hits[negs.linear] += 1.0
     drawn = FixationSet.from_linear(np.flatnonzero(hits), FRAME)
     score = pearson(density_from_fixations(drawn, bias_dataset.sigma).values, center.values)
@@ -178,19 +189,19 @@ def test_farthest_reduces_to_shuffled_at_full_k(bias_dataset):
         assert fn_pool.support == s_pool.support
         assert np.array_equal(fn_pool.weights, s_pool.weights)
         # identical pools and seed give the identical draw
-        assert negatives_farthest(rec.id, bias_dataset, n - 1, seed=42) == \
-            negatives_shuffled(rec.id, bias_dataset, seed=42)
+        assert draw("fn", rec.id, bias_dataset, seed=42, k=n - 1) == \
+            draw("shuffled", rec.id, bias_dataset, seed=42)
 
 
 def test_farthest_toy_negatives_in_far_cluster():
     ds = toy_dataset()
-    negs = negatives_farthest("left", ds, k=1, seed=0)
+    negs = draw("fn", "left", ds, seed=0, k=1)
     assert np.isin(negs.linear, ds.image("right").fixations.linear).all()
 
 
 def test_farthest_disjoint_and_no_duplicates(bias_dataset):
     for rec in bias_dataset.images[:10]:
-        negs = negatives_farthest(rec.id, bias_dataset, k=5, seed=9)
+        negs = draw("fn", rec.id, bias_dataset, seed=9, k=5)
         assert np.intersect1d(negs.linear, rec.fixations.linear).size == 0
         assert np.unique(negs.linear).size == len(negs)
 
@@ -205,7 +216,7 @@ def test_farthest_undersized_pool_warns():
         sigma=1.0,
     )
     with pytest.warns(UndersizedPoolWarning):
-        negs = negatives_farthest("a", ds, k=1, seed=0)
+        negs = draw("fn", "a", ds, seed=0, k=1)
     assert len(negs) < len(ds.image("a").fixations)
 
 
@@ -218,7 +229,7 @@ def test_farthest_empty_pool():
         sigma=1.0,
     )
     with pytest.raises(EmptyPoolError):
-        negatives_farthest("a", ds, k=1, seed=0)
+        draw("fn", "a", ds, seed=0, k=1)
 
 
 def test_k_bounds(bias_dataset):
@@ -230,9 +241,36 @@ def test_k_bounds(bias_dataset):
 
 def test_all_samplers_deterministic(bias_dataset):
     rec = bias_dataset.images[0]
-    for draw in (
-        lambda s: negatives_borji(FRAME, rec.fixations, s),
-        lambda s: negatives_shuffled(rec.id, bias_dataset, s),
-        lambda s: negatives_farthest(rec.id, bias_dataset, 5, seed=s),
+    for sampler in (
+        lambda s: borji(rec.fixations, s),
+        lambda s: draw("shuffled", rec.id, bias_dataset, s),
+        lambda s: draw("fn", rec.id, bias_dataset, s, k=5),
     ):
-        assert draw(77) == draw(77)
+        assert sampler(77) == sampler(77)
+
+
+def test_draw_count_decides_every_degenerate_draw():
+    frame = (4, 4)
+    pool = NegativePool(FixationSet([(0, 0), (1, 1)], frame))
+    assert draw_count(pool, FixationSet([(2, 2)], frame)) == 1
+    with pytest.warns(UndersizedPoolWarning):
+        assert draw_count(pool, FixationSet([(2, 2), (3, 3), (3, 2)], frame)) == 2
+    with pytest.raises(EmptyPositivesError):
+        draw_count(pool, FixationSet([], frame))
+    with pytest.raises(EmptyPoolError):
+        draw_count(NegativePool(FixationSet([], frame)), FixationSet([(2, 2)], frame))
+
+
+def test_sample_from_pool_empty_positives():
+    pool = NegativePool(FixationSet([(0, 0), (1, 1)], (4, 4)))
+    with pytest.raises(EmptyPositivesError):
+        sample_from_pool(pool, FixationSet([], (4, 4)), seed=0)
+
+
+def test_undersized_pool_warning_names_the_caller():
+    frame = (4, 4)
+    pool = NegativePool(FixationSet([(0, 0)], frame))
+    with pytest.warns(UndersizedPoolWarning) as caught:
+        negs = sample_from_pool(pool, FixationSet([(2, 2), (3, 3)], frame), seed=0)
+    assert negs == pool.support
+    assert caught[0].filename == __file__
