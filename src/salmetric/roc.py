@@ -1,6 +1,7 @@
 """AUC of location-based scoring, and the ROC curve it is the area of.
 
-Scores come from :func:`auc_values`, the pairwise rank statistic. The curve
+Scores come from :func:`auc_values`, the pairwise rank statistic, and from
+:func:`auc_rows`, its batched form over the splits of a sampled AUC. The curve
 API (:func:`roc_points`, :class:`RocCurve`, :func:`auc`) is for callers that
 want the curve itself, and is the oracle the rank statistic is tested against.
 """
@@ -81,6 +82,20 @@ def auc_values(pos_values: np.ndarray, neg_values: np.ndarray) -> float:
     return (below + not_above) / (2 * np.size(pos_values) * nv.size)
 
 
+def auc_rows(pos_values: np.ndarray, neg_rows: np.ndarray) -> np.ndarray:
+    """:func:`auc_values` of ``pos_values`` against each row of ``neg_rows``.
+
+    The same exact pair counts, taken from the other side: each negative
+    counts the positives above it, plus one half for each tied positive. One
+    sort of the positives and one pair of lookups serve every row, in
+    O(rows·count) memory, and each row's integer counts are divided once."""
+    pv = np.sort(pos_values, axis=None)
+    below = (pv.size - np.searchsorted(pv, neg_rows, side="right")).sum(axis=1)
+    not_above = (pv.size - np.searchsorted(pv, neg_rows, side="left")).sum(axis=1)
+    # int64 counts far below 2**53 convert exactly, so this rounds as auc_values does
+    return (below + not_above) / (2 * pv.size * neg_rows.shape[1])
+
+
 def auc_single(pred: GridMap, positives: FixationSet, negatives: FixationSet) -> float:
     """AUC of ``pred`` with the given positive and negative locations."""
     if len(positives) == 0:
@@ -96,7 +111,8 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
 
     The one split loop of every sampled AUC. Split i draws :func:`draw_count`
     negatives with seed ``derive_seed(seed, i)``, so the result does not
-    depend on evaluation order, and reads them straight from the flat map."""
+    depend on evaluation order. One :func:`draw_linear` call draws every split
+    and :func:`auc_rows` scores them straight from the flat map."""
     count = draw_count(pool, positives)
     if n_splits < 1:
         raise ValueError("n_splits must be at least 1")
@@ -105,10 +121,7 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
         raise FrameMismatchError(
             f"negatives index a {pool.support.frame} frame, map is {pred.frame}"
         )
-    flat = pred.values.ravel()
-    p = pool.probabilities()
-    scores = np.empty(n_splits, dtype=np.float64)
-    for i in range(n_splits):
-        take = draw_linear(pool.support.linear, p, count, derive_seed(seed, i))
-        scores[i] = auc_values(pv, flat[take])
+    seeds = [derive_seed(seed, i) for i in range(n_splits)]
+    take = draw_linear(pool.support.linear, pool.probabilities(), count, seeds)
+    scores = auc_rows(pv, pred.values.ravel()[take])
     return float(scores.mean()), float(scores.std())

@@ -5,7 +5,8 @@ the deduplicated support set plus per-location draw weights. Weights count how
 many images fixated a location, so sampling reproduces the dataset's fixation
 distribution even when many fixations collide on a small grid; the support
 set alone would flatten it. :func:`sample_from_pool` draws one negative set
-from a pool, and :func:`draw_count` decides its size.
+from a pool, and :func:`draw_count` decides its size. :func:`draw_linear` is
+the one draw underneath both it and every sampled AUC, with a split axis.
 """
 
 import warnings
@@ -27,6 +28,22 @@ class NegativePool:
     support: FixationSet
     weights: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.weights is None:
+            return
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (len(self.support),):
+            raise ValueError(f"pool weights must be a 1-D array of {len(self.support)} entries, "
+                             f"one per support location; got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("pool weights must be finite")
+        if not np.all(w > 0.0):
+            raise ValueError("pool weights must be strictly positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(w.sum()):
+                raise ValueError("pool weights sum past the float range; scale them down")
+        object.__setattr__(self, "weights", w)
+
     def __len__(self):
         return len(self.support)
 
@@ -47,12 +64,70 @@ class NeighborList:
     entries: tuple  # of (image id, dissimilarity)
 
 
-def draw_linear(linear: np.ndarray, p: np.ndarray | None, count: int, seed: int) -> np.ndarray:
-    """The one negative draw: ``count`` distinct entries of ``linear``, picked
-    with probabilities ``p`` (``None``: uniform) by a generator seeded with
-    ``seed``. Every sampler and sampled AUC draws through here."""
-    rng = np.random.default_rng(seed)
-    return rng.choice(linear, size=int(count), replace=False, p=p)
+def draw_linear(linear: np.ndarray, p: np.ndarray | None, count: int, seeds) -> np.ndarray:
+    """The one negative draw, with a split axis: a ``len(seeds) × count``
+    array whose row i holds ``count`` distinct entries of ``linear``, drawn
+    with seed ``seeds[i]``, in the order they appear in ``linear``.
+
+    Row i is the set ``np.random.default_rng(seeds[i]).choice(linear, count,
+    replace=False, p=p)`` draws, and does not depend on the other seeds. A
+    weighted draw replays that call on each seed's PCG64 raw output for all
+    rows at once (:func:`_replay_choice`); an unweighted one (``p`` is
+    ``None``) calls ``Generator.choice`` once per seed. A draw of the whole
+    of ``linear`` needs no generator."""
+    linear = np.asarray(linear)
+    count = int(count)
+    rows = len(seeds)
+    if count == linear.size:
+        return np.tile(linear, (rows, 1))
+    if p is None:
+        idx = [np.random.default_rng(s).choice(linear.size, count, replace=False) for s in seeds]
+        return linear[np.sort(np.array(idx, dtype=np.intp).reshape(rows, count), axis=1)]
+    p = np.asarray(p, dtype=np.float64)  # as choice converts it
+    if np.count_nonzero(p > 0.0) < count:
+        raise ValueError(f"fewer than {count} locations have a positive draw probability")
+    taken = _replay_choice(p, count, [np.random.PCG64(s) for s in seeds])
+    return linear[np.nonzero(taken)[1]].reshape(rows, count)
+
+
+def _uniforms(bits: "np.random.PCG64", n: int) -> np.ndarray:
+    """The next ``n`` doubles ``Generator.random`` would give on ``bits``."""
+    return (bits.random_raw(int(n)) >> np.uint64(11)) * 2.0 ** -53
+
+
+def _replay_choice(p: np.ndarray, count: int, bits: list) -> np.ndarray:
+    """Which entries ``Generator.choice(len(p), count, replace=False, p=p)``
+    draws on each bit generator, as a ``len(bits) × len(p)`` mask.
+
+    ``choice`` runs rounds: it draws ``count - found`` uniforms, zeroes the
+    found entries of ``p``, looks the uniforms up in ``cdf = cumsum(p) /
+    cdf[-1]`` with ``searchsorted(side="right")`` and keeps the new entries.
+    Here every row runs those rounds in lockstep, on the same floats. A
+    zeroed entry is never looked up again, so a row's set after a round is
+    the union of its lookups so far. Round 1 shares one cdf across rows; later
+    rounds run only for the rows still short, a block of rows at a time, so
+    their cdfs never hold more than about 2**21 floats."""
+    rows = len(bits)
+    taken = np.zeros((rows, p.size), dtype=bool)
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    first = cdf.searchsorted(np.reshape([_uniforms(b, count) for b in bits], (rows, count)),
+                             side="right")
+    taken[np.arange(rows)[:, None], first] = True
+    found = taken.sum(axis=1)
+    short = np.flatnonzero(found < count)
+    block = max(1, 2 ** 21 // p.size)
+    while short.size:
+        for start in range(0, short.size, block):
+            part = short[start:start + block]
+            cdfs = np.cumsum(np.where(taken[part], 0.0, p), axis=1)
+            cdfs /= cdfs[:, -1:].copy()
+            for r, row_cdf in zip(part.tolist(), cdfs):
+                new = row_cdf.searchsorted(_uniforms(bits[r], count - found[r]), side="right")
+                taken[r, new] = True
+        found[short] = taken[short].sum(axis=1)
+        short = short[found[short] < count]
+    return taken
 
 
 def draw_count(pool: NegativePool, positives: FixationSet) -> int:
@@ -82,9 +157,10 @@ def sample_from_pool(pool: NegativePool, positives: FixationSet, seed: int) -> F
     """One negative set: :func:`draw_count` distinct locations of the pool.
 
     With :func:`negative_pool`, the public way to draw a sampler's negatives.
-    The support is in canonical order, so a seed pins the draw exactly."""
+    The support is in canonical order, so a seed pins the draw exactly: it
+    is row 0 of :func:`draw_linear` with ``seeds=[seed]``."""
     count = draw_count(pool, positives)
-    take = draw_linear(pool.support.linear, pool.probabilities(), count, seed)
+    take = draw_linear(pool.support.linear, pool.probabilities(), count, [seed])[0]
     return FixationSet.from_linear(take, pool.support.frame)
 
 

@@ -37,7 +37,7 @@ from salmetric.metrics import (
     sim,
 )
 from salmetric.roc import auc_averaged
-from salmetric.sampling import NegativePool, draw_linear, shuffled_pool
+from salmetric.sampling import NegativePool, shuffled_pool
 from salmetric.seeding import derive_seed
 from salmetric.smoothing import _tie_epsilon, tie_break_global
 
@@ -411,11 +411,10 @@ def test_auc_averaged_matches_pairwise_oracle_over_pool_draws(kind, bias_dataset
             got = auc_averaged(scored, fx, pool, 13, 8)
         assert bool(caught) is (kind == "undersized")
         flat = scored.values.ravel()
-        splits = [
-            _pairwise_auc(flat[fx.linear],
-                          flat[draw_linear(pool.support.linear, p, count, derive_seed(8, i))])
-            for i in range(13)
-        ]
+        # numpy's own draw is the oracle, not the replay under test
+        draws = [np.random.default_rng(derive_seed(8, i)).choice(
+            pool.support.linear, count, replace=False, p=p) for i in range(13)]
+        splits = [_pairwise_auc(flat[fx.linear], flat[take]) for take in draws]
         assert got == (float(np.mean(splits)), float(np.std(splits)))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from salmetric.core import FixationSet, GridMap, complement_set
 from salmetric.errors import EmptyNegativesError, EmptyPoolError, EmptyPositivesError
-from salmetric.roc import RocCurve, auc, auc_averaged, auc_single, roc_points
+from salmetric.roc import RocCurve, auc, auc_averaged, auc_rows, auc_single, auc_values, roc_points
 from salmetric.sampling import NegativePool
 
 
@@ -178,3 +178,16 @@ def test_auc_single_equals_curve_area_on_random_maps():
         pos = FixationSet.from_linear(picks[:n_pos], (w, h))
         neg = FixationSet.from_linear(picks[n_pos:n_pos + n_neg], (w, h))
         assert abs(auc_single(pred, pos, neg) - auc(roc_points(pred, pos, neg))) < 1e-12
+
+
+@pytest.mark.parametrize("levels", [(0.0, 0.5, 1.0), None])
+def test_auc_rows_equals_auc_values_per_row(levels):
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        n_pos, rows, count = (int(v) for v in rng.integers(1, 30, size=3))
+        if levels is None:
+            pv, neg = rng.normal(size=n_pos), rng.normal(size=(rows, count))
+        else:
+            pv, neg = rng.choice(levels, size=n_pos), rng.choice(levels, size=(rows, count))
+        got = auc_rows(pv, neg)
+        assert got.tolist() == [auc_values(pv, row) for row in neg]

@@ -7,6 +7,7 @@ from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.sampling import (
     NegativePool,
     draw_count,
+    draw_linear,
     farthest_pool,
     negative_pool,
     neighbor_ranking,
@@ -274,3 +275,86 @@ def test_undersized_pool_warning_names_the_caller():
         negs = sample_from_pool(pool, FixationSet([(2, 2), (3, 3)], frame), seed=0)
     assert negs == pool.support
     assert caught[0].filename == __file__
+
+
+def _weighted_support(rng, size, span, max_count):
+    """Sorted distinct linear indices below ``span``, with integer weights."""
+    linear = np.sort(rng.choice(span, size=size, replace=False))
+    return linear, rng.integers(1, max_count + 1, size=size).astype(np.float64)
+
+
+@pytest.mark.parametrize("size, count, n_seeds, skew", [
+    (1, 1, 4, False),        # a single location, drawn whole
+    (5, 4, 13, True),        # one heavy entry: many rounds on a tiny pool
+    (6, 5, 7, False),
+    (40, 40, 3, False),      # the whole pool
+    (2240, 2239, 2, False),  # near-full
+    (2240, 15, 13, False),
+    (300, 150, 1, True),
+    (307170, 90, 3, False),  # a full 640x480 frame
+    (307170, 90, 8, True),   # every row short after round 1, in two blocks
+])
+def test_weighted_draw_replays_generator_choice(size, count, n_seeds, skew):
+    rng = np.random.default_rng(size * 1000 + count)
+    linear, weights = _weighted_support(rng, size, max(4 * size, 16), 6)
+    if skew:
+        weights[0] = weights.sum()  # half the mass on one entry
+    p = weights / weights.sum()
+    seeds = [derive_seed("replay", size, i) for i in range(n_seeds)]
+    rows = draw_linear(linear, p, count, seeds)
+    assert rows.shape == (n_seeds, count)
+    for row, seed in zip(rows, seeds):
+        expected = np.random.default_rng(seed).choice(linear, count, replace=False, p=p)
+        assert np.array_equal(row, np.sort(expected))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_draw_row_does_not_depend_on_later_seeds(weighted):
+    rng = np.random.default_rng(3)
+    linear, weights = _weighted_support(rng, 60, 500, 4)
+    p = weights / weights.sum() if weighted else None
+    seeds = [derive_seed(11, i) for i in range(9)]
+    every = draw_linear(linear, p, 25, seeds)
+    for n in range(len(seeds)):
+        assert np.array_equal(draw_linear(linear, p, 25, seeds[:n]), every[:n])
+    if not weighted:
+        for row, seed in zip(every, seeds):
+            expected = np.random.default_rng(seed).choice(linear, 25, replace=False)
+            assert np.array_equal(row, np.sort(expected))
+
+
+def test_weighted_draw_is_pinned_without_generator(monkeypatch):
+    """Split 0 of three seeds, fixed literally: the weighted draw rests on
+    PCG64's raw stream alone, never on a ``Generator`` method."""
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the weighted draw must not build a Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    linear = np.array([3, 7, 8, 15, 21, 30, 42, 50])
+    weights = np.array([1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0, 1.0])
+    seeds = [derive_seed(s, 0) for s in (0, 1, 2)]
+    rows = draw_linear(linear, weights / weights.sum(), 4, seeds)
+    assert rows.tolist() == [[8, 15, 30, 50], [3, 21, 30, 42], [15, 30, 42, 50]]
+
+
+@pytest.mark.parametrize("weights", [
+    np.ones((2, 2)),                      # not 1-D
+    np.ones(3),                           # one short of the support
+    np.array([1.0, np.nan, 1.0, 1.0]),
+    np.array([1.0, np.inf, 1.0, 1.0]),
+    np.zeros(4),
+    np.array([1.0, 0.0, 0.0, 1.0]),
+    np.array([1.0, -2.0, 3.0, 1.0]),
+    np.full(4, 1e308),                    # finite, but the sum overflows
+])
+def test_pool_rejects_bad_weights(weights):
+    support = FixationSet([(0, 0), (1, 1), (2, 2), (3, 3)], (4, 4))
+    with pytest.raises(ValueError) as err:
+        NegativePool(support, weights)
+    assert "\n" not in str(err.value)
+
+
+def test_draw_needs_enough_positive_probabilities():
+    with pytest.raises(ValueError, match="positive draw probability"):
+        draw_linear(np.arange(4), np.array([0.5, 0.0, 0.0, 0.5]), 3, [0])
