@@ -35,6 +35,16 @@ def _comma_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -201,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--tie-break", choices=TIE_BREAK_MODES, default="global")
     p.add_argument("--out", required=True, help="report file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes, at least 1")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("negatives", help="draw one negative set per image")

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gaussian import center_bias_map, density_from_fixations
 from .roc import auc_averaged, auc_single
-from .sampling import NegativePool, _cc_matrix, negative_pool
+from .sampling import NegativePool, _cc_matrix, negative_pool, split_streams
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 from .stats import pearson
@@ -118,7 +118,7 @@ def auc_borji(pred: GridMap, fixations: FixationSet, n_splits: int = 100, seed: 
     """AUC against uniform draws of non-fixated pixels; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
     pool = NegativePool(complement_set(pred.frame, fixations))
-    return auc_averaged(scored, fixations, pool, n_splits, seed)
+    return auc_averaged(scored, fixations, pool, split_streams([seed], n_splits)[0])
 
 
 def s_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, n_splits: int = 100,
@@ -126,7 +126,8 @@ def s_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, n_splits: int = 1
     """AUC against fixations pooled from the other images; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
     pool = negative_pool("shuffled", image_id, dataset)
-    return auc_averaged(scored, dataset.image(image_id).fixations, pool, n_splits, seed)
+    return auc_averaged(scored, dataset.image(image_id).fixations, pool,
+                        split_streams([seed], n_splits)[0])
 
 
 def fn_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, k: int = 5,
@@ -135,7 +136,8 @@ def fn_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, k: int = 5,
     """AUC against fixations of the k least similar images; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
     pool = negative_pool("fn", image_id, dataset, k, sigma)
-    return auc_averaged(scored, dataset.image(image_id).fixations, pool, n_splits, seed)
+    return auc_averaged(scored, dataset.image(image_id).fixations, pool,
+                        split_streams([seed], n_splits)[0])
 
 
 @dataclass(frozen=True)
@@ -213,10 +215,12 @@ def _score_image(task: dict):
     """Score one image on each metric of ``task["config"]``: the one place a
     metric name picks its scorer.
 
-    The task holds the keys of :func:`_image_inputs`, the prediction ``pred``
-    and the ``image_seed`` of its tie-break and draws. A ``pred`` that is
-    already a DensityMap is scored as it is by the distribution metrics.
-    Returns the id, the scores and the split spread of each sampled AUC."""
+    The task holds the keys of :func:`_image_inputs`, the prediction
+    ``pred``, the ``image_seed`` of its tie-break and, when a sampled AUC is
+    asked for, the ``streams`` of its splits (:func:`split_streams` of
+    ``image_seed``). A ``pred`` that is already a DensityMap is scored as it
+    is by the distribution metrics. Returns the id, the scores and the split
+    spread of each sampled AUC."""
     cfg: EvalConfig = task["config"]
     pred: GridMap = task["pred"]
     fx: FixationSet = task["fixations"]
@@ -225,6 +229,7 @@ def _score_image(task: dict):
     stds: dict = {}
     scored = None
     density = None
+    streams = None
     for name in cfg.metrics:
         if name == "cc":
             density = density or normalize_to_density(pred)
@@ -245,12 +250,24 @@ def _score_image(task: dict):
                 scored = _tie_break(pred, cfg.tie_break, image_seed)
             if name == "auc_judd":
                 scores[name] = auc_single(scored, fx, complement_set(pred.frame, fx))
-            else:
-                pool = task["pools"][name]
-                mean, std = auc_averaged(scored, fx, pool, cfg.n_splits, image_seed)
-                scores[name] = mean
-                stds[name] = std
+                continue
+            if streams is None:
+                # the first words of every split, shared by the image's
+                # sampled AUCs; a draw of ``count <= len(fx)`` reads most of
+                # its words from here, and the block dies with this call
+                streams = task["streams"].with_words(2 * len(fx))
+            mean, std = auc_averaged(scored, fx, task["pools"][name], streams)
+            scores[name] = mean
+            stds[name] = std
     return task["id"], scores, stds
+
+
+def _split_streams_of(seeds: list, metrics, n_splits: int) -> list:
+    """:func:`split_streams` of ``seeds`` when ``metrics`` has a sampled AUC,
+    else one ``None`` per seed."""
+    if any(m in SAMPLED_METRICS for m in metrics):
+        return split_streams(seeds, n_splits)
+    return [None] * len(seeds)
 
 
 def evaluate_all(dataset: DatasetIndex, predictions: dict, config: EvalConfig | None = None,
@@ -259,13 +276,19 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict, config: EvalConfig | 
 
     ``predictions`` maps image id to a GridMap of matching dimensions. Results
     are deterministic for a given config seed and independent of ``jobs``: each
-    image's sampled draws are seeded from (seed, image id).
+    image's sampled draws are seeded from (seed, image id). ``jobs`` is at
+    least 1; no more worker processes than images are started.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cfg = config if config is not None else EvalConfig()
     cfg = replace(cfg, metrics=tuple(cfg.metrics),
                   sigma=dataset.sigma if cfg.sigma is None else float(cfg.sigma))
+    seeds = [derive_seed(cfg.seed, image_id) for image_id in dataset.ids]
+    streams = _split_streams_of(seeds, cfg.metrics, cfg.n_splits)
     tasks = []
-    for inputs in _image_inputs(dataset, cfg.metrics, cfg.k, cfg.sigma, cfg.sigma):
+    for inputs, image_seed, image_streams in zip(
+            _image_inputs(dataset, cfg.metrics, cfg.k, cfg.sigma, cfg.sigma), seeds, streams):
         image_id = inputs["id"]
         if image_id not in predictions:
             raise MissingPredictionError(f"no prediction for image {image_id!r}")
@@ -275,13 +298,14 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict, config: EvalConfig | 
                 f"prediction for {image_id!r} is {pred.frame}, dataset frame is {dataset.frame}"
             )
         tasks.append({**inputs, "pred": pred, "config": cfg,
-                      "image_seed": derive_seed(cfg.seed, image_id)})
+                      "image_seed": image_seed, "streams": image_streams})
 
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # imported here so serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
+        with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(_score_image, tasks))
     else:
         results = [_score_image(t) for t in tasks]

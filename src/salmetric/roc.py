@@ -12,8 +12,7 @@ import numpy as np
 
 from .core import FixationSet, GridMap
 from .errors import EmptyNegativesError, EmptyPositivesError, FrameMismatchError
-from .sampling import NegativePool, draw_count, draw_linear
-from .seeding import derive_seed
+from .sampling import NegativePool, SplitStreams, draw_count, draw_linear
 
 
 @dataclass(frozen=True)
@@ -106,22 +105,23 @@ def auc_single(pred: GridMap, positives: FixationSet, negatives: FixationSet) ->
 
 
 def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
-                 n_splits: int = 100, seed: int = 0):
-    """Mean and population std of the AUC over ``n_splits`` draws from ``pool``.
+                 streams: SplitStreams):
+    """Mean and population std of the AUC over ``len(streams)`` draws from
+    ``pool``.
 
     The one split loop of every sampled AUC. Split i draws :func:`draw_count`
-    negatives with seed ``derive_seed(seed, i)``, so the result does not
-    depend on evaluation order. One :func:`draw_linear` call draws every split
-    and :func:`auc_rows` scores them straight from the flat map."""
+    negatives on stream i; :func:`split_streams` gives the streams of
+    ``derive_seed(seed, i)``, so the result does not depend on evaluation
+    order. One :func:`draw_linear` call draws every split and
+    :func:`auc_rows` scores them straight from the flat map."""
     count = draw_count(pool, positives)
-    if n_splits < 1:
+    if len(streams) < 1:
         raise ValueError("n_splits must be at least 1")
     pv = pred.values_at(positives)
     if pool.support.frame != pred.frame:
         raise FrameMismatchError(
             f"negatives index a {pool.support.frame} frame, map is {pred.frame}"
         )
-    seeds = [derive_seed(seed, i) for i in range(n_splits)]
-    take = draw_linear(pool.support.linear, pool.probabilities(), count, seeds)
+    take = draw_linear(pool.support.linear, pool.probabilities(), count, streams)
     scores = auc_rows(pv, pred.values.ravel()[take])
     return float(scores.mean()), float(scores.std())

@@ -6,9 +6,13 @@ many images fixated a location, so sampling reproduces the dataset's fixation
 distribution even when many fixations collide on a small grid; the support
 set alone would flatten it. :func:`sample_from_pool` draws one negative set
 from a pool, and :func:`draw_count` decides its size. :func:`draw_linear` is
-the one draw underneath both it and every sampled AUC, with a split axis.
+the one draw underneath both it and every sampled AUC, with a split axis: it
+reads each split's random stream from :class:`SplitStreams`, which
+:func:`split_streams` seeds for a whole run at once.
 """
 
+import copy
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -17,6 +21,7 @@ import numpy as np
 from .core import DatasetIndex, FixationSet, complement_set
 from .errors import EmptyPoolError, EmptyPositivesError, UndersizedPoolWarning, ZeroVarianceError
 from .gaussian import density_from_fixations
+from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
@@ -64,40 +69,223 @@ class NeighborList:
     entries: tuple  # of (image id, dissimilarity)
 
 
-def draw_linear(linear: np.ndarray, p: np.ndarray | None, count: int, seeds) -> np.ndarray:
-    """The one negative draw, with a split axis: a ``len(seeds) × count``
-    array whose row i holds ``count`` distinct entries of ``linear``, drawn
-    with seed ``seeds[i]``, in the order they appear in ``linear``.
+# Constants that meet an array are numpy scalars of the array's own type, so
+# no operation can promote to float64 under numpy 1.x's value-based casting;
+# the others feed Python-int arithmetic only.
+_U32 = np.uint32
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    Row i is the set ``np.random.default_rng(seeds[i]).choice(linear, count,
-    replace=False, p=p)`` draws, and does not depend on the other seeds. A
-    weighted draw replays that call on each seed's PCG64 raw output for all
-    rows at once (:func:`_replay_choice`); an unweighted one (``p`` is
-    ``None``) calls ``Generator.choice`` once per seed. A draw of the whole
-    of ``linear`` needs no generator."""
+
+def _split128(values) -> np.ndarray:
+    """Python ints below 2**128 as a ``2 × n`` array of uint64 high and low words."""
+    return np.array([[v >> 64 for v in values], [v & _MASK64 for v in values]], dtype=np.uint64)
+
+
+def _mul64(a, b):
+    """The full 128-bit products of uint64 arrays, as high and low words."""
+    a0, a1 = a & _LOW32, a >> _U64(32)
+    b0, b1 = b & _LOW32, b >> _U64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    high = a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    return high, (mid << _U64(32)) | (p00 & _LOW32)
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """``a · b mod 2**128`` of numbers held as high and low uint64 words."""
+    high, low = _mul64(a_lo, b_lo)
+    return high + a_hi * b_lo + a_lo * b_hi, low
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """``a + b mod 2**128`` of numbers held as high and low uint64 words."""
+    low = a_lo + b_lo
+    return a_hi + b_hi + (low < a_lo), low
+
+
+def _xsl_rr(hi, lo) -> np.ndarray:
+    """PCG64's output of 128-bit states: ``hi ^ lo`` rotated right by the
+    state's top six bits."""
+    x = hi ^ lo
+    rot = hi >> _U64(58)
+    return (x >> rot) | (x << ((_U64(64) - rot) & _U64(63)))
+
+
+_jump = np.zeros((4, 0), dtype=np.uint64)
+
+
+def _jump_table(n: int) -> np.ndarray:
+    """Rows ``M**(k+1)`` and ``Σ_{j≤k} M**j`` (mod 2**128, high and low words
+    each) for at least every word position ``k < n``: word k of a stream is
+    the output of the state ``M**(k+1)·state + Σ_{j≤k} M**j·inc``. Grown
+    lazily and kept for the process."""
+    global _jump
+    if _jump.shape[1] < n:
+        size = max(n, 2 * _jump.shape[1], 64)
+        mul, add, muls, adds = _PCG_MULT, 1, [], []
+        for _ in range(size):
+            muls.append(mul)
+            adds.append(add)
+            add = (add + mul) & _MASK128
+            mul = (mul * _PCG_MULT) & _MASK128
+        _jump = np.concatenate([_split128(muls), _split128(adds)])
+    return _jump
+
+
+def _seed_states(seeds: list) -> np.ndarray:
+    """PCG64's state and increment for each seed, as rows state hi, state lo,
+    inc hi, inc lo of a ``4 × len(seeds)`` uint64 array.
+
+    Replays ``SeedSequence(seed).generate_state(4, np.uint64)`` on all seeds at
+    once, with the entropy zero-padded to four 32-bit words as
+    ``SeedSequence`` pads it, then PCG64's ``srandom``. The hash constants of
+    both steps do not depend on the data, so they are Python ints here."""
+    entropy = _split128(seeds)
+    words = [w.astype(np.uint32) for w in (entropy[1] & _LOW32, entropy[1] >> _U64(32),
+                                           entropy[0] & _LOW32, entropy[0] >> _U64(32))]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ _U32(const)
+        const = (const * _MULT_A) & 0xFFFFFFFF
+        value = value * _U32(const)
+        return value ^ (value >> _U32(16))
+
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> _U32(16))
+    out = []
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ _U32(const)
+        const = (const * _MULT_B) & 0xFFFFFFFF
+        value = value * _U32(const)
+        out.append((value ^ (value >> _U32(16))).astype(np.uint64))
+    init_hi, init_lo, seq_hi, seq_lo = (out[2 * j] | (out[2 * j + 1] << _U64(32)) for j in range(4))
+    inc_hi = (seq_hi << _U64(1)) | (seq_lo >> _U64(63))
+    inc_lo = (seq_lo << _U64(1)) | _U64(1)
+    start = _add128(inc_hi, inc_lo, init_hi, init_lo)
+    state = _add128(*_mul128(*start, *_split128([_PCG_MULT])), inc_hi, inc_lo)
+    return np.stack([*state, inc_hi, inc_lo])
+
+
+def _words(coef: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Raw words of jumped states: ``coef`` holds rows ``M**(k+1)`` and
+    ``Σ_{j≤k} M**j`` of :func:`_jump_table`, ``state`` the rows of
+    :func:`_seed_states`; the two broadcast together."""
+    mul_hi, mul_lo, add_hi, add_lo = coef
+    state_hi, state_lo, inc_hi, inc_lo = state
+    jumped = _mul128(mul_hi, mul_lo, state_hi, state_lo)
+    shift = _mul128(add_hi, add_lo, inc_hi, inc_lo)
+    return _xsl_rr(*_add128(*jumped, *shift))
+
+
+class SplitStreams:
+    """The PCG64 streams of a list of seeds, one row each, built without a
+    numpy random object.
+
+    Row i's raw words are those of ``np.random.PCG64(seeds[i]).random_raw``:
+    the states come from a vectorized replay of ``SeedSequence`` and PCG64's
+    seeding (NEP 19 keeps both stable), and word k of any row is read by
+    jump-ahead, without stepping through the words before it. Seeds are ints
+    in ``[0, 2**128)``; anything else raises ``ValueError``.
+    :meth:`with_words` returns the same streams carrying a block of their
+    first words, which every later read within the block takes from."""
+
+    def __init__(self, seeds):
+        try:
+            seeds = tuple(operator.index(s) for s in seeds)
+        except TypeError:
+            raise ValueError("stream seeds must be integers") from None
+        if any(s < 0 or s > _MASK128 for s in seeds):
+            raise ValueError("stream seeds must be in [0, 2**128)")
+        self.seeds = seeds
+        self._state = _seed_states(list(seeds))
+        self._words = None
+
+    def __len__(self):
+        return len(self.seeds)
+
+    def _rows(self, start: int, stop: int) -> "SplitStreams":
+        part = copy.copy(self)
+        part.seeds = self.seeds[start:stop]
+        part._state = self._state[:, start:stop]
+        return part
+
+    def with_words(self, n: int) -> "SplitStreams":
+        """These streams, carrying words ``[0, n)`` of every row."""
+        block = copy.copy(self)
+        block._words = _words(_jump_table(n)[:, None, :int(n)], self._state[:, :, None])
+        return block
+
+    def raw(self, rows, positions) -> np.ndarray:
+        """Raw word ``positions`` of stream ``rows`` (index arrays that
+        broadcast together); one gather from the block of :meth:`with_words`
+        when it holds them all, else one jump-ahead."""
+        positions = np.asarray(positions)
+        last = int(positions.max(initial=-1))
+        if self._words is not None and last < self._words.shape[1]:
+            return self._words[rows, positions]
+        return _words(_jump_table(last + 1)[:, positions], self._state[:, rows])
+
+    def uniforms(self, rows, positions) -> np.ndarray:
+        """The doubles ``Generator.random`` makes of the same words."""
+        return (self.raw(rows, positions) >> _U64(11)) * 2.0 ** -53
+
+
+def split_streams(seeds, n_splits: int) -> list:
+    """For each seed s, the streams of ``derive_seed(s, i)`` for ``i <
+    n_splits``: the split streams of one image. All of them are seeded in
+    one pass."""
+    n_splits = int(n_splits)
+    whole = SplitStreams([derive_seed(s, i) for s in seeds for i in range(n_splits)])
+    return [whole._rows(j * n_splits, (j + 1) * n_splits) for j in range(len(seeds))]
+
+
+def draw_linear(linear: np.ndarray, p: np.ndarray | None, count: int,
+                streams: SplitStreams) -> np.ndarray:
+    """The one negative draw, with a split axis: a ``len(streams) × count``
+    array whose row i holds ``count`` distinct entries of ``linear``, drawn
+    on stream i, in the order they appear in ``linear``.
+
+    Row i is the set ``np.random.default_rng(streams.seeds[i]).choice(linear,
+    count, replace=False, p=p)`` draws, and does not depend on the other
+    rows. A weighted draw replays that call on the rows' raw words
+    (:func:`_replay_choice`) and builds no numpy random object; an
+    unweighted one (``p`` is ``None``) calls ``Generator.choice`` once per
+    seed. A draw of the whole of ``linear`` needs no stream."""
     linear = np.asarray(linear)
     count = int(count)
-    rows = len(seeds)
+    rows = len(streams)
     if count == linear.size:
         return np.tile(linear, (rows, 1))
     if p is None:
-        idx = [np.random.default_rng(s).choice(linear.size, count, replace=False) for s in seeds]
+        idx = [np.random.default_rng(s).choice(linear.size, count, replace=False)
+               for s in streams.seeds]
         return linear[np.sort(np.array(idx, dtype=np.intp).reshape(rows, count), axis=1)]
     p = np.asarray(p, dtype=np.float64)  # as choice converts it
     if np.count_nonzero(p > 0.0) < count:
         raise ValueError(f"fewer than {count} locations have a positive draw probability")
-    taken = _replay_choice(p, count, [np.random.PCG64(s) for s in seeds])
+    taken = _replay_choice(p, count, streams)
     return linear[np.nonzero(taken)[1]].reshape(rows, count)
 
 
-def _uniforms(bits: "np.random.PCG64", n: int) -> np.ndarray:
-    """The next ``n`` doubles ``Generator.random`` would give on ``bits``."""
-    return (bits.random_raw(int(n)) >> np.uint64(11)) * 2.0 ** -53
-
-
-def _replay_choice(p: np.ndarray, count: int, bits: list) -> np.ndarray:
+def _replay_choice(p: np.ndarray, count: int, streams: SplitStreams) -> np.ndarray:
     """Which entries ``Generator.choice(len(p), count, replace=False, p=p)``
-    draws on each bit generator, as a ``len(bits) × len(p)`` mask.
+    draws on each stream, as a ``len(streams) × len(p)`` mask.
 
     ``choice`` runs rounds: it draws ``count - found`` uniforms, zeroes the
     found entries of ``p``, looks the uniforms up in ``cdf = cumsum(p) /
@@ -106,15 +294,17 @@ def _replay_choice(p: np.ndarray, count: int, bits: list) -> np.ndarray:
     zeroed entry is never looked up again, so a row's set after a round is
     the union of its lookups so far. Round 1 shares one cdf across rows; later
     rounds run only for the rows still short, a block of rows at a time, so
-    their cdfs never hold more than about 2**21 floats."""
-    rows = len(bits)
+    their cdfs never hold more than about 2**21 floats, and read the words
+    of all the block's rows at once."""
+    rows = len(streams)
     taken = np.zeros((rows, p.size), dtype=bool)
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
-    first = cdf.searchsorted(np.reshape([_uniforms(b, count) for b in bits], (rows, count)),
+    first = cdf.searchsorted(streams.uniforms(np.arange(rows)[:, None], np.arange(count)),
                              side="right")
     taken[np.arange(rows)[:, None], first] = True
     found = taken.sum(axis=1)
+    used = np.full(rows, count)  # words each row has read
     short = np.flatnonzero(found < count)
     block = max(1, 2 ** 21 // p.size)
     while short.size:
@@ -122,9 +312,15 @@ def _replay_choice(p: np.ndarray, count: int, bits: list) -> np.ndarray:
             part = short[start:start + block]
             cdfs = np.cumsum(np.where(taken[part], 0.0, p), axis=1)
             cdfs /= cdfs[:, -1:].copy()
-            for r, row_cdf in zip(part.tolist(), cdfs):
-                new = row_cdf.searchsorted(_uniforms(bits[r], count - found[r]), side="right")
-                taken[r, new] = True
+            need = count - found[part]
+            ends = np.cumsum(need)
+            starts = ends - need
+            # row part[j] reads its next need[j] words, from used[part[j]] on
+            positions = np.arange(ends[-1]) + np.repeat(used[part] - starts, need)
+            u = streams.uniforms(np.repeat(part, need), positions)
+            for r, row_cdf, a, b in zip(part.tolist(), cdfs, starts.tolist(), ends.tolist()):
+                taken[r, row_cdf.searchsorted(u[a:b], side="right")] = True
+            used[part] += need
         found[short] = taken[short].sum(axis=1)
         short = short[found[short] < count]
     return taken
@@ -158,15 +354,19 @@ def sample_from_pool(pool: NegativePool, positives: FixationSet, seed: int) -> F
 
     With :func:`negative_pool`, the public way to draw a sampler's negatives.
     The support is in canonical order, so a seed pins the draw exactly: it
-    is row 0 of :func:`draw_linear` with ``seeds=[seed]``."""
+    is row 0 of :func:`draw_linear` on ``SplitStreams([seed])``."""
     count = draw_count(pool, positives)
-    take = draw_linear(pool.support.linear, pool.probabilities(), count, [seed])[0]
+    take = draw_linear(pool.support.linear, pool.probabilities(), count, SplitStreams([seed]))[0]
     return FixationSet.from_linear(take, pool.support.frame)
 
 
 def _pool_without(image_id: str, dataset: DatasetIndex, support, counts) -> NegativePool:
-    """Sorted, repeat-free ``support`` weighted by ``counts``, minus the image's own."""
-    keep = ~np.isin(support, dataset.image(image_id).fixations.linear, assume_unique=True)
+    """Sorted, repeat-free, non-empty ``support`` weighted by ``counts``,
+    minus the image's own locations."""
+    own = dataset.image(image_id).fixations.linear
+    at = np.minimum(support.searchsorted(own), support.size - 1)
+    keep = np.ones(support.size, dtype=bool)
+    keep[at[support[at] == own]] = False
     kept = FixationSet.from_linear(support[keep], dataset.frame)
     return NegativePool(kept, counts[keep].astype(np.float64))
 
@@ -208,16 +408,20 @@ def _id_rank(dataset: DatasetIndex) -> np.ndarray:
     return rank
 
 
+def _neighbor_order(i: int, dataset: DatasetIndex, cmat: np.ndarray) -> np.ndarray:
+    """Positions of the images other than image ``i``, lowest correlation
+    ``cmat[i]`` first; equal correlations in id order."""
+    others = np.delete(np.arange(len(dataset)), i)
+    return others[np.lexsort((_id_rank(dataset)[others], cmat[i, others]))]
+
+
 def neighbor_ranking(image_id: str, dataset: DatasetIndex, sigma: float | None = None) -> NeighborList:
     """Order the other images by how unlike their fixation density is."""
     if len(dataset) < 2:
         raise ValueError("need at least two images to rank neighbors")
-    sigma = dataset.sigma if sigma is None else sigma
-    cmat = _cc_matrix(dataset, sigma)
+    cmat = _cc_matrix(dataset, dataset.sigma if sigma is None else sigma)
     i = dataset.index(image_id)
-    others = np.delete(np.arange(len(dataset)), i)
-    # lowest correlation first; equal correlations in id order
-    order = others[np.lexsort((_id_rank(dataset)[others], cmat[i, others]))]
+    order = _neighbor_order(i, dataset, cmat)
     ids = dataset.ids
     entries = zip([ids[j] for j in order.tolist()], (-cmat[i, order]).tolist())
     return NeighborList(query=image_id, entries=tuple(entries))
@@ -227,8 +431,9 @@ def farthest_pool(image_id: str, dataset: DatasetIndex, k: int, sigma: float | N
     """Union of the top-k farthest neighbors' fixations, minus this image's own."""
     if not (1 <= k <= len(dataset) - 1):
         raise ValueError(f"k must be in [1, {len(dataset) - 1}], got {k}")
-    ranking = neighbor_ranking(image_id, dataset, sigma)
-    merged = np.concatenate([dataset.image(nid).fixations.linear for nid, _ in ranking.entries[:k]])
+    cmat = _cc_matrix(dataset, dataset.sigma if sigma is None else sigma)
+    farthest = _neighbor_order(dataset.index(image_id), dataset, cmat)[:k]
+    merged = np.concatenate([dataset.images[j].fixations.linear for j in farthest.tolist()])
     support, counts = np.unique(merged, return_counts=True)
     return _pool_without(image_id, dataset, support, counts)
 

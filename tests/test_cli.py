@@ -56,6 +56,16 @@ def test_evaluate_command_and_jobs(workspace):
     assert doc["config"]["seed"] == 5
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_evaluate_jobs_below_one_is_a_usage_error(workspace, capsys, jobs):
+    tmp, manifest, preds = workspace
+    code = run(["evaluate", str(manifest), "--pred", str(preds), "--out", str(tmp / "r.json"),
+                "--jobs", jobs])
+    assert code == 2
+    assert "argument --jobs" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not (tmp / "r.json").exists()
+
+
 def test_evaluate_missing_prediction(workspace, capsys):
     tmp, manifest, preds = workspace
     (preds / "img03.smap").unlink()

@@ -37,7 +37,7 @@ from salmetric.metrics import (
     sim,
 )
 from salmetric.roc import auc_averaged
-from salmetric.sampling import NegativePool, shuffled_pool
+from salmetric.sampling import NegativePool, shuffled_pool, split_streams
 from salmetric.seeding import derive_seed
 from salmetric.smoothing import _tie_epsilon, tie_break_global
 
@@ -289,6 +289,47 @@ def test_evaluate_all_deterministic_and_jobs_invariant():
     assert serial.aggregate == parallel.aggregate
 
 
+class _InProcessExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and maps
+    in this process, so no worker is started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, workers", [(1, None), (2, 2), (3, 3), (4, 3), (64, 3)])
+def test_evaluate_all_starts_no_more_workers_than_images(monkeypatch, jobs, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(_InProcessExecutor, "made", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessExecutor)
+    ds, preds = make_eval_inputs()
+    config = EvalConfig(n_splits=6, k=2, seed=3)
+    report = evaluate_all(ds, preds, config, jobs=jobs)
+    assert _InProcessExecutor.made == ([] if workers is None else [workers])
+    serial = evaluate_all(ds, preds, config)
+    assert report.per_image == serial.per_image
+    assert report.per_image_std == serial.per_image_std
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_evaluate_all_rejects_jobs_below_one(jobs):
+    ds, preds = make_eval_inputs()
+    with pytest.raises(ValueError, match="jobs"):
+        evaluate_all(ds, preds, EvalConfig(metrics=("nss",)), jobs=jobs)
+
+
 def test_evaluate_all_errors():
     ds, preds = make_eval_inputs()
     del preds["b"]
@@ -408,7 +449,7 @@ def test_auc_averaged_matches_pairwise_oracle_over_pool_draws(kind, bias_dataset
     for scored in (pred, tie_break_global(pred)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = auc_averaged(scored, fx, pool, 13, 8)
+            got = auc_averaged(scored, fx, pool, split_streams([8], 13)[0])
         assert bool(caught) is (kind == "undersized")
         flat = scored.values.ravel()
         # numpy's own draw is the oracle, not the replay under test

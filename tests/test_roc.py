@@ -4,7 +4,7 @@ import pytest
 from salmetric.core import FixationSet, GridMap, complement_set
 from salmetric.errors import EmptyNegativesError, EmptyPoolError, EmptyPositivesError
 from salmetric.roc import RocCurve, auc, auc_averaged, auc_rows, auc_single, auc_values, roc_points
-from salmetric.sampling import NegativePool
+from salmetric.sampling import NegativePool, split_streams
 
 
 def pairwise_rank_oracle(pred, positives, negatives):
@@ -117,10 +117,10 @@ def test_auc_averaged_single_split_and_fixed_sampler():
     rng = np.random.default_rng(37)
     pred, pos, neg = _random_case(rng)
     pool = NegativePool(neg)
-    mean, std = auc_averaged(pred, pos, pool, n_splits=1, seed=0)
+    mean, std = auc_averaged(pred, pos, pool, split_streams([0], 1)[0])
     assert mean == auc_single(pred, pos, neg)
     assert std == 0.0
-    mean, std = auc_averaged(pred, pos, pool, n_splits=25, seed=0)
+    mean, std = auc_averaged(pred, pos, pool, split_streams([0], 25)[0])
     assert mean == auc_single(pred, pos, neg)
     assert std == 0.0
 
@@ -129,10 +129,10 @@ def test_auc_averaged_deterministic():
     rng = np.random.default_rng(41)
     pred, pos, _ = _random_case(rng)
     pool = NegativePool(complement_set((8, 8), pos))
-    first = auc_averaged(pred, pos, pool, n_splits=20, seed=9)
-    second = auc_averaged(pred, pos, pool, n_splits=20, seed=9)
+    first = auc_averaged(pred, pos, pool, split_streams([9], 20)[0])
+    second = auc_averaged(pred, pos, pool, split_streams([9], 20)[0])
     assert first == second
-    third = auc_averaged(pred, pos, pool, n_splits=20, seed=10)
+    third = auc_averaged(pred, pos, pool, split_streams([10], 20)[0])
     assert first != third
 
 
@@ -140,9 +140,10 @@ def test_auc_averaged_empty_draw():
     pred = GridMap(np.ones((2, 2)))
     pool = NegativePool(FixationSet([(1, 1)], (2, 2)))
     with pytest.raises(EmptyPositivesError):
-        auc_averaged(pred, FixationSet([], (2, 2)), pool, n_splits=3, seed=0)
+        auc_averaged(pred, FixationSet([], (2, 2)), pool, split_streams([0], 3)[0])
     with pytest.raises(EmptyPoolError):
-        auc_averaged(pred, FixationSet([(0, 0)], (2, 2)), NegativePool(FixationSet([], (2, 2))))
+        auc_averaged(pred, FixationSet([(0, 0)], (2, 2)), NegativePool(FixationSet([], (2, 2))),
+                     split_streams([0], 100)[0])
 
 
 def test_auc_single_heavily_tied_maps_match_brute_force():

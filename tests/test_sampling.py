@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from salmetric.errors import EmptyPoolError, EmptyPositivesError, UndersizedPool
 from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.sampling import (
     NegativePool,
+    SplitStreams,
     draw_count,
     draw_linear,
     farthest_pool,
@@ -13,6 +16,7 @@ from salmetric.sampling import (
     neighbor_ranking,
     sample_from_pool,
     shuffled_pool,
+    split_streams,
 )
 from salmetric import sampling as sampling_module
 from salmetric.seeding import derive_seed
@@ -301,7 +305,7 @@ def test_weighted_draw_replays_generator_choice(size, count, n_seeds, skew):
         weights[0] = weights.sum()  # half the mass on one entry
     p = weights / weights.sum()
     seeds = [derive_seed("replay", size, i) for i in range(n_seeds)]
-    rows = draw_linear(linear, p, count, seeds)
+    rows = draw_linear(linear, p, count, SplitStreams(seeds))
     assert rows.shape == (n_seeds, count)
     for row, seed in zip(rows, seeds):
         expected = np.random.default_rng(seed).choice(linear, count, replace=False, p=p)
@@ -314,9 +318,9 @@ def test_draw_row_does_not_depend_on_later_seeds(weighted):
     linear, weights = _weighted_support(rng, 60, 500, 4)
     p = weights / weights.sum() if weighted else None
     seeds = [derive_seed(11, i) for i in range(9)]
-    every = draw_linear(linear, p, 25, seeds)
+    every = draw_linear(linear, p, 25, SplitStreams(seeds))
     for n in range(len(seeds)):
-        assert np.array_equal(draw_linear(linear, p, 25, seeds[:n]), every[:n])
+        assert np.array_equal(draw_linear(linear, p, 25, SplitStreams(seeds[:n])), every[:n])
     if not weighted:
         for row, seed in zip(every, seeds):
             expected = np.random.default_rng(seed).choice(linear, 25, replace=False)
@@ -325,16 +329,17 @@ def test_draw_row_does_not_depend_on_later_seeds(weighted):
 
 def test_weighted_draw_is_pinned_without_generator(monkeypatch):
     """Split 0 of three seeds, fixed literally: the weighted draw rests on
-    PCG64's raw stream alone, never on a ``Generator`` method."""
+    PCG64's raw stream alone, and builds no ``Generator``, bit generator or
+    ``SeedSequence``."""
     def no_generator(*args, **kwargs):
-        raise AssertionError("the weighted draw must not build a Generator")
+        raise AssertionError("the weighted draw must not build a numpy random object")
 
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
-    monkeypatch.setattr(np.random, "Generator", no_generator)
+    for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, no_generator)
     linear = np.array([3, 7, 8, 15, 21, 30, 42, 50])
     weights = np.array([1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0, 1.0])
     seeds = [derive_seed(s, 0) for s in (0, 1, 2)]
-    rows = draw_linear(linear, weights / weights.sum(), 4, seeds)
+    rows = draw_linear(linear, weights / weights.sum(), 4, SplitStreams(seeds))
     assert rows.tolist() == [[8, 15, 30, 50], [3, 21, 30, 42], [15, 30, 42, 50]]
 
 
@@ -357,4 +362,137 @@ def test_pool_rejects_bad_weights(weights):
 
 def test_draw_needs_enough_positive_probabilities():
     with pytest.raises(ValueError, match="positive draw probability"):
-        draw_linear(np.arange(4), np.array([0.5, 0.0, 0.0, 0.5]), 3, [0])
+        draw_linear(np.arange(4), np.array([0.5, 0.0, 0.0, 0.5]), 3, SplitStreams([0]))
+
+
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1, 2 ** 128 - 1]
+
+
+def test_stream_words_equal_pcg64_raw():
+    seeds = EDGE_SEEDS + [derive_seed("stream", i) for i in range(40)]
+    streams = SplitStreams(seeds)
+    every = np.arange(len(seeds))[:, None]
+    words = streams.raw(every, np.arange(700))
+    blocked = streams.with_words(24)
+    # inside the block, across its end and far past it
+    assert np.array_equal(blocked.raw(every, np.arange(700)), words)
+    assert np.array_equal(blocked.raw(every, np.arange(20, 40)), words[:, 20:40])
+    for row, seed in enumerate(seeds):
+        assert np.array_equal(words[row], np.random.PCG64(seed).random_raw(700))
+    rows = np.array([0, 6, 6, 3, 40])
+    positions = np.array([699, 0, 23, 24, 511])
+    assert np.array_equal(blocked.raw(rows, positions), words[rows, positions])
+    assert np.array_equal(blocked.uniforms(rows, positions),
+                          (words[rows, positions] >> np.uint64(11)) * 2.0 ** -53)
+
+
+def test_weighted_draw_reads_words_past_the_block(monkeypatch):
+    """One location holds nearly all the mass: round 1 finds little more
+    than it, so the rounds after it read well past a block of 2·count
+    words, and every row still equals numpy's own draw."""
+    linear = np.arange(0, 80, 2)
+    weights = np.ones(linear.size)
+    weights[7] = 1e12
+    p = weights / weights.sum()
+    count = 36
+    seeds = EDGE_SEEDS + [derive_seed("heavy", i) for i in range(9)]
+    read = []
+    raw = SplitStreams.raw
+
+    def recording(self, rows, positions):
+        read.append(int(np.max(positions)))
+        return raw(self, rows, positions)
+
+    monkeypatch.setattr(SplitStreams, "raw", recording)
+    rows = draw_linear(linear, p, count, SplitStreams(seeds).with_words(2 * count))
+    assert max(read) >= 2 * count + 10
+    for row, seed in zip(rows, seeds):
+        expected = np.random.default_rng(seed).choice(linear, count, replace=False, p=p)
+        assert np.array_equal(row, np.sort(expected))
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 2 ** 200, 1.5, "3", None])
+def test_stream_seed_out_of_range(seed):
+    with pytest.raises(ValueError):
+        SplitStreams([4, seed])
+
+
+def test_split_streams_in_one_call_equal_one_call_per_seed():
+    seeds = [0, 7, 2 ** 63 - 1, derive_seed(3, "img")]
+    together = split_streams(seeds, 6)
+    assert len(together) == len(seeds)
+    positions = np.arange(40)
+    for seed, streams in zip(seeds, together):
+        alone = split_streams([seed], 6)[0]
+        assert streams.seeds == alone.seeds == tuple(derive_seed(seed, i) for i in range(6))
+        rows = np.arange(6)[:, None]
+        assert np.array_equal(streams.raw(rows, positions), alone.raw(rows, positions))
+        # a task's streams cross to a worker process by pickle
+        assert np.array_equal(pickle.loads(pickle.dumps(streams)).raw(rows, positions),
+                              alone.raw(rows, positions))
+
+
+def _isin_pool(image_id, dataset, support, counts):
+    """The pool minus the image's own locations, built with ``np.isin``."""
+    keep = ~np.isin(support, dataset.image(image_id).fixations.linear)
+    return support[keep], counts[keep].astype(np.float64)
+
+
+def _assert_pool(pool, support, weights):
+    assert np.array_equal(pool.support.linear, support)
+    assert np.array_equal(pool.weights, weights)
+
+
+class _ReadLog(tuple):
+    """A tuple of image records that logs the positions read by index."""
+
+    log: list
+
+    def __getitem__(self, j):
+        self.log.append(j)
+        return super().__getitem__(j)
+
+
+def test_farthest_pool_neighbours_follow_the_ranking_on_exact_ties():
+    rng = np.random.default_rng(19)
+    patterns = [FixationSet.from_linear(rng.choice(24 * 16, size=4, replace=False), (24, 16))
+                for _ in range(5)]
+    ids = [f"img{n}" for n in rng.permutation(30)]
+    ds = DatasetIndex([ImageRecord(image_id, patterns[n % 5]) for n, image_id in enumerate(ids)],
+                      sigma=3.0)
+    cmat = sampling_module._cc_matrix(ds, ds.sigma)
+    ds.images = _ReadLog(ds.images)
+    ds.images.log = []
+    for i, image_id in enumerate(ids):
+        expected = [rec.id for _, rec in sorted(
+            ((float(-cmat[i, j]), rec) for j, rec in enumerate(ds.images) if j != i),
+            key=lambda e: (-e[0], e[1].id))]
+        ranked = [nid for nid, _ in neighbor_ranking(image_id, ds).entries]
+        assert ranked == expected
+        for k in (1, 2, 5, 6, 13, 29):
+            ds.images.log = []
+            pool = farthest_pool(image_id, ds, k)
+            assert [ds.ids[j] for j in ds.images.log[:k]] == ranked[:k]
+            merged = np.concatenate([ds.image(nid).fixations.linear for nid in ranked[:k]])
+            _assert_pool(pool, *_isin_pool(image_id, ds, *np.unique(merged, return_counts=True)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pools_equal_the_isin_construction(seed):
+    rng = np.random.default_rng(seed)
+    frame = (int(rng.integers(3, 12)), int(rng.integers(3, 12)))
+    size = frame[0] * frame[1]
+    images = [ImageRecord(f"r{n}", FixationSet.from_linear(
+        rng.choice(size, size=int(rng.integers(1, min(size, 9) + 1)), replace=False), frame))
+        for n in range(int(rng.integers(2, 12)))]
+    # one image on the frame's last pixel alone, past every other location
+    images.append(ImageRecord("last", FixationSet.from_linear([size - 1], frame)))
+    ds = DatasetIndex(images, sigma=1.0)
+    for rec in ds.images:
+        _assert_pool(shuffled_pool(rec.id, ds),
+                     *_isin_pool(rec.id, ds, ds.pooled.linear, ds.pooled_counts))
+        for k in range(1, len(ds)):
+            ranked = [nid for nid, _ in neighbor_ranking(rec.id, ds).entries[:k]]
+            merged = np.concatenate([ds.image(nid).fixations.linear for nid in ranked])
+            _assert_pool(farthest_pool(rec.id, ds, k),
+                         *_isin_pool(rec.id, ds, *np.unique(merged, return_counts=True)))
