@@ -98,7 +98,7 @@ def _cmd_evaluate(args) -> int:
         sigma=args.sigma,
         tie_break=args.tie_break,
     )
-    report = evaluate_all(dataset, predictions, config, jobs=args.jobs)
+    report = evaluate_all(dataset, predictions, config)
     sio.write_report(report, args.out)
     return 0
 
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--tie-break", choices=TIE_BREAK_MODES, default="global")
     p.add_argument("--out", required=True, help="report file")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes, at least 1")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="ignored: every image is scored in this process; still at least 1")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("negatives", help="draw one negative set per image")

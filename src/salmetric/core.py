@@ -3,7 +3,7 @@
 Coordinate convention: ``(x, y)`` means column ``x`` and row ``y`` with the
 origin at the top-left pixel, so a map stores ``values[y, x]``. Frames are
 ``(width, height)`` tuples. All types are immutable after construction and
-safe to share across workers.
+safe to share.
 """
 
 from __future__ import annotations
@@ -228,11 +228,6 @@ class DatasetIndex:
 
     def __len__(self):
         return len(self.images)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
 
     def __repr__(self):
         w, h = self.frame

@@ -125,8 +125,11 @@ def _parse_pgm(data: bytes) -> GridMap:
         raise TruncatedPayloadError(
             f"graymap raster is {len(raster)} bytes, expected {expected}"
         )
-    codes = np.frombuffer(raster, dtype=dtype).astype(np.float64)
-    return GridMap((codes / maxval).reshape(height, width))
+    codes = np.frombuffer(raster, dtype=dtype)
+    top = int(codes.max())
+    if top > maxval:
+        raise SchemaError(f"graymap code {top} exceeds its maxval {maxval}")
+    return GridMap((codes.astype(np.float64) / maxval).reshape(height, width))
 
 
 def read_manifest(path) -> DatasetIndex:

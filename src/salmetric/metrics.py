@@ -270,17 +270,15 @@ def _split_streams_of(seeds: list, metrics, n_splits: int) -> list:
     return [None] * len(seeds)
 
 
-def evaluate_all(dataset: DatasetIndex, predictions: dict, config: EvalConfig | None = None,
-                 jobs: int = 1) -> MetricReport:
-    """Score every image of the dataset and aggregate per metric.
+def evaluate_all(dataset: DatasetIndex, predictions: dict,
+                 config: EvalConfig | None = None) -> MetricReport:
+    """Score every image of the dataset, one after another in this process,
+    and aggregate per metric.
 
     ``predictions`` maps image id to a GridMap of matching dimensions. Results
-    are deterministic for a given config seed and independent of ``jobs``: each
-    image's sampled draws are seeded from (seed, image id). ``jobs`` is at
-    least 1; no more worker processes than images are started.
+    are deterministic for a given config seed: each image's sampled draws are
+    seeded from (seed, image id).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cfg = config if config is not None else EvalConfig()
     cfg = replace(cfg, metrics=tuple(cfg.metrics),
                   sigma=dataset.sigma if cfg.sigma is None else float(cfg.sigma))
@@ -300,15 +298,7 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict, config: EvalConfig | 
         tasks.append({**inputs, "pred": pred, "config": cfg,
                       "image_seed": image_seed, "streams": image_streams})
 
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        # imported here so serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_score_image, tasks))
-    else:
-        results = [_score_image(t) for t in tasks]
+    results = [_score_image(t) for t in tasks]
 
     per_image = {}
     per_image_std = {}

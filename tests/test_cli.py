@@ -56,6 +56,20 @@ def test_evaluate_command_and_jobs(workspace):
     assert doc["config"]["seed"] == 5
 
 
+def test_evaluate_jobs_starts_no_worker(workspace, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("evaluate started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    tmp, manifest, preds = workspace
+    args = ["evaluate", str(manifest), "--pred", str(preds), "--splits", "4", "--k", "3"]
+    assert run(args + ["--out", str(tmp / "r1.json"), "--jobs", "1"]) == 0
+    assert run(args + ["--out", str(tmp / "r2.json"), "--jobs", "2"]) == 0
+    assert (tmp / "r1.json").read_bytes() == (tmp / "r2.json").read_bytes()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_evaluate_jobs_below_one_is_a_usage_error(workspace, capsys, jobs):
     tmp, manifest, preds = workspace
@@ -259,7 +273,7 @@ def test_module_entry_point(workspace):
 
 
 def test_import_loads_no_process_pool():
-    # only evaluate_all's jobs > 1 branch needs the process pool
+    # every image is scored in this process, so no code path needs the pool
     code = ("import sys, salmetric.cli; "
             "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
             "if m in sys.modules])")

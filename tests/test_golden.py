@@ -22,14 +22,13 @@ MANIFEST = "{data}/manifest.json"
 CASES = {
     "synth-manifest": ("manifest.json", None, MANIFEST),
     **{
-        f"evaluate-{pred}-jobs{jobs}": (
+        f"evaluate-{pred}": (
             f"evaluate_{pred}.json",
             ["evaluate", MANIFEST, "--pred", f"{{data}}/pred_{pred}", *SAMPLED,
-             "--jobs", jobs, "--out", "{work}/report.json"],
+             "--out", "{work}/report.json"],
             "{work}/report.json",
         )
         for pred in ("oracle", "quantized")
-        for jobs in ("1", "2")
     },
     **{
         f"sweep-{source}": (

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from salmetric.cli import run as cli_run
 from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord
 from salmetric.errors import (
     BadMagicError,
@@ -109,6 +110,20 @@ def test_pgm_16bit_big_endian(tmp_path):
     assert grid.values[0, 0] == 0.0
     assert grid.values[1, 0] == 1.0
     assert abs(grid.values[0, 1] - 1000 / 65535) < 1e-12
+
+
+@pytest.mark.parametrize("header, raster, top, maxval", [
+    (b"P5 3 1 100\n", bytes([0, 255, 100]), 255, 100),
+    (b"P5 2 1 1000\n", struct.pack(">2H", 1001, 1000), 1001, 1000),
+], ids=["8bit", "16bit"])
+def test_pgm_code_above_maxval_is_rejected(tmp_path, capsys, header, raster, top, maxval):
+    path = tmp_path / "g.pgm"
+    path.write_bytes(header + raster)
+    with pytest.raises(SchemaError, match=f"code {top} exceeds its maxval {maxval}"):
+        read_map(path)
+    assert cli_run(["smooth", str(path), "--out", str(tmp_path / "s.smap")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{top}" in err and f"{maxval}" in err
 
 
 def test_pgm_truncated_raster(tmp_path):

@@ -279,55 +279,14 @@ def test_evaluate_all_identical_images_agree():
     assert report.aggregate == report.per_image["x"]
 
 
-def test_evaluate_all_deterministic_and_jobs_invariant():
+def test_evaluate_all_deterministic():
     ds, preds = make_eval_inputs()
     config = EvalConfig(n_splits=6, k=2, seed=3)
-    serial = evaluate_all(ds, preds, config, jobs=1)
-    again = evaluate_all(ds, preds, config, jobs=1)
-    parallel = evaluate_all(ds, preds, config, jobs=2)
-    assert serial.per_image == again.per_image == parallel.per_image
-    assert serial.aggregate == parallel.aggregate
-
-
-class _InProcessExecutor:
-    """Stands in for ``ProcessPoolExecutor``: records ``max_workers`` and maps
-    in this process, so no worker is started."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        self.made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("jobs, workers", [(1, None), (2, 2), (3, 3), (4, 3), (64, 3)])
-def test_evaluate_all_starts_no_more_workers_than_images(monkeypatch, jobs, workers):
-    import concurrent.futures
-
-    monkeypatch.setattr(_InProcessExecutor, "made", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessExecutor)
-    ds, preds = make_eval_inputs()
-    config = EvalConfig(n_splits=6, k=2, seed=3)
-    report = evaluate_all(ds, preds, config, jobs=jobs)
-    assert _InProcessExecutor.made == ([] if workers is None else [workers])
-    serial = evaluate_all(ds, preds, config)
-    assert report.per_image == serial.per_image
-    assert report.per_image_std == serial.per_image_std
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_evaluate_all_rejects_jobs_below_one(jobs):
-    ds, preds = make_eval_inputs()
-    with pytest.raises(ValueError, match="jobs"):
-        evaluate_all(ds, preds, EvalConfig(metrics=("nss",)), jobs=jobs)
+    first = evaluate_all(ds, preds, config)
+    again = evaluate_all(ds, preds, config)
+    assert first.per_image == again.per_image
+    assert first.per_image_std == again.per_image_std
+    assert first.aggregate == again.aggregate
 
 
 def test_evaluate_all_errors():
