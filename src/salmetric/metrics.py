@@ -38,6 +38,9 @@ EPS = float(np.finfo(np.float64).eps)
 ALL_METRICS = ("cc", "nss", "sim", "kld", "ig", "auc_judd", "auc_borji", "s_auc", "fn_auc")
 # each sampled AUC and the sampler whose pool it draws from
 SAMPLED_METRICS = {"auc_borji": "borji", "s_auc": "shuffled", "fn_auc": "fn"}
+# every AUC and the sampler whose pool holds its negatives: AUC-Judd scores
+# the whole borji pool, the one AUC-Borji draws from
+POOL_SAMPLERS = {"auc_judd": "borji", **SAMPLED_METRICS}
 TIE_BREAK_MODES = ("global", "noise", "off")
 
 
@@ -158,6 +161,9 @@ class EvalConfig:
         unknown = [m for m in self.metrics if m not in ALL_METRICS]
         if unknown:
             raise ValueError(f"unknown metrics: {unknown}; choose from {ALL_METRICS}")
+        repeated = sorted({m for m in self.metrics if self.metrics.count(m) > 1})
+        if repeated:
+            raise ValueError(f"metrics named more than once: {repeated}")
         if self.tie_break not in TIE_BREAK_MODES:
             raise ValueError(
                 f"unknown tie_break mode {self.tie_break!r}; expected one of {TIE_BREAK_MODES}"
@@ -185,12 +191,13 @@ class MetricReport:
 
 def _image_inputs(dataset: DatasetIndex, metrics, k: int, sigma: float,
                   gt_sigma: float) -> list:
-    """The part of each image's scoring task that does not depend on the
-    prediction, in dataset order: its ``id``, ``fixations``, ground-truth
-    ``gt_density`` at ``gt_sigma`` (built only for cc, sim and kld), the ig
-    ``baseline`` and the negative ``pools`` of the sampled AUCs, with fn_auc
-    ranking neighbors at ``sigma``. The names are checked by the caller's
-    :class:`EvalConfig`."""
+    """What each image's scoring needs besides the prediction, in dataset
+    order: its ``id``, ``fixations``, ground-truth ``gt_density`` at
+    ``gt_sigma`` (built only for cc, sim and kld), the ig ``baseline`` and
+    the negative ``pools`` of the AUCs, with fn_auc ranking neighbors at
+    ``sigma``. Each sampler's pool is built once per image and keyed under
+    every AUC of :data:`POOL_SAMPLERS` that uses it. The names are checked by
+    the caller's :class:`EvalConfig`."""
     gt = [None] * len(dataset)
     if any(m in metrics for m in ("cc", "sim", "kld")):
         gt = [density_from_fixations(rec.fixations, gt_sigma) for rec in dataset.images]
@@ -198,38 +205,36 @@ def _image_inputs(dataset: DatasetIndex, metrics, k: int, sigma: float,
         if "fn_auc" in metrics and sigma == gt_sigma:
             _cc_matrix(dataset, gt_sigma, gt)
     baseline = center_bias_map(dataset.frame) if "ig" in metrics else None
-    return [
-        {
+    asked = {name: sampler for name, sampler in POOL_SAMPLERS.items() if name in metrics}
+    inputs = []
+    for rec, density in zip(dataset.images, gt):
+        pools = {sampler: negative_pool(sampler, rec.id, dataset, k, sigma)
+                 for sampler in dict.fromkeys(asked.values())}
+        inputs.append({
             "id": rec.id,
             "fixations": rec.fixations,
             "gt_density": density,
             "baseline": baseline,
-            "pools": {name: negative_pool(sampler, rec.id, dataset, k, sigma)
-                      for name, sampler in SAMPLED_METRICS.items() if name in metrics},
-        }
-        for rec, density in zip(dataset.images, gt)
-    ]
+            "pools": {name: pools[sampler] for name, sampler in asked.items()},
+        })
+    return inputs
 
 
-def _score_image(task: dict):
-    """Score one image on each metric of ``task["config"]``: the one place a
-    metric name picks its scorer.
+def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, streams):
+    """Score one image's prediction ``pred`` on each metric of ``cfg``: the
+    one place a metric name picks its scorer.
 
-    The task holds the keys of :func:`_image_inputs`, the prediction
-    ``pred``, the ``image_seed`` of its tie-break and, when a sampled AUC is
-    asked for, the ``streams`` of its splits (:func:`split_streams` of
-    ``image_seed``). A ``pred`` that is already a DensityMap is scored as it
-    is by the distribution metrics. Returns the id, the scores and the split
-    spread of each sampled AUC."""
-    cfg: EvalConfig = task["config"]
-    pred: GridMap = task["pred"]
+    ``task`` is the image's entry of :func:`_image_inputs`, ``image_seed``
+    seeds its tie-break and ``streams``, when a sampled AUC is asked for,
+    are the :func:`split_streams` of ``image_seed``. A ``pred`` that is
+    already a DensityMap is scored as it is by the distribution metrics.
+    Returns the id, the scores and the split spread of each sampled AUC."""
     fx: FixationSet = task["fixations"]
-    image_seed: int = task["image_seed"]
     scores: dict = {}
     stds: dict = {}
     scored = None
     density = None
-    streams = None
+    block = None
     for name in cfg.metrics:
         if name == "cc":
             density = density or normalize_to_density(pred)
@@ -249,25 +254,29 @@ def _score_image(task: dict):
             if scored is None:
                 scored = _tie_break(pred, cfg.tie_break, image_seed)
             if name == "auc_judd":
-                scores[name] = auc_single(scored, fx, complement_set(pred.frame, fx))
+                scores[name] = auc_single(scored, fx, task["pools"][name].support)
                 continue
-            if streams is None:
+            if block is None:
                 # the first words of every split, shared by the image's
                 # sampled AUCs; a draw of ``count <= len(fx)`` reads most of
                 # its words from here, and the block dies with this call
-                streams = task["streams"].with_words(2 * len(fx))
-            mean, std = auc_averaged(scored, fx, task["pools"][name], streams)
+                block = streams.with_words(2 * len(fx))
+            mean, std = auc_averaged(scored, fx, task["pools"][name], block)
             scores[name] = mean
             stds[name] = std
     return task["id"], scores, stds
 
 
-def _split_streams_of(seeds: list, metrics, n_splits: int) -> list:
-    """:func:`split_streams` of ``seeds`` when ``metrics`` has a sampled AUC,
-    else one ``None`` per seed."""
-    if any(m in SAMPLED_METRICS for m in metrics):
-        return split_streams(seeds, n_splits)
-    return [None] * len(seeds)
+def _score_images(inputs: list, preds, cfg: EvalConfig, seeds: list):
+    """Yield :func:`_score_image` of each image in order: ``inputs`` from
+    :func:`_image_inputs`, ``preds`` and ``seeds`` aligned with them. The
+    split streams of every image are seeded in one pass, and only when a
+    sampled AUC is asked for."""
+    streams = [None] * len(seeds)
+    if any(m in SAMPLED_METRICS for m in cfg.metrics):
+        streams = split_streams(seeds, cfg.n_splits)
+    for task, pred, image_seed, image_streams in zip(inputs, preds, seeds, streams):
+        yield _score_image(task, pred, cfg, image_seed, image_streams)
 
 
 def evaluate_all(dataset: DatasetIndex, predictions: dict,
@@ -275,19 +284,15 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict,
     """Score every image of the dataset, one after another in this process,
     and aggregate per metric.
 
-    ``predictions`` maps image id to a GridMap of matching dimensions. Results
-    are deterministic for a given config seed: each image's sampled draws are
+    ``predictions`` maps image id to a GridMap of matching dimensions; every
+    prediction is checked before any image is scored. Results are
+    deterministic for a given config seed: each image's sampled draws are
     seeded from (seed, image id).
     """
     cfg = config if config is not None else EvalConfig()
     cfg = replace(cfg, metrics=tuple(cfg.metrics),
                   sigma=dataset.sigma if cfg.sigma is None else float(cfg.sigma))
-    seeds = [derive_seed(cfg.seed, image_id) for image_id in dataset.ids]
-    streams = _split_streams_of(seeds, cfg.metrics, cfg.n_splits)
-    tasks = []
-    for inputs, image_seed, image_streams in zip(
-            _image_inputs(dataset, cfg.metrics, cfg.k, cfg.sigma, cfg.sigma), seeds, streams):
-        image_id = inputs["id"]
+    for image_id in dataset.ids:
         if image_id not in predictions:
             raise MissingPredictionError(f"no prediction for image {image_id!r}")
         pred = predictions[image_id]
@@ -295,10 +300,9 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict,
             raise DimensionMismatchError(
                 f"prediction for {image_id!r} is {pred.frame}, dataset frame is {dataset.frame}"
             )
-        tasks.append({**inputs, "pred": pred, "config": cfg,
-                      "image_seed": image_seed, "streams": image_streams})
-
-    results = [_score_image(t) for t in tasks]
+    seeds = [derive_seed(cfg.seed, image_id) for image_id in dataset.ids]
+    results = _score_images(_image_inputs(dataset, cfg.metrics, cfg.k, cfg.sigma, cfg.sigma),
+                            [predictions[image_id] for image_id in dataset.ids], cfg, seeds)
 
     per_image = {}
     per_image_std = {}

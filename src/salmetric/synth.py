@@ -19,7 +19,7 @@ from .core import (
 )
 from .errors import UnknownModeError
 from .gaussian import center_bias_map, density_from_fixations
-from .metrics import EvalConfig, _image_inputs, _score_image, _split_streams_of
+from .metrics import EvalConfig, _image_inputs, _score_images
 from .seeding import derive_seed
 
 PREDICTOR_MODES = ("oracle", "center", "peripheral", "quantized", "uniform")
@@ -164,16 +164,9 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
     rows = {m: [] for m in metrics}
     for st in sigma_train:
         sums = {m: 0.0 for m in metrics}
-        seeds = [derive_seed(seed, "sweep", st, task["id"]) for task in inputs]
-        streams = _split_streams_of(seeds, metrics, n_splits)
-        for task, image_seed, image_streams in zip(inputs, seeds, streams):
-            _, scores, _ = _score_image({
-                **task,
-                "pred": density_from_fixations(task["fixations"], st),
-                "config": config,
-                "image_seed": image_seed,
-                "streams": image_streams,
-            })
+        seeds = [derive_seed(seed, "sweep", st, image_id) for image_id in dataset.ids]
+        preds = (density_from_fixations(rec.fixations, st) for rec in dataset.images)
+        for _, scores, _ in _score_images(inputs, preds, config, seeds):
             for m in metrics:
                 sums[m] += scores[m]
         for m in metrics:

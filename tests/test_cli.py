@@ -243,6 +243,20 @@ def test_evaluate_empty_metric_list_exits_1(workspace, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["evaluate", "{manifest}", "--pred", "{preds}", "--metrics", "cc,nss,cc"],
+    ["sweep", "{manifest}", "--sigmas", "1,2", "--metrics", "cc,cc"],
+])
+def test_repeated_metric_exits_1(workspace, capsys, command):
+    tmp, manifest, preds = workspace
+    out = tmp / "r.json"
+    argv = [a.format(manifest=manifest, preds=preds) for a in command]
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "metrics named more than once: ['cc']" in err
+    assert not out.exists()
+
+
 def test_sweep_synth_config_unknown_key_exits_1(tmp_path, capsys):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({"n_images": 4, "frame": [24, 24], "bogus": 1}))

@@ -311,10 +311,48 @@ def test_evaluate_all_errors():
     {"sigma": -1.0},
     {"sigma": 0.0},
     {"sigma": math.inf},
+    {"metrics": ("cc", "nss", "cc")},
 ])
 def test_eval_config_rejects_unrunnable_fields(fields):
     with pytest.raises(ValueError):
         EvalConfig(**fields)
+
+
+@pytest.mark.parametrize("broken, error", [
+    ("missing", MissingPredictionError), ("frame", DimensionMismatchError),
+])
+def test_evaluate_all_checks_predictions_before_building_anything(monkeypatch, broken, error):
+    ds, preds = make_eval_inputs()
+    if broken == "missing":
+        del preds["c"]
+    else:
+        preds["c"] = GridMap(np.ones((5, 5)))
+
+    def built(*args, **kwargs):
+        raise AssertionError("built before every prediction was checked")
+
+    monkeypatch.setattr(metrics_module, "density_from_fixations", built)
+    monkeypatch.setattr(metrics_module, "negative_pool", built)
+    with pytest.raises(error, match="'c'"):
+        evaluate_all(ds, preds, EvalConfig(k=2))
+
+
+def test_auc_judd_scores_the_borji_pool(monkeypatch):
+    ds, preds = make_eval_inputs()
+    calls = []
+
+    def counting(frame, exclude):
+        calls.append(frame)
+        return complement_set(frame, exclude)
+
+    monkeypatch.setattr(metrics_module, "complement_set", counting)
+    monkeypatch.setattr(sampling_module, "complement_set", counting)
+    report = evaluate_all(ds, preds, EvalConfig(metrics=("auc_judd", "auc_borji"), n_splits=4))
+    assert len(calls) == len(ds)
+    monkeypatch.undo()
+    for image_id, pred in preds.items():
+        assert report.per_image[image_id]["auc_judd"] == \
+            auc_judd(pred, ds.image(image_id).fixations)
 
 
 def test_ig_only_evaluate_builds_no_ground_truth_density(monkeypatch):

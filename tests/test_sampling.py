@@ -427,8 +427,8 @@ def test_split_streams_in_one_call_equal_one_call_per_seed():
         assert streams.seeds == alone.seeds == tuple(derive_seed(seed, i) for i in range(6))
         rows = np.arange(6)[:, None]
         assert np.array_equal(streams.raw(rows, positions), alone.raw(rows, positions))
-        # perfbench pickles every captured _score_image task to size it,
-        # so a task's streams must survive a pickle round-trip
+        # streams are plain arrays and ints: a pickle round-trip keeps
+        # every word, so a caller can hand them to another process
         assert np.array_equal(pickle.loads(pickle.dumps(streams)).raw(rows, positions),
                               alone.raw(rows, positions))
 

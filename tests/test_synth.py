@@ -150,6 +150,8 @@ def test_sweep_validation():
         sigma_sweep(ds, [], metrics=("cc",))
     with pytest.raises(ValueError):
         sigma_sweep(ds, [4.0], metrics=("parsec",))
+    with pytest.raises(ValueError, match="more than once"):
+        sigma_sweep(ds, [4.0], metrics=("cc", "cc"))
 
 
 def test_sweep_deterministic_with_sampled_metrics():
