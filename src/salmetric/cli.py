@@ -57,11 +57,8 @@ def _load_synth_config(path, doc) -> SynthConfig:
     unknown = set(doc) - set(SynthConfig.__dataclass_fields__)
     if unknown:
         raise SalmetricError(f"{path}: unknown synth config keys {sorted(unknown)}")
-    if "frame" in doc:
-        frame = doc["frame"]
-        if not isinstance(frame, list) or len(frame) != 2 or any(type(v) is not int for v in frame):
-            raise SalmetricError(f"{path}: synth config 'frame' must be two integers, got {frame!r}")
-        doc["frame"] = tuple(frame)
+    if isinstance(doc.get("frame"), list):
+        doc["frame"] = tuple(doc["frame"])
     try:
         return SynthConfig(**doc)
     except (TypeError, ValueError) as exc:

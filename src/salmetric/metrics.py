@@ -7,6 +7,7 @@ scores (nss, the AUCs) consume the raw prediction and the fixation set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -189,42 +190,11 @@ class MetricReport:
     config: EvalConfig
 
 
-def _image_inputs(dataset: DatasetIndex, metrics, k: int, sigma: float,
-                  gt_sigma: float) -> list:
-    """What each image's scoring needs besides the prediction, in dataset
-    order: its ``id``, ``fixations``, ground-truth ``gt_density`` at
-    ``gt_sigma`` (built only for cc, sim and kld), the ig ``baseline`` and
-    the negative ``pools`` of the AUCs, with fn_auc ranking neighbors at
-    ``sigma``. Each sampler's pool is built once per image and keyed under
-    every AUC of :data:`POOL_SAMPLERS` that uses it. The names are checked by
-    the caller's :class:`EvalConfig`."""
-    gt = [None] * len(dataset)
-    if any(m in metrics for m in ("cc", "sim", "kld")):
-        gt = [density_from_fixations(rec.fixations, gt_sigma) for rec in dataset.images]
-        # the neighbour matrix reuses these densities instead of blurring again
-        if "fn_auc" in metrics and sigma == gt_sigma:
-            _cc_matrix(dataset, gt_sigma, gt)
-    baseline = center_bias_map(dataset.frame) if "ig" in metrics else None
-    asked = {name: sampler for name, sampler in POOL_SAMPLERS.items() if name in metrics}
-    inputs = []
-    for rec, density in zip(dataset.images, gt):
-        pools = {sampler: negative_pool(sampler, rec.id, dataset, k, sigma)
-                 for sampler in dict.fromkeys(asked.values())}
-        inputs.append({
-            "id": rec.id,
-            "fixations": rec.fixations,
-            "gt_density": density,
-            "baseline": baseline,
-            "pools": {name: pools[sampler] for name, sampler in asked.items()},
-        })
-    return inputs
-
-
 def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, streams):
     """Score one image's prediction ``pred`` on each metric of ``cfg``: the
     one place a metric name picks its scorer.
 
-    ``task`` is the image's entry of :func:`_image_inputs`, ``image_seed``
+    ``task`` holds the image's inputs from :func:`_score_images`, ``image_seed``
     seeds its tie-break and ``streams``, when a sampled AUC is asked for,
     are the :func:`split_streams` of ``image_seed``. A ``pred`` that is
     already a DensityMap is scored as it is by the distribution metrics.
@@ -267,16 +237,37 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, st
     return task["id"], scores, stds
 
 
-def _score_images(inputs: list, preds, cfg: EvalConfig, seeds: list):
-    """Yield :func:`_score_image` of each image in order: ``inputs`` from
-    :func:`_image_inputs`, ``preds`` and ``seeds`` aligned with them. The
-    split streams of every image are seeded in one pass, and only when a
-    sampled AUC is asked for."""
-    streams = [None] * len(seeds)
+def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
+                  gt_sigma: float):
+    """Score the images of ``dataset`` in order, one at a time: build the
+    image's inputs, yield :func:`_score_image` of each of its predictions
+    (``preds`` yields an iterable of them per image, ``seeds`` holds their
+    seeds per image), and drop the inputs before the next image. The inputs
+    are the ``gt_density`` at ``gt_sigma``, built only for cc, sim and kld,
+    the ig ``baseline``, and one pool per sampler, keyed under every AUC of
+    :data:`POOL_SAMPLERS` that uses it. Every seed's split streams are seeded
+    in one pass, and only when a sampled AUC is asked for."""
+    streams = itertools.repeat(None)
     if any(m in SAMPLED_METRICS for m in cfg.metrics):
-        streams = split_streams(seeds, cfg.n_splits)
-    for task, pred, image_seed, image_streams in zip(inputs, preds, seeds, streams):
-        yield _score_image(task, pred, cfg, image_seed, image_streams)
+        streams = iter(split_streams([s for image in seeds for s in image], cfg.n_splits))
+    gt = itertools.repeat(None)
+    if any(m in cfg.metrics for m in ("cc", "sim", "kld")):
+        gt = (density_from_fixations(rec.fixations, gt_sigma) for rec in dataset.images)
+        if "fn_auc" in cfg.metrics and cfg.sigma == gt_sigma:
+            # the neighbour matrix reuses these densities instead of blurring again
+            gt = list(gt)
+            _cc_matrix(dataset, gt_sigma, gt)
+    baseline = center_bias_map(dataset.frame) if "ig" in cfg.metrics else None
+    asked = {name: sampler for name, sampler in POOL_SAMPLERS.items() if name in cfg.metrics}
+    for rec, density, image_preds, image_seeds in zip(dataset.images, gt, preds, seeds):
+        pools = {sampler: negative_pool(sampler, rec.id, dataset, cfg.k, cfg.sigma)
+                 for sampler in dict.fromkeys(asked.values())}
+        task = {"id": rec.id, "fixations": rec.fixations, "gt_density": density,
+                "baseline": baseline,
+                "pools": {name: pools[sampler] for name, sampler in asked.items()}}
+        for pred, image_seed in zip(image_preds, image_seeds):
+            yield _score_image(task, pred, cfg, image_seed, next(streams))
+        del density, pools, task
 
 
 def evaluate_all(dataset: DatasetIndex, predictions: dict,
@@ -300,9 +291,9 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict,
             raise DimensionMismatchError(
                 f"prediction for {image_id!r} is {pred.frame}, dataset frame is {dataset.frame}"
             )
-    seeds = [derive_seed(cfg.seed, image_id) for image_id in dataset.ids]
-    results = _score_images(_image_inputs(dataset, cfg.metrics, cfg.k, cfg.sigma, cfg.sigma),
-                            [predictions[image_id] for image_id in dataset.ids], cfg, seeds)
+    seeds = [[derive_seed(cfg.seed, image_id)] for image_id in dataset.ids]
+    preds = ([predictions[image_id]] for image_id in dataset.ids)
+    results = _score_images(dataset, cfg, preds, seeds, cfg.sigma)
 
     per_image = {}
     per_image_std = {}

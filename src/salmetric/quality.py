@@ -88,6 +88,12 @@ def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: i
 
     Each image's draw is seeded from (seed, sampler label, image id), so the
     report is deterministic and order-independent."""
+    samplers = list(samplers)
+    if not samplers:
+        raise ValueError("no samplers given; expected shuffled or fn:K")
+    repeated = sorted({label for label in samplers if samplers.count(label) > 1})
+    if repeated:
+        raise ValueError(f"samplers named more than once: {repeated}")
     sigma = dataset.sigma if sigma is None else float(sigma)
     center = center_bias_map(dataset.frame)
     out = {}

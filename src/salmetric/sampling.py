@@ -386,9 +386,16 @@ def _cc_matrix(dataset: DatasetIndex, sigma: float, densities=None) -> np.ndarra
     if cached is None:
         if densities is None:
             densities = (density_from_fixations(rec.fixations, sigma) for rec in dataset.images)
-        rows = np.stack([d.values.ravel() for d in densities])
+        width, height = dataset.frame
+        rows = np.empty((len(dataset), width * height))
+        for row, density in zip(rows, densities):
+            row[:] = density.values.ravel()
         rows -= rows.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        # a 2-D row slice at a time: the whole-matrix norm squares every
+        # entry into a temporary as large as ``rows``, and a 1-D norm sums
+        # through a dot product whose last bits differ
+        norms = np.concatenate([np.linalg.norm(rows[i:i + 1], axis=1, keepdims=True)
+                                for i in range(len(rows))])
         if np.any(norms == 0.0):
             raise ZeroVarianceError("an image density is constant; cannot correlate")
         rows /= norms

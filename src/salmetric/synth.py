@@ -5,6 +5,8 @@ enough to reproduce the qualitative behaviors the metric suite should detect:
 center bias, peripheral bias, blur-width sensitivity, and tie-break effects.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +21,14 @@ from .core import (
 )
 from .errors import UnknownModeError
 from .gaussian import center_bias_map, density_from_fixations
-from .metrics import EvalConfig, _image_inputs, _score_images
+from .metrics import EvalConfig, _score_images
 from .seeding import derive_seed
 
 PREDICTOR_MODES = ("oracle", "center", "peripheral", "quantized", "uniform")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -36,12 +42,18 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_images", "fixations_per_image", "n_object_clusters", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (isinstance(self.frame, tuple) and len(self.frame) == 2
+                and all(_is_integer(v) and v >= 1 for v in self.frame)):
+            raise ValueError(f"'frame' must be two integers of at least 1, got {self.frame!r}")
         if self.n_images < 1 or self.fixations_per_image < 1 or self.n_object_clusters < 1:
             raise ValueError("counts must be at least 1")
         if not (0.0 <= self.center_bias_strength <= 1.0):
             raise ValueError("center_bias_strength must be in [0, 1]")
-        if not (self.cluster_sigma > 0):
-            raise ValueError("cluster_sigma must be positive")
+        if not 0 < self.cluster_sigma < math.inf:
+            raise ValueError(f"cluster_sigma must be positive and finite, got {self.cluster_sigma}")
         w, h = self.frame
         if w * h < self.fixations_per_image:
             raise ValueError("frame too small for the requested fixations per image")
@@ -157,21 +169,17 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
         raise ValueError("need at least one training width")
     metrics = tuple(metrics)
     sigma_gt = dataset.sigma if sigma_gt is None else float(sigma_gt)
-    config = EvalConfig(metrics=metrics, n_splits=n_splits)
     # fn_auc ranks neighbors at the dataset's own width, not at sigma_gt
-    inputs = _image_inputs(dataset, metrics, k, dataset.sigma, sigma_gt)
-
-    rows = {m: [] for m in metrics}
-    for st in sigma_train:
-        sums = {m: 0.0 for m in metrics}
-        seeds = [derive_seed(seed, "sweep", st, image_id) for image_id in dataset.ids]
-        preds = (density_from_fixations(rec.fixations, st) for rec in dataset.images)
-        for _, scores, _ in _score_images(inputs, preds, config, seeds):
-            for m in metrics:
-                sums[m] += scores[m]
+    config = EvalConfig(metrics=metrics, n_splits=n_splits, k=k, sigma=dataset.sigma)
+    seeds = [[derive_seed(seed, "sweep", st, image_id) for st in sigma_train]
+             for image_id in dataset.ids]
+    preds = ((density_from_fixations(rec.fixations, st) for st in sigma_train)
+             for rec in dataset.images)
+    # each training width's sums take the images in dataset order
+    sums = {m: [0.0] * len(sigma_train) for m in metrics}
+    for j, (_, scores, _) in enumerate(_score_images(dataset, config, preds, seeds, sigma_gt)):
         for m in metrics:
-            rows[m].append(sums[m] / len(dataset))
-
-    scores = {m: tuple(rows[m]) for m in metrics}
-    deviation = {m: float(np.std(rows[m])) for m in metrics}
+            sums[m][j % len(sigma_train)] += scores[m]
+    scores = {m: tuple(total / len(dataset) for total in sums[m]) for m in metrics}
+    deviation = {m: float(np.std(scores[m])) for m in metrics}
     return SweepTable(sigmas=sigma_train, sigma_gt=sigma_gt, scores=scores, deviation=deviation)

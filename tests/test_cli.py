@@ -275,6 +275,51 @@ def test_synth_config_fractional_frame_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"n_images": 2.5}', "n_images must be an integer, got 2.5"),
+    ('{"n_object_clusters": 1.5}', "n_object_clusters must be an integer, got 1.5"),
+    ('{"cluster_sigma": 1e999}', "cluster_sigma must be positive and finite, got inf"),
+    ('{"fixations_per_image": 2.5}', "fixations_per_image must be an integer, got 2.5"),
+    ('{"n_images": true}', "n_images must be an integer, got True"),
+    ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
+    ('{"frame": [0, 20]}', "'frame' must be two integers of at least 1, got (0, 20)"),
+])
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_synth_config_of_wrong_type_exits_1(tmp_path, capsys, text, named, command):
+    config = tmp_path / "synth.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    argv = ["synth", "--config", str(config)] if command == "synth" else ["sweep", str(config)]
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samplers, named", [
+    ("", "no samplers given"),
+    ("fn:2,fn:2", "samplers named more than once: ['fn:2']"),
+])
+def test_quality_empty_or_repeated_samplers_exit_1(workspace, capsys, samplers, named):
+    tmp, manifest, _ = workspace
+    out = tmp / "q.json"
+    assert run(["quality", str(manifest), "--samplers", samplers, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metrics", ["cc,nss", "cc,fn_auc"])
+def test_sweep_k_below_one_exits_1(workspace, capsys, metrics):
+    tmp, manifest, _ = workspace
+    out = tmp / "t.json"
+    assert run(["sweep", str(manifest), "--sigmas", "1,2", "--metrics", metrics,
+                "--k", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "k must be at least 1, got 0" in err
+    assert not out.exists()
+
+
 def test_module_entry_point(workspace):
     tmp, manifest, _ = workspace
     out = tmp / "mod"

@@ -140,3 +140,13 @@ def test_sampler_spec_parsing_errors(bias_dataset):
         quality_report(small, samplers=("bogus:3",), seed=0)
     with pytest.raises(ValueError):
         quality_report(small, samplers=("shuffled:2",), seed=0)
+
+
+@pytest.mark.parametrize("samplers, message", [
+    ((), "no samplers given"),
+    (("fn:2", "shuffled", "fn:2"), r"samplers named more than once: \['fn:2'\]"),
+])
+def test_quality_report_rejects_empty_and_repeated_samplers(bias_dataset, samplers, message):
+    small = DatasetIndex(bias_dataset.images[:4], sigma=bias_dataset.sigma)
+    with pytest.raises(ValueError, match=message):
+        quality_report(small, samplers=samplers, seed=0)

@@ -176,6 +176,28 @@ def test_neighbor_ranking_breaks_exact_ties_by_id():
     assert ties > 100
 
 
+@pytest.mark.parametrize("n_images, frame, sigma", [
+    (2, (9, 7), 1.5), (12, (40, 30), 3.0), (60, (64, 48), 5.0), (25, (160, 120), 19.0),
+])
+def test_cc_matrix_equals_the_stacked_matrix_bit_for_bit(n_images, frame, sigma):
+    """The matrix fills one preallocated array and takes the norms a row at
+    a time; it must equal stacking the densities and taking every norm in
+    one call, as it was built before."""
+    rng = np.random.default_rng(n_images)
+    w, h = frame
+    ds = DatasetIndex([ImageRecord(f"i{n}", FixationSet.from_linear(
+        rng.choice(w * h, size=int(rng.integers(1, 12)), replace=False), frame))
+        for n in range(n_images)], sigma=sigma)
+    densities = [density_from_fixations(rec.fixations, sigma) for rec in ds.images]
+    rows = np.stack([d.values.ravel() for d in densities])
+    rows -= rows.mean(axis=1, keepdims=True)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    stacked = np.clip(rows @ rows.T, -1.0, 1.0)
+    assert np.array_equal(sampling_module._cc_matrix(ds, sigma), stacked)
+    fresh = DatasetIndex(ds.images, sigma=sigma)
+    assert np.array_equal(sampling_module._cc_matrix(fresh, sigma, densities), stacked)
+
+
 def test_farthest_pool_monotone_in_k(bias_dataset):
     for rec in bias_dataset.images[:5]:
         previous = None

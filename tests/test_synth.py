@@ -26,6 +26,17 @@ def test_config_validation():
         SynthConfig(cluster_sigma=0.0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"n_images": 2.5}, {"n_images": True}, {"fixations_per_image": 2.5},
+    {"n_object_clusters": 1.5}, {"seed": 1.5}, {"seed": False}, {"frame": (64.0, 64)},
+    {"frame": [64, 64]}, {"frame": (64, 64, 1)}, {"frame": (-8, -8)},
+    {"cluster_sigma": float("inf")}, {"cluster_sigma": float("nan")},
+])
+def test_config_rejects_fields_of_the_wrong_type(fields):
+    with pytest.raises(ValueError):
+        SynthConfig(**fields)
+
+
 def test_gen_dataset_deterministic():
     config = SynthConfig(n_images=8, frame=(32, 32), fixations_per_image=6, seed=5)
     a = gen_dataset(config)
