@@ -18,7 +18,6 @@ from .core import (
     vectorize,
 )
 from .gaussian import (
-    GaussianParams,
     aggregate_density,
     blur,
     center_bias_map,

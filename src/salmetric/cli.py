@@ -21,10 +21,10 @@ from pathlib import Path
 
 from . import io as sio
 from .core import DatasetIndex, ImageRecord
-from .errors import MissingPredictionError, SalmetricError
+from .errors import MissingPredictionError, SalmetricError, UnknownModeError
 from .gaussian import density_from_fixations
 from .metrics import ALL_METRICS, TIE_BREAK_MODES, EvalConfig, evaluate_all
-from .quality import quality_report
+from .quality import QUALITY_MEASURES, quality_report
 from .sampling import negative_pool, sample_from_pool
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
@@ -101,6 +101,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_negatives(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"k must be at least 1, got {args.k}")
     dataset = sio.read_manifest(args.manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,11 +137,15 @@ def _cmd_quality(args) -> int:
 
 def _cmd_synth(args) -> int:
     config = _load_synth_config(args.config, _read_json(args.config))
+    modes = _comma_list(args.predictors)
+    unknown = [mode for mode in modes if mode not in PREDICTOR_MODES]
+    if unknown:
+        raise UnknownModeError(f"unknown predictor modes {unknown}; choose from {PREDICTOR_MODES}")
     dataset = gen_dataset(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sio.write_manifest(dataset, out / "manifest.json")
-    for mode in _comma_list(args.predictors):
+    for mode in modes:
         mode_dir = out / f"pred_{mode}"
         mode_dir.mkdir(exist_ok=True)
         for rec in dataset.images:
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samplers", default="shuffled,fn:5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--measure", choices=("cc", "auc"), default="cc")
+    p.add_argument("--measure", choices=QUALITY_MEASURES, default="cc")
     p.add_argument("--out", required=True, help="report file")
     p.set_defaults(func=_cmd_quality)
 

@@ -1,27 +1,12 @@
 """Gaussian fields: blur kernels, fixation densities, and bias maps."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DatasetIndex, DensityMap, FixationSet, Frame, GridMap, vectorize
 from .errors import EmptyFixationsError, InvalidSigmaError
 
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """An anisotropic Gaussian: per-axis widths in pixels, sub-pixel center."""
-
-    sigma_x: float
-    sigma_y: float
-    center: tuple[float, float]
-
-    def __post_init__(self):
-        if not (self.sigma_x > 0.0 and self.sigma_y > 0.0):
-            raise InvalidSigmaError(
-                f"widths must be positive, got ({self.sigma_x!r}, {self.sigma_y!r})"
-            )
 
 # Blur widths customarily paired with the common benchmark datasets; anything
 # unrecognized falls back to the SALICON-style default.
@@ -131,13 +116,13 @@ def aggregate_density(dataset: DatasetIndex, sigma: float | None = None) -> Dens
     return density_from_fixations(dataset.pooled, sigma)
 
 
-def evaluate_field(frame: Frame, params: GaussianParams) -> np.ndarray:
+def _gaussian_field(frame: Frame, sigma_x: float, sigma_y: float, cx: float,
+                    cy: float) -> np.ndarray:
     """Evaluate the Gaussian per pixel (no convolution), unnormalized peak 1
-    at the exact center."""
+    at the exact center ``(cx, cy)``."""
     w, h = int(frame[0]), int(frame[1])
-    cx, cy = params.center
-    qx = ((np.arange(w, dtype=np.float64) - cx) ** 2) / (2.0 * params.sigma_x ** 2)
-    qy = ((np.arange(h, dtype=np.float64) - cy) ** 2) / (2.0 * params.sigma_y ** 2)
+    qx = ((np.arange(w, dtype=np.float64) - cx) ** 2) / (2.0 * sigma_x ** 2)
+    qy = ((np.arange(h, dtype=np.float64) - cy) ** 2) / (2.0 * sigma_y ** 2)
     return np.exp(-(qy[:, None] + qx[None, :]))
 
 
@@ -158,24 +143,14 @@ def global_gaussian_map(frame: Frame) -> GridMap:
     w, h = int(frame[0]), int(frame[1])
     if w < 2 or h < 2:
         raise ValueError("frame must be at least 2x2")
-    params = GaussianParams(
-        sigma_x=w / 4.0,
-        sigma_y=h / 4.0,
-        center=((w - 1) / 2.0 + _TIE_OFFSET_X, (h - 1) / 2.0 + _TIE_OFFSET_Y),
-    )
-    field = evaluate_field((w, h), params)
+    field = _gaussian_field((w, h), w / 4.0, h / 4.0, (w - 1) / 2.0 + _TIE_OFFSET_X,
+                            (h - 1) / 2.0 + _TIE_OFFSET_Y)
     return GridMap(field / field.max())
 
 
-def center_bias_map(frame: Frame, sigma_fraction: float = 0.25) -> DensityMap:
-    """Centered Gaussian density: the classic look-at-the-middle baseline."""
-    if not (0.0 < sigma_fraction <= 1.0):
-        raise ValueError(f"sigma_fraction must be in (0, 1], got {sigma_fraction!r}")
+def center_bias_map(frame: Frame) -> DensityMap:
+    """Centered Gaussian density, a quarter of the frame wide on each axis:
+    the classic look-at-the-middle baseline."""
     w, h = int(frame[0]), int(frame[1])
-    params = GaussianParams(
-        sigma_x=sigma_fraction * w,
-        sigma_y=sigma_fraction * h,
-        center=((w - 1) / 2.0, (h - 1) / 2.0),
-    )
-    field = evaluate_field((w, h), params)
+    field = _gaussian_field((w, h), 0.25 * w, 0.25 * h, (w - 1) / 2.0, (h - 1) / 2.0)
     return DensityMap(field / field.sum())

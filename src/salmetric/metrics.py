@@ -32,7 +32,6 @@ from .roc import auc_averaged, auc_single
 from .sampling import NegativePool, _cc_matrix, negative_pool, split_streams
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
-from .stats import pearson
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -53,7 +52,15 @@ def _check_dims(a: GridMap, b: GridMap):
 def cc(a: GridMap, b: GridMap) -> float:
     """Pearson correlation between two maps over flattened pixels."""
     _check_dims(a, b)
-    return pearson(a.values, b.values)
+    x = np.asarray(a.values, dtype=np.float64).ravel()
+    y = np.asarray(b.values, dtype=np.float64).ravel()
+    xd = x - x.mean()
+    yd = y - y.mean()
+    xn = float(np.sqrt((xd * xd).sum()))
+    yn = float(np.sqrt((yd * yd).sum()))
+    if xn == 0.0 or yn == 0.0:
+        raise ZeroVarianceError("constant input has no correlation")
+    return float((xd * yd).sum() / (xn * yn))
 
 
 def nss(pred: GridMap, fixations: FixationSet) -> float:

@@ -14,10 +14,9 @@ import numpy as np
 from .core import DatasetIndex, DensityMap, FixationSet
 from .errors import EmptyFixationsError
 from .gaussian import center_bias_map, density_from_fixations
-from .metrics import auc_judd
+from .metrics import auc_judd, cc
 from .sampling import negative_pool, sample_from_pool
 from .seeding import derive_seed
-from .stats import pearson
 
 QUALITY_MEASURES = ("cc", "auc")
 
@@ -34,6 +33,16 @@ def make_triple(penalization: float, contamination: float) -> QualityTriple:
     return QualityTriple(penalization, contamination, ratio)
 
 
+def _agreement(pred: DensityMap, fixations: FixationSet, sigma: float, measure: str) -> float:
+    """Score ``pred`` against ``fixations`` with the metric suite: ``cc`` with
+    their density at ``sigma``, or ``auc_judd``."""
+    if measure == "cc":
+        return cc(pred, density_from_fixations(fixations, sigma))
+    if measure == "auc":
+        return auc_judd(pred, fixations)
+    raise ValueError(f"unknown measure {measure!r}; choose from {QUALITY_MEASURES}")
+
+
 def center_penalization(negatives: FixationSet, center: DensityMap | None = None,
                         sigma: float = 19.0, measure: str = "cc") -> float:
     """How strongly the negatives would reward a pure center-bias prediction.
@@ -44,11 +53,7 @@ def center_penalization(negatives: FixationSet, center: DensityMap | None = None
         raise EmptyFixationsError("no negatives to score")
     if center is None:
         center = center_bias_map(negatives.frame)
-    if measure == "cc":
-        return pearson(density_from_fixations(negatives, sigma).values, center.values)
-    if measure == "auc":
-        return auc_judd(center, negatives)
-    raise ValueError(f"unknown measure {measure!r}; choose from {QUALITY_MEASURES}")
+    return _agreement(center, negatives, sigma, measure)
 
 
 def positive_contamination(negatives: FixationSet, positives: FixationSet,
@@ -59,14 +64,7 @@ def positive_contamination(negatives: FixationSet, positives: FixationSet,
     true positives."""
     if len(negatives) == 0 or len(positives) == 0:
         raise EmptyFixationsError("need non-empty negative and positive sets")
-    if measure == "cc":
-        return pearson(
-            density_from_fixations(negatives, sigma).values,
-            density_from_fixations(positives, sigma).values,
-        )
-    if measure == "auc":
-        return auc_judd(density_from_fixations(negatives, sigma), positives)
-    raise ValueError(f"unknown measure {measure!r}; choose from {QUALITY_MEASURES}")
+    return _agreement(density_from_fixations(negatives, sigma), positives, sigma, measure)
 
 
 def _parse_sampler(label: str):
@@ -88,6 +86,8 @@ def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: i
 
     Each image's draw is seeded from (seed, sampler label, image id), so the
     report is deterministic and order-independent."""
+    if measure not in QUALITY_MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; choose from {QUALITY_MEASURES}")
     samplers = list(samplers)
     if not samplers:
         raise ValueError("no samplers given; expected shuffled or fn:K")

@@ -45,6 +45,10 @@ class SynthConfig:
         for name in ("n_images", "fixations_per_image", "n_object_clusters", "seed"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("center_bias_strength", "cluster_sigma"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (isinstance(self.frame, tuple) and len(self.frame) == 2
                 and all(_is_integer(v) and v >= 1 for v in self.frame)):
             raise ValueError(f"'frame' must be two integers of at least 1, got {self.frame!r}")
@@ -104,13 +108,13 @@ def gen_dataset(config: SynthConfig) -> DatasetIndex:
     return DatasetIndex(images, name="synthetic", sigma=config.cluster_sigma)
 
 
-def gen_prediction(image: ImageRecord, mode: str, sigma: float, levels: int = 3) -> GridMap:
+def gen_prediction(image: ImageRecord, mode: str, sigma: float) -> GridMap:
     """Reference predictor for one image.
 
     oracle      density of the image's own fixations at ``sigma``
     center      the centered Gaussian baseline
     peripheral  inverted center map, re-normalized to peak 1
-    quantized   oracle binned into ``levels`` equal-count value steps
+    quantized   oracle binned into 3 equal-count value steps
     uniform     constant map
     """
     w, h = image.frame
@@ -123,7 +127,7 @@ def gen_prediction(image: ImageRecord, mode: str, sigma: float, levels: int = 3)
         inverted = 1.0 - center / center.max()
         return GridMap(inverted / inverted.max())
     if mode == "quantized":
-        return quantize_map(density_from_fixations(image.fixations, sigma), levels)
+        return quantize_map(density_from_fixations(image.fixations, sigma))
     if mode == "uniform":
         return GridMap(np.full((h, w), 0.5))
     raise UnknownModeError(f"unknown predictor mode {mode!r}; choose from {PREDICTOR_MODES}")
@@ -169,6 +173,8 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
         raise ValueError("need at least one training width")
     metrics = tuple(metrics)
     sigma_gt = dataset.sigma if sigma_gt is None else float(sigma_gt)
+    if not 0 < sigma_gt < math.inf:
+        raise ValueError(f"sigma_gt must be positive and finite, got {sigma_gt}")
     # fn_auc ranks neighbors at the dataset's own width, not at sigma_gt
     config = EvalConfig(metrics=metrics, n_splits=n_splits, k=k, sigma=dataset.sigma)
     seeds = [[derive_seed(seed, "sweep", st, image_id) for st in sigma_train]

@@ -283,6 +283,10 @@ def test_synth_config_fractional_frame_exits_1(tmp_path, capsys):
     ('{"n_images": true}', "n_images must be an integer, got True"),
     ('{"seed": 1.5}', "seed must be an integer, got 1.5"),
     ('{"frame": [0, 20]}', "'frame' must be two integers of at least 1, got (0, 20)"),
+    ('{"cluster_sigma": true}', "cluster_sigma must be a real number, got True"),
+    ('{"center_bias_strength": true}', "center_bias_strength must be a real number, got True"),
+    ('{"cluster_sigma": "3"}', "cluster_sigma must be a real number, got '3'"),
+    ('{"center_bias_strength": [0.5]}', "center_bias_strength must be a real number, got [0.5]"),
 ])
 @pytest.mark.parametrize("command", ["synth", "sweep"])
 def test_synth_config_of_wrong_type_exits_1(tmp_path, capsys, text, named, command):
@@ -317,6 +321,40 @@ def test_sweep_k_below_one_exits_1(workspace, capsys, metrics):
                 "--k", "0", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "k must be at least 1, got 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma_gt", ["nan", "inf", "0", "-5"])
+def test_sweep_sigma_gt_not_positive_finite_exits_1(workspace, capsys, sigma_gt):
+    # nss builds no ground-truth density, so only the sweep itself can check the width
+    tmp, manifest, _ = workspace
+    out = tmp / "t.json"
+    assert run(["sweep", str(manifest), "--sigmas", "1,2", "--metrics", "nss",
+                "--sigma-gt", sigma_gt, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sigma_gt must be positive and finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_negatives_k_below_one_exits_1(workspace, capsys, k):
+    tmp, manifest, _ = workspace
+    out = tmp / "negs"
+    assert run(["negatives", str(manifest), "--sampler", "shuffled", "--k", k,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"k must be at least 1, got {k}" in err
+    assert not out.exists()
+
+
+def test_synth_unknown_predictor_writes_nothing(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_images": 3, "frame": [16, 16], "fixations_per_image": 4}))
+    out = tmp_path / "s"
+    assert run(["synth", "--config", str(config), "--predictors", "oracle,bogus",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown predictor modes ['bogus']" in err
     assert not out.exists()
 
 

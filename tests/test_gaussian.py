@@ -7,14 +7,12 @@ import pytest
 from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord, vectorize
 from salmetric.errors import EmptyFixationsError, InvalidSigmaError
 from salmetric.gaussian import (
-    GaussianParams,
     _correlate_axis,
     _kernel_1d,
     aggregate_density,
     blur,
     center_bias_map,
     density_from_fixations,
-    evaluate_field,
     gaussian_kernel,
     global_gaussian_map,
     kernel_radius,
@@ -244,7 +242,7 @@ def test_center_bias_argmax_and_mass():
 
 
 def test_center_bias_corner_ratio_matches_formula():
-    d = center_bias_map((100, 100), sigma_fraction=0.25).values
+    d = center_bias_map((100, 100)).values
     center = d[50, 50]
     corner = d[0, 0]
     # direct evaluation of the generating exponential at the two pixels
@@ -256,24 +254,6 @@ def test_center_bias_corner_ratio_matches_formula():
     )
     assert abs(center / corner - expected) < 1e-6
     assert center / corner > 50
-
-
-def test_center_bias_fraction_validation():
-    with pytest.raises(ValueError):
-        center_bias_map((10, 10), sigma_fraction=0.0)
-    with pytest.raises(ValueError):
-        center_bias_map((10, 10), sigma_fraction=1.5)
-
-
-def test_gaussian_params_validation():
-    with pytest.raises(InvalidSigmaError):
-        GaussianParams(sigma_x=0.0, sigma_y=1.0, center=(0.0, 0.0))
-    with pytest.raises(InvalidSigmaError):
-        GaussianParams(sigma_x=1.0, sigma_y=-2.0, center=(0.0, 0.0))
-    params = GaussianParams(sigma_x=2.0, sigma_y=3.0, center=(1.25, 0.5))
-    field = evaluate_field((4, 3), params)
-    assert field.shape == (3, 4)
-    assert field.max() <= 1.0
 
 
 def test_dataset_sigma_defaults():

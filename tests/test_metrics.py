@@ -57,13 +57,39 @@ def test_cc_examples():
     assert abs(cc(GridMap([[1, 0], [0, 0]]), GridMap([[0, 1], [0, 0]])) + 1.0 / 3.0) < 1e-9
 
 
+CC_SHAPES = [(1, 2), (5, 6), (17, 3), (120, 160), (480, 640)]
+
+
 def test_cc_symmetry_and_affine_invariance():
     rng = np.random.default_rng(1)
+    for shape in CC_SHAPES:
+        a = GridMap(rng.random(shape))
+        b = GridMap(rng.random(shape))
+        # exact: callers may pass the two maps in either order
+        assert cc(a, b) == cc(b, a)
     a = GridMap(rng.random((5, 6)))
     b = GridMap(rng.random((5, 6)))
-    assert abs(cc(a, b) - cc(b, a)) < 1e-12
     scaled = GridMap(3.5 * a.values + 2.0)
     assert abs(cc(scaled, b) - cc(a, b)) < 1e-12
+
+
+def test_cc_equals_flattened_pearson_expression():
+    """cc is the one Pearson correlation of the package; it must keep the
+    exact expression, and so the exact bits, of the flattened form."""
+
+    def pearson(x, y):
+        x = np.asarray(x, dtype=np.float64).ravel()
+        y = np.asarray(y, dtype=np.float64).ravel()
+        xd = x - x.mean()
+        yd = y - y.mean()
+        xn = float(np.sqrt((xd * xd).sum()))
+        yn = float(np.sqrt((yd * yd).sum()))
+        return float((xd * yd).sum() / (xn * yn))
+
+    rng = np.random.default_rng(2)
+    for shape in CC_SHAPES:
+        a, b = rng.random(shape), rng.random(shape) ** 3
+        assert cc(GridMap(a), GridMap(b)) == pearson(a, b)
 
 
 def test_cc_errors():

@@ -3,7 +3,9 @@ import pytest
 
 from salmetric.core import DatasetIndex, FixationSet, ImageRecord
 from salmetric.errors import EmptyFixationsError, UndersizedPoolWarning
-from salmetric.gaussian import center_bias_map
+from salmetric.gaussian import center_bias_map, density_from_fixations
+from salmetric.metrics import auc_judd, cc
+from salmetric import quality as quality_module
 from salmetric.quality import (
     QualityTriple,
     center_penalization,
@@ -60,6 +62,27 @@ def test_measure_validation_and_empty_sets():
         center_penalization(FixationSet([], FRAME), sigma=3.0)
     with pytest.raises(EmptyFixationsError):
         positive_contamination(FixationSet([], FRAME), fs, sigma=3.0)
+
+
+def test_measures_score_through_the_metric_suite():
+    negs = FixationSet([(5, 5), (30, 31), (33, 30)], FRAME)
+    pos = FixationSet([(31, 31), (50, 12)], FRAME)
+    center = center_bias_map(FRAME)
+    dn, dp = density_from_fixations(negs, 3.0), density_from_fixations(pos, 3.0)
+    # exact, and with the densities in the order the scores were defined with
+    assert center_penalization(negs, center, 3.0) == cc(dn, center)
+    assert positive_contamination(negs, pos, 3.0) == cc(dn, dp)
+    assert center_penalization(negs, center, 3.0, "auc") == auc_judd(center, negs)
+    assert positive_contamination(negs, pos, 3.0, "auc") == auc_judd(dn, pos)
+
+
+def test_quality_report_rejects_unknown_measure_before_any_pool(bias_dataset, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(quality_module, "negative_pool", no_pool)
+    with pytest.raises(ValueError, match="unknown measure 'nope'"):
+        quality_report(bias_dataset, samplers=("shuffled",), measure="nope")
 
 
 def test_auc_measure_variants():

@@ -6,6 +6,7 @@ import pytest
 from salmetric.core import DatasetIndex, FixationSet, ImageRecord, complement_set
 from salmetric.errors import EmptyPoolError, EmptyPositivesError, UndersizedPoolWarning
 from salmetric.gaussian import center_bias_map, density_from_fixations
+from salmetric.metrics import cc
 from salmetric.sampling import (
     NegativePool,
     SplitStreams,
@@ -20,7 +21,6 @@ from salmetric.sampling import (
 )
 from salmetric import sampling as sampling_module
 from salmetric.seeding import derive_seed
-from salmetric.stats import pearson
 
 FRAME = (64, 64)
 
@@ -119,7 +119,7 @@ def test_shuffled_draws_concentrate_centrally(bias_dataset):
         negs = draw("shuffled", rec.id, bias_dataset, seed=derive_seed(1, rec.id))
         hits[negs.linear] += 1.0
     drawn = FixationSet.from_linear(np.flatnonzero(hits), FRAME)
-    score = pearson(density_from_fixations(drawn, bias_dataset.sigma).values, center.values)
+    score = cc(density_from_fixations(drawn, bias_dataset.sigma), center)
     assert score > 0.5
 
 
@@ -128,10 +128,10 @@ def test_neighbor_ranking_toy_orders_by_distance():
     ranking = neighbor_ranking("left", ds)
     assert [e[0] for e in ranking.entries] == ["right", "center"]
     # dissimilarities agree with a direct correlation oracle
-    dl = density_from_fixations(ds.image("left").fixations, ds.sigma).values
+    dl = density_from_fixations(ds.image("left").fixations, ds.sigma)
     for nid, d in ranking.entries:
-        dn = density_from_fixations(ds.image(nid).fixations, ds.sigma).values
-        assert abs(d - (-pearson(dl, dn))) < 1e-9
+        dn = density_from_fixations(ds.image(nid).fixations, ds.sigma)
+        assert abs(d - (-cc(dl, dn))) < 1e-9
 
 
 def test_neighbor_ranking_excludes_self():

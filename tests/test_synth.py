@@ -4,8 +4,7 @@ import pytest
 from salmetric.core import DatasetIndex, FixationSet, ImageRecord
 from salmetric.errors import UnknownModeError
 from salmetric.gaussian import center_bias_map, density_from_fixations
-from salmetric.metrics import EvalConfig, evaluate_all
-from salmetric.stats import pearson
+from salmetric.metrics import EvalConfig, cc, evaluate_all
 from salmetric.synth import (
     SynthConfig,
     gen_dataset,
@@ -71,7 +70,7 @@ def test_full_strength_matches_center_density():
                          center_bias_strength=1.0, seed=3)
     ds = gen_dataset(config)
     pooled_density = density_from_fixations(ds.pooled, 16.0)
-    score = pearson(pooled_density.values, center_bias_map((64, 64)).values)
+    score = cc(pooled_density, center_bias_map((64, 64)))
     assert score > 0.9
 
 
@@ -84,7 +83,7 @@ def test_corner_clusters_anticorrelate_with_center():
         images.append(ImageRecord(f"c{i}", FixationSet(coords, (64, 64))))
     ds = DatasetIndex(images, sigma=3.0)
     pooled_density = density_from_fixations(ds.pooled, 8.0)
-    assert pearson(pooled_density.values, center_bias_map((64, 64)).values) < 0.0
+    assert cc(pooled_density, center_bias_map((64, 64))) < 0.0
 
 
 def test_prediction_modes(bias_dataset):
