@@ -16,6 +16,7 @@ is never used). Usage errors exit with 2, data errors with 1.
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from . import io as sio
 from .core import DatasetIndex, ImageRecord
 from .errors import MissingPredictionError, SalmetricError, UnknownModeError
 from .gaussian import density_from_fixations
-from .metrics import ALL_METRICS, TIE_BREAK_MODES, EvalConfig, evaluate_all
+from .metrics import ALL_METRICS, TIE_BREAK_MODES, EvalConfig, _check_frame, evaluate_all
 from .quality import QUALITY_MEASURES, quality_report
 from .sampling import negative_pool, sample_from_pool
 from .seeding import derive_seed
@@ -78,15 +79,18 @@ def _cmd_density(args) -> int:
 def _cmd_evaluate(args) -> int:
     dataset = sio.read_manifest(args.manifest)
     pred_dir = Path(args.pred)
-    predictions = {}
+    paths, frames = {}, {}
     for rec in dataset.images:
         for suffix in (".smap", ".pgm"):
             candidate = pred_dir / f"{rec.id}{suffix}"
             if candidate.exists():
-                predictions[rec.id] = sio.read_map(candidate)
+                paths[rec.id] = candidate
+                frames[rec.id] = sio.read_map_frame(candidate)
                 break
         else:
             raise MissingPredictionError(f"no prediction file for image {rec.id!r} in {pred_dir}")
+    for image_id, frame in frames.items():
+        _check_frame(image_id, frame, dataset)
     config = EvalConfig(
         metrics=tuple(_comma_list(args.metrics)),
         seed=args.seed,
@@ -95,7 +99,8 @@ def _cmd_evaluate(args) -> int:
         sigma=args.sigma,
         tie_break=args.tie_break,
     )
-    report = evaluate_all(dataset, predictions, config)
+    # each map is read when its image is scored, and dropped after it
+    report = evaluate_all(dataset, sio.MapFiles(paths), config)
     sio.write_report(report, args.out)
     return 0
 
@@ -263,16 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv) -> int:
-    try:
+    with warnings.catch_warnings():
+        # a warning is one line, like an error, without Python's source line
+        warnings.showwarning = _print_warning
         try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        return args.func(args)
-    except (SalmetricError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return int(exc.code or 0)
+            return args.func(args)
+        except (SalmetricError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def main() -> None:

@@ -14,8 +14,10 @@ are JSON with sorted keys, so equal content always produces equal bytes.
 """
 
 import json
+import os
 import struct
 import sys
+from collections.abc import Mapping
 from dataclasses import asdict
 
 import numpy as np
@@ -66,8 +68,54 @@ def read_map(path) -> GridMap:
     raise BadMagicError(f"{path} does not start with a recognized map header")
 
 
-def _parse_smap(data: bytes) -> GridMap:
-    if len(data) < 16:
+def read_map_frame(path) -> tuple[int, int]:
+    """The ``(width, height)`` of a map file, from its header and its size
+    alone: 16 bytes of a float map, the header of a graymap. Raises what
+    :func:`read_map` raises for a bad header or a payload of the wrong
+    length; the payload's values are checked only when the map is read."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            data = fh.read(16)
+            # a graymap header ends with the whitespace byte after maxval;
+            # comments make its length open, so read until it is whole
+            while data[:2] == b"P5" and len(data) < size and not _pgm_header_ends(data):
+                data += fh.read(max(len(data), 4096))
+    except OSError as exc:
+        raise IoFailureError(f"cannot read {path}: {exc}") from exc
+    if data[:4] == MAP_MAGIC:
+        return _smap_frame(data, size)
+    if data[:2] == b"P5":
+        width, height, _, offset, dtype = _pgm_layout(data)
+        _check_raster(size - offset, width * height * dtype.itemsize)
+        return width, height
+    raise BadMagicError(f"{path} does not start with a recognized map header")
+
+
+class MapFiles(Mapping):
+    """Maps by key, read from their files with :func:`read_map` on every
+    access and never cached, so a caller that drops each map before it takes
+    the next holds one map at a time. ``paths`` maps each key to its file."""
+
+    def __init__(self, paths):
+        self._paths = dict(paths)
+
+    def __getitem__(self, key) -> GridMap:
+        return read_map(self._paths[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._paths
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
+def _smap_frame(data: bytes, size: int) -> tuple[int, int]:
+    """Check a float map's header, ``data[:16]``, against the file's ``size``."""
+    if size < 16:
         raise TruncatedPayloadError("file shorter than the fixed header")
     version, width, height = struct.unpack("<III", data[4:16])
     if version != MAP_VERSION:
@@ -75,10 +123,15 @@ def _parse_smap(data: bytes) -> GridMap:
     if width < 1 or height < 1:
         raise BadMagicError("header declares an empty map")
     expected = 16 + 4 * width * height
-    if len(data) != expected:
+    if size != expected:
         raise TruncatedPayloadError(
-            f"payload is {len(data) - 16} bytes, header promises {expected - 16}"
+            f"payload is {size - 16} bytes, header promises {expected - 16}"
         )
+    return width, height
+
+
+def _parse_smap(data: bytes) -> GridMap:
+    width, height = _smap_frame(data, len(data))
     values = np.frombuffer(data, dtype="<f4", offset=16).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise NonFiniteValueError("map payload contains non-finite values")
@@ -106,7 +159,19 @@ def _pgm_header_tokens(data: bytes):
     # exactly one whitespace byte separates the header from the raster
 
 
-def _parse_pgm(data: bytes) -> GridMap:
+def _pgm_header_ends(data: bytes) -> bool:
+    """Whether ``data``, the start of a graymap, holds its whole header: four
+    fields and the whitespace byte after them."""
+    try:
+        tokens = list(_pgm_header_tokens(data))
+    except TruncatedPayloadError:
+        return False
+    return tokens[3][1] < len(data)
+
+
+def _pgm_layout(data: bytes):
+    """A graymap header's width, height and maxval, the raster's offset and
+    its code type."""
     tokens = list(_pgm_header_tokens(data))
     magic = tokens[0][0]
     if magic != b"P5":
@@ -117,14 +182,22 @@ def _parse_pgm(data: bytes) -> GridMap:
         raise SchemaError(f"bad graymap header: {exc}") from exc
     if width < 1 or height < 1 or not (0 < maxval < 65536):
         raise SchemaError("graymap header values out of range")
-    offset = tokens[3][1] + 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    return width, height, maxval, tokens[3][1] + 1, dtype
+
+
+def _check_raster(length: int, expected: int) -> None:
+    if length < expected:
+        raise TruncatedPayloadError(
+            f"graymap raster is {max(length, 0)} bytes, expected {expected}"
+        )
+
+
+def _parse_pgm(data: bytes) -> GridMap:
+    width, height, maxval, offset, dtype = _pgm_layout(data)
     expected = width * height * dtype.itemsize
     raster = data[offset : offset + expected]
-    if len(raster) < expected:
-        raise TruncatedPayloadError(
-            f"graymap raster is {len(raster)} bytes, expected {expected}"
-        )
+    _check_raster(len(raster), expected)
     codes = np.frombuffer(raster, dtype=dtype)
     top = int(codes.max())
     if top > maxval:

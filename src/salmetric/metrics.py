@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .gaussian import center_bias_map, density_from_fixations
 from .roc import auc_averaged, auc_single
-from .sampling import NegativePool, _cc_matrix, negative_pool, split_streams
+from .sampling import NegativePool, negative_pool, split_streams
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 
@@ -248,25 +249,21 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
                   gt_sigma: float):
     """Score the images of ``dataset`` in order, one at a time: build the
     image's inputs, yield :func:`_score_image` of each of its predictions
-    (``preds`` yields an iterable of them per image, ``seeds`` holds their
-    seeds per image), and drop the inputs before the next image. The inputs
-    are the ``gt_density`` at ``gt_sigma``, built only for cc, sim and kld,
-    the ig ``baseline``, and one pool per sampler, keyed under every AUC of
+    (``preds`` yields an iterable of them per image, taken before the image's
+    inputs are built; ``seeds`` holds their seeds per image), and drop the
+    inputs and predictions before the next image. The inputs are the
+    ``gt_density`` at ``gt_sigma``, built only for cc, sim and kld, the ig
+    ``baseline``, and one pool per sampler, keyed under every AUC of
     :data:`POOL_SAMPLERS` that uses it. Every seed's split streams are seeded
     in one pass, and only when a sampled AUC is asked for."""
     streams = itertools.repeat(None)
     if any(m in SAMPLED_METRICS for m in cfg.metrics):
         streams = iter(split_streams([s for image in seeds for s in image], cfg.n_splits))
-    gt = itertools.repeat(None)
-    if any(m in cfg.metrics for m in ("cc", "sim", "kld")):
-        gt = (density_from_fixations(rec.fixations, gt_sigma) for rec in dataset.images)
-        if "fn_auc" in cfg.metrics and cfg.sigma == gt_sigma:
-            # the neighbour matrix reuses these densities instead of blurring again
-            gt = list(gt)
-            _cc_matrix(dataset, gt_sigma, gt)
+    needs_gt = any(m in cfg.metrics for m in ("cc", "sim", "kld"))
     baseline = center_bias_map(dataset.frame) if "ig" in cfg.metrics else None
     asked = {name: sampler for name, sampler in POOL_SAMPLERS.items() if name in cfg.metrics}
-    for rec, density, image_preds, image_seeds in zip(dataset.images, gt, preds, seeds):
+    for rec, image_preds, image_seeds in zip(dataset.images, preds, seeds):
+        density = density_from_fixations(rec.fixations, gt_sigma) if needs_gt else None
         pools = {sampler: negative_pool(sampler, rec.id, dataset, cfg.k, cfg.sigma)
                  for sampler in dict.fromkeys(asked.values())}
         task = {"id": rec.id, "fixations": rec.fixations, "gt_density": density,
@@ -274,18 +271,31 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
                 "pools": {name: pools[sampler] for name, sampler in asked.items()}}
         for pred, image_seed in zip(image_preds, image_seeds):
             yield _score_image(task, pred, cfg, image_seed, next(streams))
-        del density, pools, task
+        del density, pools, task, image_preds, pred
 
 
-def evaluate_all(dataset: DatasetIndex, predictions: dict,
+def _check_frame(image_id: str, frame, dataset: DatasetIndex):
+    """Raise :class:`DimensionMismatchError` unless a prediction's ``frame``
+    is the dataset's."""
+    if frame != dataset.frame:
+        raise DimensionMismatchError(
+            f"prediction for {image_id!r} is {frame}, dataset frame is {dataset.frame}"
+        )
+
+
+def evaluate_all(dataset: DatasetIndex, predictions: Mapping,
                  config: EvalConfig | None = None) -> MetricReport:
     """Score every image of the dataset, one after another in this process,
     and aggregate per metric.
 
-    ``predictions`` maps image id to a GridMap of matching dimensions; every
-    prediction is checked before any image is scored. Results are
-    deterministic for a given config seed: each image's sampled draws are
-    seeded from (seed, image id).
+    ``predictions`` maps image id to a GridMap of matching dimensions; any
+    ``Mapping`` will do, and each prediction is looked up once, when its
+    image is scored, so a mapping that reads its maps on access keeps one
+    map in memory at a time. Every id is checked before any image is
+    scored; each prediction's frame is checked when the loop takes it,
+    before that image's inputs are built. Results are deterministic for a
+    given config seed: each image's sampled draws are seeded from (seed,
+    image id).
     """
     cfg = config if config is not None else EvalConfig()
     cfg = replace(cfg, metrics=tuple(cfg.metrics),
@@ -293,13 +303,14 @@ def evaluate_all(dataset: DatasetIndex, predictions: dict,
     for image_id in dataset.ids:
         if image_id not in predictions:
             raise MissingPredictionError(f"no prediction for image {image_id!r}")
+
+    def checked(image_id):
         pred = predictions[image_id]
-        if pred.frame != dataset.frame:
-            raise DimensionMismatchError(
-                f"prediction for {image_id!r} is {pred.frame}, dataset frame is {dataset.frame}"
-            )
+        _check_frame(image_id, pred.frame, dataset)
+        return [pred]
+
     seeds = [[derive_seed(cfg.seed, image_id)] for image_id in dataset.ids]
-    preds = ([predictions[image_id]] for image_id in dataset.ids)
+    preds = (checked(image_id) for image_id in dataset.ids)
     results = _score_images(dataset, cfg, preds, seeds, cfg.sigma)
 
     per_image = {}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import DatasetIndex, FixationSet, complement_set
 from .errors import EmptyPoolError, EmptyPositivesError, UndersizedPoolWarning, ZeroVarianceError
-from .gaussian import density_from_fixations
+from .gaussian import fixation_bands
 from .seeding import derive_seed
 
 
@@ -376,30 +376,39 @@ def shuffled_pool(image_id: str, dataset: DatasetIndex) -> NegativePool:
     return _pool_without(image_id, dataset, dataset.pooled.linear, dataset.pooled_counts)
 
 
-def _cc_matrix(dataset: DatasetIndex, sigma: float, densities=None) -> np.ndarray:
+def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
     """Pairwise correlation of per-image densities, cached on the dataset.
 
-    ``densities``, the images' densities at ``sigma`` in dataset order, are
-    used in place of blurring every image again; only the matrix is cached."""
+    Built from :func:`fixation_bands` of the blurred fixation maps, each map
+    shifted by the mean of its first band: ``G`` sums ``B·Bᵀ`` over the
+    shifted bands B and ``s`` their row sums, and the correlations are the
+    centred Gram ``G − s·sᵀ/(w·h)`` divided by the square roots of its
+    diagonal, then clipped. Correlation ignores each density's
+    mass, so the bands are not normalised. No N × w·h array is built: the
+    memory is the N × N matrix and one band, which with its temporaries
+    holds about 2**17 floats."""
     key = ("density_cc", float(sigma))
     cached = dataset._cache.get(key)
     if cached is None:
-        if densities is None:
-            densities = (density_from_fixations(rec.fixations, sigma) for rec in dataset.images)
+        gram = np.zeros((len(dataset), len(dataset)))
+        sums = np.zeros(len(dataset))
+        shift = None
+        for band in fixation_bands([rec.fixations for rec in dataset.images], sigma):
+            if shift is None:
+                # the first band's mean stands in for each map's mean: rows
+                # shifted by a constant keep their centred Gram, and a broad,
+                # nearly flat map then keeps its variance through the
+                # subtraction below
+                shift = band.mean(axis=1, keepdims=True)
+            band -= shift
+            gram += band @ band.T
+            sums += band.sum(axis=1)
         width, height = dataset.frame
-        rows = np.empty((len(dataset), width * height))
-        for row, density in zip(rows, densities):
-            row[:] = density.values.ravel()
-        rows -= rows.mean(axis=1, keepdims=True)
-        # a 2-D row slice at a time: the whole-matrix norm squares every
-        # entry into a temporary as large as ``rows``, and a 1-D norm sums
-        # through a dot product whose last bits differ
-        norms = np.concatenate([np.linalg.norm(rows[i:i + 1], axis=1, keepdims=True)
-                                for i in range(len(rows))])
+        gram -= np.outer(sums, sums) / (width * height)
+        norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
         if np.any(norms == 0.0):
             raise ZeroVarianceError("an image density is constant; cannot correlate")
-        rows /= norms
-        cached = np.clip(rows @ rows.T, -1.0, 1.0)
+        cached = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
         dataset._cache[key] = cached
     return cached
 

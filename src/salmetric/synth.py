@@ -171,6 +171,9 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
     sigma_train = tuple(float(s) for s in sigma_train)
     if not sigma_train:
         raise ValueError("need at least one training width")
+    repeated = sorted({s for s in sigma_train if sigma_train.count(s) > 1})
+    if repeated:
+        raise ValueError(f"training widths named more than once: {repeated}")
     metrics = tuple(metrics)
     sigma_gt = dataset.sigma if sigma_gt is None else float(sigma_gt)
     if not 0 < sigma_gt < math.inf:

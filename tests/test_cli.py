@@ -1,14 +1,17 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from salmetric import metrics as metrics_module
 from salmetric.cli import run
 from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord
 from salmetric.gaussian import density_from_fixations
 from salmetric.io import read_manifest, read_map, write_manifest, write_map
+from salmetric.synth import SynthConfig, gen_dataset
 
 
 @pytest.fixture()
@@ -86,6 +89,54 @@ def test_evaluate_missing_prediction(workspace, capsys):
     code = run(["evaluate", str(manifest), "--pred", str(preds), "--out", str(tmp / "r.json")])
     assert code == 1
     assert "img03" in capsys.readouterr().err
+
+
+def test_evaluate_reads_one_prediction_at_a_time(tmp_path):
+    """Each prediction file is read when its image is scored and dropped
+    after it: from 8 to 16 images at 160×120, the tracemalloc peak of an
+    ``evaluate`` run grows by less than a quarter of 8 maps."""
+    frame = (160, 120)
+    budget = 8 * frame[0] * frame[1] * 8 / 4
+
+    def peak(n_images):
+        root = tmp_path / f"n{n_images}"
+        ds = gen_dataset(SynthConfig(n_images=n_images, frame=frame, fixations_per_image=10,
+                                     seed=1))
+        (root / "preds").mkdir(parents=True, exist_ok=True)
+        write_manifest(ds, root / "manifest.json")
+        for rec in ds.images:
+            write_map(density_from_fixations(rec.fixations, ds.sigma),
+                      root / "preds" / f"{rec.id}.smap")
+        argv = ["evaluate", str(root / "manifest.json"), "--pred", str(root / "preds"),
+                "--splits", "3", "--k", "2", "--out", str(root / "report.json")]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # process-wide caches fill here, outside the measured runs
+    small, large = peak(8), peak(16)
+    assert large - small < budget, f"evaluate peak grew {large - small} bytes"
+
+
+def test_evaluate_wrong_frame_exits_1_before_building_anything(workspace, capsys, monkeypatch):
+    """Every file's header is read before scoring starts, so a map of
+    another frame stops the run before any density or pool is built."""
+    tmp, manifest, preds = workspace
+    write_map(GridMap(np.ones((5, 7))), preds / "img07.smap")
+
+    def built(*args, **kwargs):
+        raise AssertionError("built before every prediction was checked")
+
+    monkeypatch.setattr(metrics_module, "density_from_fixations", built)
+    monkeypatch.setattr(metrics_module, "negative_pool", built)
+    out = tmp / "r.json"
+    assert run(["evaluate", str(manifest), "--pred", str(preds), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: prediction for 'img07' is (7, 5), dataset frame is (32, 32)\n"
+    assert not out.exists()
 
 
 def test_evaluate_metric_selection(workspace):
@@ -219,6 +270,15 @@ def test_underflowing_sigma_exits_1(workspace, capsys):
     assert run(["density", str(manifest), "--sigma", "1e200", "--out", str(tmp / "d")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "sigma 1e+200" in err
+
+
+def test_fn_auc_at_an_underflowing_sigma_exits_1(workspace, capsys):
+    tmp, manifest, preds = workspace
+    assert run(["evaluate", str(manifest), "--pred", str(preds), "--metrics", "fn_auc",
+                "--sigma", "1e200", "--out", str(tmp / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "sigma 1e+200 is so wide" in err
+    assert not (tmp / "r.json").exists()
 
 
 def test_sigma_whose_kernel_overflows_exits_1(workspace, capsys):
@@ -356,6 +416,34 @@ def test_synth_unknown_predictor_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "unknown predictor modes ['bogus']" in err
     assert not out.exists()
+
+
+def test_sweep_repeated_width_exits_1(workspace, capsys):
+    tmp, manifest, _ = workspace
+    out = tmp / "s.json"
+    assert run(["sweep", str(manifest), "--sigmas", "2,4,2", "--metrics", "nss",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: training widths named more than once: [2.0]\n"
+    assert not out.exists()
+
+
+def test_undersized_pool_warning_is_one_line(tmp_path):
+    # on a 3x2 frame image "a" has 4 fixations and only 2 shuffled candidates
+    ds = DatasetIndex([
+        ImageRecord("a", FixationSet([(0, 0), (1, 0), (2, 0), (0, 1)], (3, 2))),
+        ImageRecord("b", FixationSet([(1, 1)], (3, 2))),
+        ImageRecord("c", FixationSet([(2, 1), (0, 0)], (3, 2))),
+    ], sigma=1.0)
+    write_manifest(ds, tmp_path / "manifest.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "salmetric", "negatives", str(tmp_path / "manifest.json"),
+         "--sampler", "shuffled", "--out", str(tmp_path / "negs")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: negative pool (2) smaller than the positive set (4); "
+                           "using the whole pool\n")
 
 
 def test_module_entry_point(workspace):

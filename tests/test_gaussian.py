@@ -6,6 +6,7 @@ import pytest
 
 from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord, vectorize
 from salmetric.errors import EmptyFixationsError, InvalidSigmaError
+from salmetric import gaussian as gaussian_module
 from salmetric.gaussian import (
     _correlate_axis,
     _kernel_1d,
@@ -13,6 +14,7 @@ from salmetric.gaussian import (
     blur,
     center_bias_map,
     density_from_fixations,
+    fixation_bands,
     gaussian_kernel,
     global_gaussian_map,
     kernel_radius,
@@ -148,6 +150,35 @@ def test_density_matches_tap_loop_bit_for_bit():
     assert density_from_fixations(fixations, 19.0).values.tobytes() == expected.tobytes()
 
 
+def test_density_blurs_only_the_fixated_rows_bit_for_bit():
+    """The first pass runs over the rows that hold fixations; the density is
+    still the whole map's blur, normalised, to the bit."""
+    rng = np.random.default_rng(37)
+    for _ in range(60):
+        w, h = (int(v) for v in rng.integers(1, 41, size=2))
+        sigma = float(np.exp(rng.uniform(np.log(0.3), np.log(200.0))))
+        fixations = FixationSet.from_linear(
+            rng.choice(w * h, size=int(rng.integers(1, min(w * h, 25) + 1)), replace=False),
+            (w, h))
+        whole = blur(vectorize(fixations), sigma).values
+        expected = whole / whole.sum()
+        assert density_from_fixations(fixations, sigma).values.tobytes() == expected.tobytes()
+
+
+def test_fixation_bands_scale_by_a_power_of_two_only_past_a_kernel_peak_of_2_256(monkeypatch):
+    monkeypatch.setattr(gaussian_module, "_BAND_FLOATS", 40)
+    rng = np.random.default_rng(41)
+    sets = [FixationSet.from_linear(rng.choice(16 * 12, size=5, replace=False), (16, 12))
+            for _ in range(3)]
+    for sigma, scaled in ((1e-30, False), (1e-100, True), (5.3e-155, True)):
+        maps = np.stack([blur(vectorize(fx), sigma).values.ravel() for fx in sets])
+        bands = np.concatenate([b.copy() for b in fixation_bands(sets, sigma)], axis=1)
+        ratio = np.unique(bands[maps > 0] / maps[maps > 0])
+        assert ratio.size == 1 and math.frexp(ratio[0])[0] == 0.5
+        assert bool(ratio[0] < 1.0) is scaled
+        assert np.isfinite(bands @ bands.T).all()
+
+
 def test_density_rejects_sigma_whose_blur_underflows():
     fixations = FixationSet([(3, 3), (10, 4)], (16, 12))
     # 1e308 also has a three-width radius too large for an integer
@@ -228,6 +259,19 @@ def test_global_gaussian_range_and_monotone_decay():
     col = g[:, peak_x]
     assert np.all(np.diff(col[peak_y:]) < 0)
     assert np.all(np.diff(col[: peak_y + 1]) > 0)
+
+
+def test_global_gaussian_map_is_built_once_per_frame():
+    for w, h in ((64, 48), (640, 480), (33, 21)):
+        cx = (w - 1) / 2.0 + math.sqrt(2.0) / 8.0
+        cy = (h - 1) / 2.0 + math.sqrt(3.0) / 6.0
+        qx = ((np.arange(w, dtype=np.float64) - cx) ** 2) / (2.0 * (w / 4.0) ** 2)
+        qy = ((np.arange(h, dtype=np.float64) - cy) ** 2) / (2.0 * (h / 4.0) ** 2)
+        field = np.exp(-(qy[:, None] + qx[None, :]))
+        first = global_gaussian_map((w, h))
+        assert np.array_equal(first.values, field / field.max())
+        assert global_gaussian_map((w, h)) is first
+        assert not first.values.flags.writeable
 
 
 def test_global_gaussian_rejects_tiny_frames():

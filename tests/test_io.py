@@ -1,9 +1,11 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from salmetric import io as io_module
 from salmetric.cli import run as cli_run
 from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord
 from salmetric.errors import (
@@ -15,8 +17,10 @@ from salmetric.errors import (
     TruncatedPayloadError,
 )
 from salmetric.io import (
+    MapFiles,
     read_manifest,
     read_map,
+    read_map_frame,
     read_report,
     write_manifest,
     write_map,
@@ -131,6 +135,68 @@ def test_pgm_truncated_raster(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
     with pytest.raises(TruncatedPayloadError):
         read_map(path)
+
+
+_SMAP_2x3 = b"SMAP" + struct.pack("<III", 1, 2, 3) + struct.pack("<6f", *range(6))
+
+
+@pytest.mark.parametrize("data", [
+    _SMAP_2x3,
+    _SMAP_2x3[:-1],
+    _SMAP_2x3 + b"\x00",
+    _SMAP_2x3[:10],
+    b"SMAP" + struct.pack("<III", 2, 1, 1) + struct.pack("<f", 0.5),
+    b"SMAP" + struct.pack("<III", 1, 0, 1),
+    b"JUNKxxxxxxxxxxxxxxx",
+    b"",
+    b"P5\n# a comment\n3 2\n255\n" + bytes(6),
+    b"P5 2 2 65535\n" + bytes(8),
+    b"P5\n#" + b"c" * 9000 + b"\n3 2\n255\n" + bytes(6),
+    b"P5 3 2 255 " + bytes(6) + b"trailing",
+    b"P5\n4 4\n255\n" + bytes(7),
+    b"P5\n4 4\n255",
+    b"P5\n4 4",
+    b"P5 x 4 255\n" + bytes(16),
+    b"P5 4 4 70000\n" + bytes(32),
+    b"P6 4 4 255\n" + bytes(48),
+], ids=lambda data: repr(data[:24]))
+def test_map_frame_reads_the_header_as_read_map_does(tmp_path, data):
+    """The header alone gives the frame ``read_map`` gives, or the error it
+    raises, message and all, whatever the header's length."""
+    path = tmp_path / "m.bin"
+    path.write_bytes(data)
+    try:
+        expected = read_map(path).frame
+    except Exception as exc:  # the error the header read must raise too
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            read_map_frame(path)
+    else:
+        assert read_map_frame(path) == expected
+
+
+def test_map_frame_leaves_the_payload_to_read_map(tmp_path):
+    path = tmp_path / "m.smap"
+    path.write_bytes(b"SMAP" + struct.pack("<III", 1, 2, 1) + struct.pack("<2f", 1.0, np.inf))
+    assert read_map_frame(path) == (2, 1)
+    with pytest.raises(NonFiniteValueError):
+        read_map(path)
+
+
+def test_map_files_read_on_every_access_and_keep_nothing(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    paths = {}
+    for key in ("a", "b"):
+        paths[key] = tmp_path / f"{key}.smap"
+        write_map(GridMap(rng.random((3, 4))), paths[key])
+    reads = []
+    monkeypatch.setattr(io_module, "read_map", lambda path: reads.append(path) or path)
+    files = MapFiles(paths)
+    assert "a" in files and "c" not in files and reads == []
+    assert list(files) == ["a", "b"] and len(files) == 2
+    assert files["a"] == paths["a"] and files["a"] == paths["a"]
+    assert reads == [paths["a"], paths["a"]]
+    with pytest.raises(KeyError):
+        files["c"]
 
 
 def sample_dataset():

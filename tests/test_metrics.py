@@ -346,15 +346,10 @@ def test_eval_config_rejects_unrunnable_fields(fields):
         EvalConfig(**fields)
 
 
-@pytest.mark.parametrize("broken, error", [
-    ("missing", MissingPredictionError), ("frame", DimensionMismatchError),
-])
+@pytest.mark.parametrize("broken, error", [("missing", MissingPredictionError)])
 def test_evaluate_all_checks_predictions_before_building_anything(monkeypatch, broken, error):
     ds, preds = make_eval_inputs()
-    if broken == "missing":
-        del preds["c"]
-    else:
-        preds["c"] = GridMap(np.ones((5, 5)))
+    del preds["c"]
 
     def built(*args, **kwargs):
         raise AssertionError("built before every prediction was checked")
@@ -363,6 +358,44 @@ def test_evaluate_all_checks_predictions_before_building_anything(monkeypatch, b
     monkeypatch.setattr(metrics_module, "negative_pool", built)
     with pytest.raises(error, match="'c'"):
         evaluate_all(ds, preds, EvalConfig(k=2))
+
+
+def test_evaluate_all_checks_a_frame_before_building_that_image(monkeypatch):
+    """A prediction's frame is checked when the loop takes it, so the images
+    before it are built and scored, and its own inputs never are."""
+    ds, preds = make_eval_inputs()
+    preds["c"] = GridMap(np.ones((5, 5)))
+    built = []
+
+    def building(name, original):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            if any(arg is ds.image("c").fixations or arg == "c" for arg in args):
+                raise AssertionError(f"{name} built image c's input before its frame was checked")
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("density_from_fixations", "negative_pool"):
+        monkeypatch.setattr(metrics_module, name, building(name, getattr(metrics_module, name)))
+    with pytest.raises(DimensionMismatchError, match="'c'"):
+        evaluate_all(ds, preds, EvalConfig(k=2))
+    assert set(built) == {"density_from_fixations", "negative_pool"}
+
+
+def test_evaluate_all_looks_each_prediction_up_once():
+    """A mapping that reads its maps on access is read once per image, in
+    dataset order, after every id is checked."""
+    ds, preds = make_eval_inputs()
+    reads = []
+
+    class Reading(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    report = evaluate_all(ds, Reading(preds), EvalConfig(k=2, n_splits=4))
+    assert reads == list(ds.ids)
+    assert report == evaluate_all(ds, preds, EvalConfig(k=2, n_splits=4))
 
 
 def test_auc_judd_scores_the_borji_pool(monkeypatch):
@@ -397,7 +430,10 @@ def test_ig_only_evaluate_builds_no_ground_truth_density(monkeypatch):
     assert calls == []
 
 
-def test_cc_with_fn_auc_blurs_each_image_once(monkeypatch):
+def test_cc_with_fn_auc_builds_each_density_once(monkeypatch):
+    """The neighbour matrix blurs the fixation maps in its own row bands, so
+    the ground-truth densities are built once each, when their image is
+    scored, and no list of them is kept."""
     ds, preds = make_eval_inputs()
     alone = {m: evaluate_all(DatasetIndex(ds.images, sigma=ds.sigma), preds,
                              EvalConfig(metrics=(m,), k=1))
@@ -409,13 +445,12 @@ def test_cc_with_fn_auc_blurs_each_image_once(monkeypatch):
         return density_from_fixations(fixations, sigma)
 
     monkeypatch.setattr(metrics_module, "density_from_fixations", counting)
-    monkeypatch.setattr(sampling_module, "density_from_fixations", counting)
     report = evaluate_all(ds, preds, EvalConfig(metrics=("cc", "fn_auc"), k=1))
     assert calls == [ds.sigma] * len(ds)
     for m, single in alone.items():
         assert {i: s[m] for i, s in report.per_image.items()} == \
             {i: s[m] for i, s in single.per_image.items()}
-    # the neighbour matrix is cached; the densities it was built from are not
+    # the neighbour matrix is cached; the densities are not
     assert set(ds._cache) == {("density_cc", ds.sigma), "id_rank"}
 
 
@@ -511,10 +546,12 @@ def test_tie_break_matches_unique_oracle(values):
 
 
 @pytest.mark.parametrize("metrics", [("auc_judd", "auc_borji", "s_auc"),
-                                     ("cc", "sim", "kld", "ig", "nss", "auc_judd")])
+                                     ("cc", "sim", "kld", "ig", "nss", "auc_judd"),
+                                     ("cc", "fn_auc")])
 def test_scoring_keeps_one_image_inputs_alive(metrics):
     """Each image's densities and pools die before the next image's are
-    built: from 8 to 16 images at 160×120, the tracemalloc peak of
+    built, and the neighbour matrix holds one band of the blurred maps at a
+    time: from 8 to 16 images at 160×120, the tracemalloc peak of
     ``evaluate_all`` and ``sigma_sweep`` grows by less than a quarter of 8
     borji pools. numpy reports its buffers to tracemalloc."""
     frame = (160, 120)

@@ -1,11 +1,17 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from salmetric.core import DatasetIndex, FixationSet, ImageRecord, complement_set
-from salmetric.errors import EmptyPoolError, EmptyPositivesError, UndersizedPoolWarning
-from salmetric.gaussian import center_bias_map, density_from_fixations
+from salmetric.errors import (
+    EmptyPoolError,
+    EmptyPositivesError,
+    InvalidSigmaError,
+    UndersizedPoolWarning,
+)
+from salmetric.gaussian import center_bias_map, density_from_fixations, fixation_bands
 from salmetric.metrics import cc
 from salmetric.sampling import (
     NegativePool,
@@ -19,8 +25,10 @@ from salmetric.sampling import (
     shuffled_pool,
     split_streams,
 )
+from salmetric import gaussian as gaussian_module
 from salmetric import sampling as sampling_module
 from salmetric.seeding import derive_seed
+from salmetric.synth import SynthConfig, gen_dataset
 
 FRAME = (64, 64)
 
@@ -176,26 +184,96 @@ def test_neighbor_ranking_breaks_exact_ties_by_id():
     assert ties > 100
 
 
+def _stacked_cc(ds, sigma):
+    """The neighbour matrix as it was built before the row bands: every
+    density stacked, centred and normed in one call."""
+    rows = np.stack([density_from_fixations(rec.fixations, sigma).values.ravel()
+                     for rec in ds.images])
+    rows -= rows.mean(axis=1, keepdims=True)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.clip(rows @ rows.T, -1.0, 1.0)
+
+
+def _reordered_neighbours(ds, banded, stacked):
+    """Every place where the two matrices rank an image's neighbours
+    differently: the image, the rank, the neighbour each matrix puts there
+    and how far apart their stacked correlations lie."""
+    out = []
+    for i in range(len(ds)):
+        a = sampling_module._neighbor_order(i, ds, banded)
+        b = sampling_module._neighbor_order(i, ds, stacked)
+        for rank in np.flatnonzero(a != b).tolist():
+            out.append((ds.ids[i], rank, ds.ids[a[rank]], ds.ids[b[rank]],
+                        float(abs(stacked[i, a[rank]] - stacked[i, b[rank]]))))
+    return out
+
+
+def _random_dataset(rng, n_images, frame, sigma, most):
+    w, h = frame
+    return DatasetIndex([ImageRecord(f"i{n}", FixationSet.from_linear(
+        rng.choice(w * h, size=int(rng.integers(1, most + 1)), replace=False), frame))
+        for n in range(n_images)], sigma=sigma)
+
+
 @pytest.mark.parametrize("n_images, frame, sigma", [
     (2, (9, 7), 1.5), (12, (40, 30), 3.0), (60, (64, 48), 5.0), (25, (160, 120), 19.0),
 ])
-def test_cc_matrix_equals_the_stacked_matrix_bit_for_bit(n_images, frame, sigma):
-    """The matrix fills one preallocated array and takes the norms a row at
-    a time; it must equal stacking the densities and taking every norm in
-    one call, as it was built before."""
+def test_cc_matrix_equals_the_stacked_matrix_bit_for_bit(n_images, frame, sigma, monkeypatch):
+    """The matrix is built from row bands of the blurred fixation maps. The
+    bands are bit for bit the rows of each density before it is normalised,
+    at several widths and band heights; the matrix stays within 1e-13 of
+    stacking the densities, as it was built before, and ranks every image's
+    neighbours the same."""
     rng = np.random.default_rng(n_images)
+    ds = _random_dataset(rng, n_images, frame, sigma, 11)
+    sets = [rec.fixations for rec in ds.images]
     w, h = frame
-    ds = DatasetIndex([ImageRecord(f"i{n}", FixationSet.from_linear(
-        rng.choice(w * h, size=int(rng.integers(1, 12)), replace=False), frame))
-        for n in range(n_images)], sigma=sigma)
-    densities = [density_from_fixations(rec.fixations, sigma) for rec in ds.images]
-    rows = np.stack([d.values.ravel() for d in densities])
-    rows -= rows.mean(axis=1, keepdims=True)
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    stacked = np.clip(rows @ rows.T, -1.0, 1.0)
-    assert np.array_equal(sampling_module._cc_matrix(ds, sigma), stacked)
-    fresh = DatasetIndex(ds.images, sigma=sigma)
-    assert np.array_equal(sampling_module._cc_matrix(fresh, sigma, densities), stacked)
+    for width in (sigma, 0.3, 50.0):
+        expected = b"".join(density_from_fixations(fx, width).values.tobytes() for fx in sets)
+        for floats in (1, 3 * n_images * w, 2 ** 17):
+            monkeypatch.setattr(gaussian_module, "_BAND_FLOATS", floats)
+            maps = np.concatenate([band.copy().reshape(n_images, -1, w)
+                                   for band in fixation_bands(sets, width)], axis=1)
+            assert (maps / maps.sum(axis=(1, 2), keepdims=True)).tobytes() == expected
+    stacked = _stacked_cc(ds, sigma)
+    banded = sampling_module._cc_matrix(ds, sigma)
+    assert np.abs(banded - stacked).max() < 1e-13
+    assert _reordered_neighbours(ds, banded, stacked) == []
+
+
+@pytest.mark.parametrize("config", [
+    SynthConfig(n_images=4, frame=(640, 480), fixations_per_image=30, cluster_sigma=19),
+    SynthConfig(n_images=400, frame=(64, 48), fixations_per_image=15),
+], ids=["dense-large", "fn-many"])
+def test_cc_matrix_ranks_the_benchmark_datasets_as_the_stacked_matrix(config):
+    ds = gen_dataset(config)
+    stacked = _stacked_cc(ds, ds.sigma)
+    banded = sampling_module._cc_matrix(ds, ds.sigma)
+    assert np.abs(banded - stacked).max() < 1e-13
+    assert _reordered_neighbours(ds, banded, stacked) == []
+
+
+def test_cc_matrix_reorders_only_neighbours_the_stacked_matrix_ties():
+    """With 1-3 fixations an image, many pairs of correlations are equal in
+    exact arithmetic, and rounding orders them, in either matrix. Any order
+    the bands change must be between neighbours whose stacked correlations
+    lie within 1e-12, frames from 1 pixel wide up and widths from 1e-100,
+    where the bands are scaled, to far past the frame."""
+    rng = np.random.default_rng(23)
+    for trial in range(96):
+        frame = tuple(int(v) for v in rng.integers(1, 25, size=2))
+        if frame[0] * frame[1] < 4:
+            continue
+        sigma = float(np.exp(rng.uniform(np.log(0.3), np.log(80.0))))
+        if trial % 16 == 0:
+            sigma = 1e-100
+        ds = _random_dataset(rng, int(rng.integers(2, 12)), frame, sigma, 3)
+        stacked = _stacked_cc(ds, sigma)
+        banded = sampling_module._cc_matrix(ds, sigma)
+        assert np.abs(banded - stacked).max() < 1e-12, (frame, sigma)
+        moved = [r for r in _reordered_neighbours(ds, banded, stacked) if r[4] > 1e-12]
+        assert moved == [], \
+            f"frame {frame}, sigma {sigma}: (image, rank, banded, stacked, gap) {moved}"
 
 
 def test_farthest_pool_monotone_in_k(bias_dataset):
@@ -257,6 +335,16 @@ def test_farthest_empty_pool():
     )
     with pytest.raises(EmptyPoolError):
         draw("fn", "a", ds, seed=0, k=1)
+
+
+def test_fn_pool_rejects_sigma_whose_blur_underflows():
+    """A width so wide that every blurred map underflows to 0 is named as the
+    fault, as a density at that width names it, not a constant density."""
+    ds = toy_dataset()
+    for sigma in (1e200, 1e308):
+        with pytest.raises(InvalidSigmaError,
+                           match=re.escape(f"sigma {sigma!r} is so wide that the blurred")):
+            negative_pool("fn", ds.ids[0], ds, k=1, sigma=sigma)
 
 
 def test_k_bounds(bias_dataset):

@@ -164,6 +164,12 @@ def test_sweep_validation():
         sigma_sweep(ds, [4.0], metrics=("cc", "cc"))
 
 
+def test_sweep_rejects_a_repeated_width():
+    ds = sweep_dataset()
+    with pytest.raises(ValueError, match=r"^training widths named more than once: \[2\.0, 4\.0\]$"):
+        sigma_sweep(ds, [4, 2.0, 8.0, 2, 4.0], metrics=("nss",))
+
+
 def test_sweep_deterministic_with_sampled_metrics():
     ds = gen_dataset(SynthConfig(n_images=6, frame=(24, 24), fixations_per_image=8, seed=4))
     a = sigma_sweep(ds, [2, 4], metrics=("auc_borji", "s_auc", "fn_auc"), seed=5,
