@@ -19,7 +19,6 @@ from .core import (
     DensityMap,
     FixationSet,
     GridMap,
-    complement_set,
     normalize_to_density,
 )
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .gaussian import center_bias_map, density_from_fixations
-from .roc import auc_averaged, auc_single
+from .roc import auc_averaged, auc_complement
 from .sampling import NegativePool, negative_pool, split_streams
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
@@ -39,9 +38,6 @@ EPS = float(np.finfo(np.float64).eps)
 ALL_METRICS = ("cc", "nss", "sim", "kld", "ig", "auc_judd", "auc_borji", "s_auc", "fn_auc")
 # each sampled AUC and the sampler whose pool it draws from
 SAMPLED_METRICS = {"auc_borji": "borji", "s_auc": "shuffled", "fn_auc": "fn"}
-# every AUC and the sampler whose pool holds its negatives: AUC-Judd scores
-# the whole borji pool, the one AUC-Borji draws from
-POOL_SAMPLERS = {"auc_judd": "borji", **SAMPLED_METRICS}
 TIE_BREAK_MODES = ("global", "noise", "off")
 
 
@@ -100,8 +96,12 @@ def ig(pred: DensityMap, fixations: FixationSet, baseline: DensityMap | None = N
     if baseline is None:
         baseline = center_bias_map(pred.frame)
     _check_dims(pred, baseline)
-    pv = pred.values_at(fixations)
-    bv = baseline.values_at(fixations)
+    return _ig_values(pred.values_at(fixations), baseline.values_at(fixations))
+
+
+def _ig_values(pv: np.ndarray, bv: np.ndarray) -> float:
+    """:func:`ig` of the prediction's values ``pv`` and the baseline's ``bv``
+    at the same fixations."""
     return float(np.mean(np.log2(pv + EPS) - np.log2(bv + EPS)))
 
 
@@ -121,15 +121,14 @@ def _tie_break(pred: GridMap, mode: str, seed: int) -> GridMap:
 def auc_judd(pred: GridMap, fixations: FixationSet, tie_break: str = "global",
              seed: int = 0) -> float:
     """AUC with every non-fixated pixel as a negative."""
-    scored = _tie_break(pred, tie_break, seed)
-    return auc_single(scored, fixations, complement_set(pred.frame, fixations))
+    return auc_complement(_tie_break(pred, tie_break, seed), fixations)
 
 
 def auc_borji(pred: GridMap, fixations: FixationSet, n_splits: int = 100, seed: int = 0,
               tie_break: str = "global"):
     """AUC against uniform draws of non-fixated pixels; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
-    pool = NegativePool(complement_set(pred.frame, fixations))
+    pool = NegativePool(excluded=fixations)
     return auc_averaged(scored, fixations, pool, split_streams([seed], n_splits)[0])
 
 
@@ -225,14 +224,14 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, st
             scores[name] = kld(task["gt_density"], density)
         elif name == "ig":
             density = density or normalize_to_density(pred)
-            scores[name] = ig(density, fx, task["baseline"])
+            scores[name] = _ig_values(density.values_at(fx), task["baseline"])
         elif name == "nss":
             scores[name] = nss(pred, fx)
         else:
             if scored is None:
                 scored = _tie_break(pred, cfg.tie_break, image_seed)
             if name == "auc_judd":
-                scores[name] = auc_single(scored, fx, task["pools"][name].support)
+                scores[name] = auc_complement(scored, fx)
                 continue
             if block is None:
                 # the first words of every split, shared by the image's
@@ -253,21 +252,27 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
     inputs are built; ``seeds`` holds their seeds per image), and drop the
     inputs and predictions before the next image. The inputs are the
     ``gt_density`` at ``gt_sigma``, built only for cc, sim and kld, the ig
-    ``baseline``, and one pool per sampler, keyed under every AUC of
-    :data:`POOL_SAMPLERS` that uses it. Every seed's split streams are seeded
-    in one pass, and only when a sampled AUC is asked for."""
+    ``baseline`` at the image's fixations, and one pool per sampler, keyed
+    under every sampled AUC of :data:`SAMPLED_METRICS` that uses it. The
+    centre-bias map is built once and dropped once every image's baseline
+    values are gathered. Every seed's split streams are seeded in one pass,
+    and only when a sampled AUC is asked for."""
     streams = itertools.repeat(None)
     if any(m in SAMPLED_METRICS for m in cfg.metrics):
         streams = iter(split_streams([s for image in seeds for s in image], cfg.n_splits))
     needs_gt = any(m in cfg.metrics for m in ("cc", "sim", "kld"))
-    baseline = center_bias_map(dataset.frame) if "ig" in cfg.metrics else None
-    asked = {name: sampler for name, sampler in POOL_SAMPLERS.items() if name in cfg.metrics}
+    baselines = itertools.repeat(None)
+    if "ig" in cfg.metrics:
+        center = center_bias_map(dataset.frame)
+        baselines = iter([center.values_at(rec.fixations) for rec in dataset.images])
+        del center
+    asked = {name: sampler for name, sampler in SAMPLED_METRICS.items() if name in cfg.metrics}
     for rec, image_preds, image_seeds in zip(dataset.images, preds, seeds):
         density = density_from_fixations(rec.fixations, gt_sigma) if needs_gt else None
         pools = {sampler: negative_pool(sampler, rec.id, dataset, cfg.k, cfg.sigma)
                  for sampler in dict.fromkeys(asked.values())}
         task = {"id": rec.id, "fixations": rec.fixations, "gt_density": density,
-                "baseline": baseline,
+                "baseline": next(baselines),
                 "pools": {name: pools[sampler] for name, sampler in asked.items()}}
         for pred, image_seed in zip(image_preds, image_seeds):
             yield _score_image(task, pred, cfg, image_seed, next(streams))

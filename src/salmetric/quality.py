@@ -15,7 +15,7 @@ from .core import DatasetIndex, DensityMap, FixationSet
 from .errors import EmptyFixationsError
 from .gaussian import center_bias_map, density_from_fixations
 from .metrics import auc_judd, cc
-from .sampling import negative_pool, sample_from_pool
+from .sampling import SplitStreams, negative_pool, sample_from_pool
 from .seeding import derive_seed
 
 QUALITY_MEASURES = ("cc", "auc")
@@ -100,9 +100,11 @@ def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: i
     for label in samplers:
         sampler, k = _parse_sampler(label)
         pen, con, ratios = [], [], []
-        for rec in dataset.images:
+        # every image's draw seeded in one pass
+        streams = SplitStreams([derive_seed(seed, label, rec.id) for rec in dataset.images])
+        for rec, stream in zip(dataset.images, streams.rows()):
             pool = negative_pool(sampler, rec.id, dataset, k, sigma)
-            negatives = sample_from_pool(pool, rec.fixations, derive_seed(seed, label, rec.id))
+            negatives = sample_from_pool(pool, rec.fixations, stream)
             triple = make_triple(
                 center_penalization(negatives, center, sigma, measure),
                 positive_contamination(negatives, rec.fixations, sigma, measure),

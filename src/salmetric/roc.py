@@ -1,7 +1,8 @@
 """AUC of location-based scoring, and the ROC curve it is the area of.
 
-Scores come from :func:`auc_values`, the pairwise rank statistic, and from
-:func:`auc_rows`, its batched form over the splits of a sampled AUC. The curve
+Scores come from :func:`auc_values`, the pairwise rank statistic, from
+:func:`auc_rows`, its batched form over the splits of a sampled AUC, and from
+:func:`auc_complement`, its form against every other location of a map. The curve
 API (:func:`roc_points`, :class:`RocCurve`, :func:`auc`) is for callers that
 want the curve itself, and is the oracle the rank statistic is tested against.
 """
@@ -12,7 +13,10 @@ import numpy as np
 
 from .core import FixationSet, GridMap
 from .errors import EmptyNegativesError, EmptyPositivesError, FrameMismatchError
-from .sampling import NegativePool, SplitStreams, draw_count, draw_linear
+from .sampling import NegativePool, SplitStreams, draw_count
+
+# auc_complement reads the map in bands of this many values
+_BAND = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,35 @@ def auc_rows(pos_values: np.ndarray, neg_rows: np.ndarray) -> np.ndarray:
     return (below + not_above) / (2 * pv.size * neg_rows.shape[1])
 
 
+def _pair_count(pv: np.ndarray, values: np.ndarray) -> int:
+    """The numerator of :func:`auc_rows` over the entries of ``values``: for
+    each, twice the sorted positives ``pv`` above it plus those tied with it.
+    Each lookup is summed before the next is made."""
+    not_above = int(np.searchsorted(pv, values, side="right").sum())
+    below = int(np.searchsorted(pv, values, side="left").sum())
+    return 2 * pv.size * values.size - not_above - below
+
+
+def auc_complement(pred: GridMap, positives: FixationSet) -> float:
+    """AUC of ``positives`` against every other location of ``pred``: the
+    AUC-Judd negatives, never gathered.
+
+    The counts of :func:`auc_rows`, taken against the whole map a band of
+    ``_BAND`` values at a time, minus the positives' counts against
+    themselves. The counts are exact integers and the denominator is
+    ``|positives|·(w·h − |positives|)``, so this equals :func:`auc_values`
+    against the complement bit for bit."""
+    if len(positives) == 0:
+        raise EmptyPositivesError("no positive locations")
+    pv = np.sort(pred.values_at(positives))
+    negatives = pred.values.size - pv.size
+    if negatives == 0:
+        raise EmptyNegativesError("no negative locations")
+    flat = pred.values.ravel()
+    pairs = sum(_pair_count(pv, flat[start:start + _BAND]) for start in range(0, flat.size, _BAND))
+    return (pairs - _pair_count(pv, pv)) / (2 * pv.size * negatives)
+
+
 def auc_single(pred: GridMap, positives: FixationSet, negatives: FixationSet) -> float:
     """AUC of ``pred`` with the given positive and negative locations."""
     if len(positives) == 0:
@@ -112,16 +145,15 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
     The one split loop of every sampled AUC. Split i draws :func:`draw_count`
     negatives on stream i; :func:`split_streams` gives the streams of
     ``derive_seed(seed, i)``, so the result does not depend on evaluation
-    order. One :func:`draw_linear` call draws every split and
+    order. One :meth:`NegativePool.draw` call draws every split and
     :func:`auc_rows` scores them straight from the flat map."""
     count = draw_count(pool, positives)
     if len(streams) < 1:
         raise ValueError("n_splits must be at least 1")
     pv = pred.values_at(positives)
-    if pool.support.frame != pred.frame:
+    if pool.frame != pred.frame:
         raise FrameMismatchError(
-            f"negatives index a {pool.support.frame} frame, map is {pred.frame}"
+            f"negatives index a {pool.frame} frame, map is {pred.frame}"
         )
-    take = draw_linear(pool.support.linear, pool.probabilities(), count, streams)
-    scores = auc_rows(pv, pred.values.ravel()[take])
+    scores = auc_rows(pv, pred.values.ravel()[pool.draw(count, streams)])
     return float(scores.mean()), float(scores.std())

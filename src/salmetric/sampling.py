@@ -1,14 +1,16 @@
 """Negative sets: the pools every sampled AUC and sampler draws from.
 
 :func:`negative_pool` maps a sampler name to an image's :class:`NegativePool`:
-the deduplicated support set plus per-location draw weights. Weights count how
-many images fixated a location, so sampling reproduces the dataset's fixation
-distribution even when many fixations collide on a small grid; the support
-set alone would flatten it. :func:`sample_from_pool` draws one negative set
-from a pool, and :func:`draw_count` decides its size. :func:`draw_linear` is
-the one draw underneath both it and every sampled AUC, with a split axis: it
-reads each split's random stream from :class:`SplitStreams`, which
-:func:`split_streams` seeds for a whole run at once.
+for ``borji`` every location but the image's own, held as those locations;
+otherwise the deduplicated support set plus per-location draw weights.
+Weights count how many images fixated a location, so sampling reproduces the
+dataset's fixation distribution even when many fixations collide on a small
+grid; the support set alone would flatten it. :func:`sample_from_pool` draws
+one negative set from a pool, and :func:`draw_count` decides its size.
+:func:`draw_indices` is the one draw underneath both it and every sampled
+AUC, with a split axis: it reads each split's random stream from
+:class:`SplitStreams`, which :func:`split_streams` seeds for a whole run at
+once, and the pool maps the drawn positions to locations.
 """
 
 import copy
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DatasetIndex, FixationSet, complement_set
+from .core import DatasetIndex, FixationSet
 from .errors import EmptyPoolError, EmptyPositivesError, UndersizedPoolWarning, ZeroVarianceError
 from .gaussian import fixation_bands
 from .seeding import derive_seed
@@ -26,16 +28,25 @@ from .seeding import derive_seed
 
 @dataclass(frozen=True)
 class NegativePool:
-    """Candidate negatives: a support set and optional draw weights.
+    """Candidate negatives, in one of two forms: an explicit ``support`` set
+    with optional draw weights, or every location of the frame except the
+    ``excluded`` set, which is never built.
 
-    ``weights`` is aligned with ``support.linear``; ``None`` means uniform."""
+    ``weights`` is aligned with ``support.linear``; ``None`` means uniform.
+    An ``excluded`` pool is always uniform and holds O(|excluded|) memory
+    whatever its frame."""
 
-    support: FixationSet
+    support: FixationSet | None = None
     weights: np.ndarray | None = None
+    excluded: FixationSet | None = None
 
     def __post_init__(self):
+        if (self.support is None) == (self.excluded is None):
+            raise ValueError("a pool takes exactly one of a support set and an excluded set")
         if self.weights is None:
             return
+        if self.support is None:
+            raise ValueError("only a pool with a support set takes weights")
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (len(self.support),):
             raise ValueError(f"pool weights must be a 1-D array of {len(self.support)} entries, "
@@ -49,12 +60,34 @@ class NegativePool:
                 raise ValueError("pool weights sum past the float range; scale them down")
         object.__setattr__(self, "weights", w)
 
+    @property
+    def frame(self):
+        return (self.excluded if self.support is None else self.support).frame
+
     def __len__(self):
-        return len(self.support)
+        if self.support is not None:
+            return len(self.support)
+        width, height = self.excluded.frame
+        return width * height - len(self.excluded)
 
     def probabilities(self) -> np.ndarray | None:
         """Draw probability of each support location; ``None`` means uniform."""
         return None if self.weights is None else self.weights / self.weights.sum()
+
+    def locations(self, idx: np.ndarray) -> np.ndarray:
+        """The row-major location of each pool position in ``idx``, positions
+        counted in location order. An ``excluded`` pool's position i is
+        ``i`` plus the number of excluded locations up to it: the excluded
+        location ``F[j]`` has ``F[j] − j`` pool positions before it."""
+        if self.support is not None:
+            return self.support.linear[idx]
+        skip = self.excluded.linear - np.arange(len(self.excluded))
+        return idx + np.searchsorted(skip, idx, side="right")
+
+    def draw(self, count: int, streams: "SplitStreams") -> np.ndarray:
+        """The locations of :func:`draw_indices` on this pool: row i holds
+        ``count`` distinct locations drawn on stream i, ascending."""
+        return self.locations(draw_indices(len(self), self.probabilities(), count, streams))
 
 
 @dataclass(frozen=True)
@@ -77,6 +110,9 @@ _U64 = np.uint64
 _LOW32 = _U64(0xFFFFFFFF)
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+# the largest pool a draw replays: numpy draws a bound below 2**32 - 1 from
+# 32-bit halves of the raw words, and a larger one otherwise
+_MAX_POOL = 2 ** 32 - 1
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -225,6 +261,10 @@ class SplitStreams:
         part._state = self._state[:, start:stop]
         return part
 
+    def rows(self) -> list:
+        """These streams as one-row streams, one per seed."""
+        return [self._rows(i, i + 1) for i in range(len(self))]
+
     def with_words(self, n: int) -> "SplitStreams":
         """These streams, carrying words ``[0, n)`` of every row."""
         block = copy.copy(self)
@@ -255,32 +295,113 @@ def split_streams(seeds, n_splits: int) -> list:
     return [whole._rows(j * n_splits, (j + 1) * n_splits) for j in range(len(seeds))]
 
 
-def draw_linear(linear: np.ndarray, p: np.ndarray | None, count: int,
-                streams: SplitStreams) -> np.ndarray:
+def draw_indices(n: int, p: np.ndarray | None, count: int, streams: SplitStreams) -> np.ndarray:
     """The one negative draw, with a split axis: a ``len(streams) × count``
-    array whose row i holds ``count`` distinct entries of ``linear``, drawn
-    on stream i, in the order they appear in ``linear``.
+    array whose row i holds ``count`` distinct positions of ``[0, n)``,
+    drawn on stream i, ascending.
 
-    Row i is the set ``np.random.default_rng(streams.seeds[i]).choice(linear,
+    Row i is the set ``np.random.default_rng(streams.seeds[i]).choice(n,
     count, replace=False, p=p)`` draws, and does not depend on the other
-    rows. A weighted draw replays that call on the rows' raw words
-    (:func:`_replay_choice`) and builds no numpy random object; an
-    unweighted one (``p`` is ``None``) calls ``Generator.choice`` once per
-    seed. A draw of the whole of ``linear`` needs no stream."""
-    linear = np.asarray(linear)
+    rows. Both kinds of draw replay that call on the rows' raw words and
+    build no numpy random object: a weighted one through
+    :func:`_replay_choice`, an unweighted one (``p`` is ``None``) through
+    :func:`_replay_uniform`. A draw of all ``n`` positions needs no stream.
+    A pool of ``2**32`` positions or more raises ``ValueError``."""
+    n = operator.index(n)
     count = int(count)
     rows = len(streams)
-    if count == linear.size:
-        return np.tile(linear, (rows, 1))
+    if n > _MAX_POOL:
+        raise ValueError(f"cannot draw from a pool of {n} locations; the limit is 2**32 - 1")
+    if count == n:
+        return np.tile(np.arange(n), (rows, 1))
     if p is None:
-        idx = [np.random.default_rng(s).choice(linear.size, count, replace=False)
-               for s in streams.seeds]
-        return linear[np.sort(np.array(idx, dtype=np.intp).reshape(rows, count), axis=1)]
+        return _replay_uniform(n, count, streams)
     p = np.asarray(p, dtype=np.float64)  # as choice converts it
     if np.count_nonzero(p > 0.0) < count:
         raise ValueError(f"fewer than {count} locations have a positive draw probability")
-    taken = _replay_choice(p, count, streams)
-    return linear[np.nonzero(taken)[1]].reshape(rows, count)
+    return np.nonzero(_replay_choice(p, count, streams))[1].reshape(rows, count)
+
+
+def _bounded(bounds: np.ndarray, streams: SplitStreams) -> np.ndarray:
+    """``random_bounded_uint64(0, b)`` for each bound b of ``bounds`` in
+    turn, on every stream, one row each: Lemire's multiply-shift with
+    rejection on 32-bit halves of the raw words, low half first, as numpy
+    draws a bound below 2**32 - 1 (``buffered_bounded_lemire_uint32``).
+    Every bound is at least 1: numpy reads no word for a bound of 0, and
+    neither of :func:`_replay_uniform`'s algorithms asks for one.
+
+    Half t of a row feeds draw t unless an earlier draw rejected one, so
+    every row is first drawn that way at once, and a row with a rejection
+    is drawn again half by half."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    excl = bounds + _U64(1)
+    threshold = (_U64(1) << _U64(32)) % excl
+    words = streams.raw(np.arange(len(streams))[:, None], np.arange((bounds.size + 1) // 2))
+    halves = np.empty((len(streams), 2 * words.shape[1]), dtype=np.uint64)
+    halves[:, 0::2] = words & _LOW32
+    halves[:, 1::2] = words >> _U64(32)
+    scaled = halves[:, :bounds.size] * excl
+    out = scaled >> _U64(32)
+    redo = np.flatnonzero(((scaled & _LOW32) < threshold).any(axis=1))
+    for r in redo.tolist():
+        out[r] = _bounded_row(bounds.tolist(), streams, r)
+    return out
+
+
+def _bounded_row(bounds: list, streams: SplitStreams, row: int) -> list:
+    """:func:`_bounded` of one stream, a half at a time, reading its words
+    a block at a time."""
+    words, used, out = [], 0, []
+    for bound in bounds:
+        excl = bound + 1
+        threshold = (1 << 32) % excl
+        while True:
+            if used // 2 == len(words):
+                more = streams.raw(row, np.arange(len(words), len(words) + len(bounds) + 8))
+                words.extend(more.tolist())
+            word = words[used // 2]
+            half = word >> 32 if used % 2 else word & 0xFFFFFFFF
+            used += 1
+            scaled = half * excl
+            if scaled & 0xFFFFFFFF >= threshold:
+                break
+        out.append(scaled >> 32)
+    return out
+
+
+def _replay_uniform(n: int, count: int, streams: SplitStreams) -> np.ndarray:
+    """Which positions ``Generator.choice(n, count, replace=False)`` draws on
+    each stream, ascending, for ``count < n``.
+
+    ``choice`` runs one of two algorithms, each on :func:`_bounded` draws.
+    When ``n > 10000`` and ``count > n // 50`` it shuffles the tail of
+    ``arange(n)``: for ``i`` from ``n − 1`` down to ``n − count`` it swaps
+    entries ``i`` and ``v ≤ i``, and keeps the last ``count`` entries.
+    Otherwise it runs Floyd's algorithm (Bentley & Floyd, CACM 1987): for
+    ``j`` from ``n − count`` up to ``n − 1`` it draws ``v ≤ j`` and takes
+    ``v``, or ``j`` when ``v`` is already taken. A row whose ``v`` are
+    distinct takes exactly them; the others are replayed one at a time.
+    The order ``choice`` returns does not matter here: its final shuffle
+    reads words after these, and a row is a set."""
+    if n > 10000 and count > n // 50:
+        tail = np.arange(n - 1, n - count - 1, -1)
+        out = np.empty((len(streams), count), dtype=np.int64)
+        for r, drawn in enumerate(_bounded(tail, streams).tolist()):
+            moved, kept = {}, []  # moved: the entries the swaps changed, by position
+            for i, v in zip(tail.tolist(), drawn):
+                kept.append(moved.get(v, v))
+                moved[v] = moved.get(i, i)
+            out[r] = kept
+        out.sort(axis=1)
+        return out
+    drawn = _bounded(np.arange(n - count, n), streams).astype(np.int64)
+    out = np.sort(drawn, axis=1)
+    for r in np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1)).tolist():
+        taken = set()
+        for j, v in zip(range(n - count, n), drawn[r].tolist()):
+            taken.add(j if v in taken else v)
+        out[r] = sorted(taken)
+    return out
 
 
 def _replay_choice(p: np.ndarray, count: int, streams: SplitStreams) -> np.ndarray:
@@ -349,15 +470,19 @@ def draw_count(pool: NegativePool, positives: FixationSet) -> int:
     return len(positives)
 
 
-def sample_from_pool(pool: NegativePool, positives: FixationSet, seed: int) -> FixationSet:
+def sample_from_pool(pool: NegativePool, positives: FixationSet,
+                     seed: int | SplitStreams) -> FixationSet:
     """One negative set: :func:`draw_count` distinct locations of the pool.
 
     With :func:`negative_pool`, the public way to draw a sampler's negatives.
-    The support is in canonical order, so a seed pins the draw exactly: it
-    is row 0 of :func:`draw_linear` on ``SplitStreams([seed])``."""
+    Pool positions are in location order, so a seed pins the draw exactly:
+    it is row 0 of :meth:`NegativePool.draw` on ``SplitStreams([seed])``.
+    ``seed`` may also be that one-row stream itself, such as a row of
+    :meth:`SplitStreams.rows`, so that a caller drawing many sets seeds
+    them all in one pass."""
     count = draw_count(pool, positives)
-    take = draw_linear(pool.support.linear, pool.probabilities(), count, SplitStreams([seed]))[0]
-    return FixationSet.from_linear(take, pool.support.frame)
+    streams = seed if isinstance(seed, SplitStreams) else SplitStreams([seed])
+    return FixationSet.from_linear(pool.draw(count, streams)[0], pool.frame)
 
 
 def _pool_without(image_id: str, dataset: DatasetIndex, support, counts) -> NegativePool:
@@ -460,7 +585,7 @@ def negative_pool(sampler: str, image_id: str, dataset: DatasetIndex, k: int = 5
     non-fixated location; ``shuffled``, :func:`shuffled_pool`; ``fn``,
     :func:`farthest_pool` over ``k`` neighbours ranked at ``sigma``."""
     if sampler == "borji":
-        return NegativePool(complement_set(dataset.frame, dataset.image(image_id).fixations))
+        return NegativePool(excluded=dataset.image(image_id).fixations)
     if sampler == "shuffled":
         return shuffled_pool(image_id, dataset)
     if sampler == "fn":

@@ -465,3 +465,43 @@ def test_import_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("tie_break, loaded", [("global", False), ("off", False), ("noise", True)])
+def test_evaluate_imports_numpy_random_only_for_noise(workspace, tie_break, loaded):
+    """Every draw replays numpy's on PCG64's raw words, so scoring all nine
+    metrics loads no ``numpy.random``; ``--tie-break noise`` still draws its
+    jitter with ``Generator.random``."""
+    tmp, manifest, preds = workspace
+    argv = ["evaluate", str(manifest), "--pred", str(preds), "--splits", "5", "--k", "3",
+            "--tie-break", tie_break, "--out", str(tmp / f"{tie_break}.json")]
+    code = ("import sys; from salmetric.cli import run; "
+            f"code = run({argv!r}); print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loaded)]
+    doc = json.loads((tmp / f"{tie_break}.json").read_text())
+    assert len(doc["aggregate"]) == len(metrics_module.ALL_METRICS)
+
+
+@pytest.mark.parametrize("metric, message", [
+    ("auc_judd", "no negative locations"),
+    ("auc_borji", "no negative candidates left after removing the positives"),
+])
+def test_fully_fixated_frame_exits_1(tmp_path, capsys, metric, message):
+    """An image that fixates every pixel leaves no negatives: AUC-Judd and
+    AUC-Borji exit 1 with one line each."""
+    frame = (3, 2)
+    ds = DatasetIndex([
+        ImageRecord("all", FixationSet([(x, y) for x in range(3) for y in range(2)], frame)),
+        ImageRecord("one", FixationSet([(1, 1)], frame)),
+    ], sigma=1.0)
+    write_manifest(ds, tmp_path / "manifest.json")
+    (tmp_path / "preds").mkdir()
+    for i, rec in enumerate(ds.images):
+        write_map(GridMap(np.arange(6.0).reshape(2, 3) + i), tmp_path / "preds" / f"{rec.id}.smap")
+    out = tmp_path / "report.json"
+    assert run(["evaluate", str(tmp_path / "manifest.json"), "--pred", str(tmp_path / "preds"),
+                "--metrics", metric, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -21,7 +21,9 @@ from salmetric.errors import (
     UndersizedPoolWarning,
     ZeroVarianceError,
 )
+from salmetric import core as core_module
 from salmetric import metrics as metrics_module
+from salmetric import roc as roc_module
 from salmetric import sampling as sampling_module
 from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.metrics import (
@@ -399,6 +401,9 @@ def test_evaluate_all_looks_each_prediction_up_once():
 
 
 def test_auc_judd_scores_the_borji_pool(monkeypatch):
+    """AUC-Judd and AUC-Borji build no complement set while they score, and
+    AUC-Judd still equals the pairwise statistic over the explicit
+    complement of each image's fixations."""
     ds, preds = make_eval_inputs()
     calls = []
 
@@ -406,14 +411,22 @@ def test_auc_judd_scores_the_borji_pool(monkeypatch):
         calls.append(frame)
         return complement_set(frame, exclude)
 
-    monkeypatch.setattr(metrics_module, "complement_set", counting)
-    monkeypatch.setattr(sampling_module, "complement_set", counting)
-    report = evaluate_all(ds, preds, EvalConfig(metrics=("auc_judd", "auc_borji"), n_splits=4))
-    assert len(calls) == len(ds)
+    for module in (core_module, metrics_module, roc_module, sampling_module):
+        monkeypatch.setattr(module, "complement_set", counting, raising=False)
+    configs = (EvalConfig(metrics=("auc_judd", "auc_borji"), n_splits=4),
+               EvalConfig(metrics=("auc_judd",), tie_break="off"))
+    reports = [evaluate_all(ds, preds, config) for config in configs]
+    assert calls == []
     monkeypatch.undo()
-    for image_id, pred in preds.items():
-        assert report.per_image[image_id]["auc_judd"] == \
-            auc_judd(pred, ds.image(image_id).fixations)
+    for config, report in zip(configs, reports):
+        for image_id, pred in preds.items():
+            fx = ds.image(image_id).fixations
+            seed = derive_seed(config.seed, image_id)
+            scored = metrics_module._tie_break(pred, config.tie_break, seed)
+            flat = scored.values.ravel()
+            expected = _pairwise_auc(flat[fx.linear], flat[complement_set(ds.frame, fx).linear])
+            assert report.per_image[image_id]["auc_judd"] == expected == \
+                auc_judd(pred, fx, config.tie_break, seed)
 
 
 def test_ig_only_evaluate_builds_no_ground_truth_density(monkeypatch):
@@ -577,3 +590,24 @@ def test_scoring_keeps_one_image_inputs_alive(metrics):
     small, large = peaks(8), peaks(16)
     for name, before, after in zip(("evaluate_all", "sigma_sweep"), small, large):
         assert after - before < budget, f"{name} peak grew {after - before} bytes"
+
+
+def test_judd_borji_and_ig_hold_under_four_frames():
+    """AUC-Judd counts against the scored map a band at a time, AUC-Borji
+    draws pool positions without building the complement, and the ig
+    baseline is kept at the fixations: on 3 images at 320×240 the tracemalloc
+    peak of ``evaluate_all`` stays below 4 whole frames of float64, with the
+    predictions built beforehand."""
+    ds = gen_dataset(SynthConfig(n_images=3, frame=(320, 240), fixations_per_image=30,
+                                 cluster_sigma=19.0, seed=0))
+    preds = {rec.id: density_from_fixations(rec.fixations, ds.sigma) for rec in ds.images}
+    config = EvalConfig(metrics=("auc_judd", "auc_borji", "ig"), n_splits=10)
+    evaluate_all(ds, preds, config)  # the tie-break field's per-frame cache fills here
+    tracemalloc.start()
+    try:
+        evaluate_all(ds, preds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frame_bytes = 320 * 240 * 8
+    assert peak < 4 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"

@@ -1,0 +1,103 @@
+"""``evaluate_all`` against the slow reference evaluator of ``reference.py``,
+score for score, on small seeded datasets."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import reference
+from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord
+from salmetric.errors import SalmetricError
+from salmetric.metrics import TIE_BREAK_MODES, EvalConfig, evaluate_all
+
+N_CASES = 40
+
+
+def random_case(case: int):
+    """A small dataset, its predictions and a config, all seeded by ``case``.
+
+    Frames run from 5×3 to 24×18 and datasets from 3 to 8 images. Some
+    images fixate a large share of the frame, so some pools are smaller than
+    their positives; some repeat an earlier image, so that neighbours tie;
+    ``k`` is 1, N − 1 or in between; the predictions are
+    quantized to a few levels or continuous, so every tie-break mode meets
+    ties; the three modes take turns."""
+    rng = np.random.default_rng(case)
+    frame = (int(rng.integers(5, 25)), int(rng.integers(3, 19)))
+    pixels = frame[0] * frame[1]
+    n_images = int(rng.integers(3, 9))
+    names = rng.permutation(n_images)  # id order is not dataset order
+    images = []
+    for i in range(n_images):
+        most = 2 * pixels // 3 if rng.random() < 0.2 else max(2, pixels // 12)
+        if images and rng.random() < 0.3:
+            # a copy of an earlier image: its correlations tie exactly
+            fixations = images[int(rng.integers(len(images)))].fixations
+        else:
+            size = int(rng.integers(1, most + 1))
+            fixations = FixationSet.from_linear(rng.choice(pixels, size=size, replace=False), frame)
+        images.append(ImageRecord(f"im{names[i]}", fixations))
+    dataset = DatasetIndex(images, sigma=float(rng.uniform(0.8, 4.0)))
+    shape = (frame[1], frame[0])
+    predictions = {}
+    for image_id in dataset.ids:
+        if rng.random() < 0.5:
+            levels = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 5)))
+            predictions[image_id] = GridMap(rng.choice(levels, size=shape))
+        else:
+            predictions[image_id] = GridMap(rng.uniform(0.0, 1.0, size=shape))
+    k = [1, n_images - 1, int(rng.integers(1, n_images))][case % 3]
+    config = EvalConfig(metrics=reference.AUC_METRICS, seed=int(rng.integers(0, 2 ** 31)),
+                        n_splits=int(rng.integers(1, 7)), k=k,
+                        sigma=None if rng.random() < 0.5 else float(rng.uniform(0.8, 4.0)),
+                        tie_break=TIE_BREAK_MODES[case % 3])
+    return dataset, predictions, config
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_evaluate_all_equals_the_reference_evaluator(case):
+    dataset, predictions, config = random_case(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # undersized pools are part of the cases
+        try:
+            scores, stds = reference.evaluate(dataset, predictions, config)
+        except reference.Abort:
+            # an image without negatives aborts the run: the fast path must
+            # refuse it too
+            with pytest.raises(SalmetricError):
+                evaluate_all(dataset, predictions, config)
+            pytest.skip("an image has no negatives; evaluate_all aborts as well")
+        report = evaluate_all(dataset, predictions, config)
+    assert report.per_image == scores
+    assert report.per_image_std == stds
+
+
+def test_the_cases_cover_the_corners():
+    """Undersized pools of every sampler, k = N − 1 and every tie-break mode
+    are among the cases, and most cases are scored."""
+    undersized = dict.fromkeys(("auc_borji", "s_auc", "fn_auc"), 0)
+    last_k, modes, scored = 0, set(), 0
+    for case in range(N_CASES):
+        dataset, predictions, config = random_case(case)
+        modes.add(config.tie_break)
+        last_k += config.k == len(dataset) - 1
+        for i, rec in enumerate(dataset.images):
+            sigma = config.sigma or dataset.sigma
+            for metric in ("auc_borji", "s_auc", "fn_auc"):
+                try:
+                    size = len(reference.pool(metric, dataset, i, config.k, sigma)[0])
+                except reference.Abort:
+                    continue
+                undersized[metric] += size < len(rec.fixations)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                reference.evaluate(dataset, predictions, config)
+            scored += 1
+        except reference.Abort:
+            pass
+    assert min(undersized.values()) >= 1, undersized
+    assert last_k >= 5
+    assert modes == set(TIE_BREAK_MODES)
+    assert scored >= N_CASES * 3 // 4

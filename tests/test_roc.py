@@ -3,7 +3,16 @@ import pytest
 
 from salmetric.core import FixationSet, GridMap, complement_set
 from salmetric.errors import EmptyNegativesError, EmptyPoolError, EmptyPositivesError
-from salmetric.roc import RocCurve, auc, auc_averaged, auc_rows, auc_single, auc_values, roc_points
+from salmetric.roc import (
+    RocCurve,
+    auc,
+    auc_averaged,
+    auc_complement,
+    auc_rows,
+    auc_single,
+    auc_values,
+    roc_points,
+)
 from salmetric.sampling import NegativePool, split_streams
 
 
@@ -192,3 +201,30 @@ def test_auc_rows_equals_auc_values_per_row(levels):
             pv, neg = rng.choice(levels, size=n_pos), rng.choice(levels, size=(rows, count))
         got = auc_rows(pv, neg)
         assert got.tolist() == [auc_values(pv, row) for row in neg]
+
+
+@pytest.mark.parametrize("shape, levels, n_pos", [
+    ((1, 2), 0, 1),
+    ((7, 5), 3, 34),        # one negative left
+    ((40, 30), 2, 200),
+    ((250, 300), 5, 90),    # several bands of the map
+    ((250, 300), 0, 1000),  # continuous values
+])
+def test_auc_complement_equals_auc_values_over_the_complement(shape, levels, n_pos):
+    """The banded counts against the whole map, less the positives' own,
+    give the float ``auc_values`` gives against the explicit complement."""
+    rng = np.random.default_rng(sum(shape) + levels + n_pos)
+    values = rng.integers(0, levels, size=shape) * 0.25 if levels else rng.random(shape)
+    pred = GridMap(values)
+    frame = (shape[1], shape[0])
+    pos = FixationSet.from_linear(rng.choice(values.size, n_pos, replace=False), frame)
+    expected = auc_values(pred.values_at(pos), pred.values_at(complement_set(frame, pos)))
+    assert auc_complement(pred, pos) == expected
+
+
+def test_auc_complement_needs_both_sets():
+    pred = GridMap([[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(EmptyPositivesError):
+        auc_complement(pred, FixationSet([], (2, 2)))
+    with pytest.raises(EmptyNegativesError, match="no negative locations"):
+        auc_complement(pred, FixationSet([(0, 0), (1, 0), (0, 1), (1, 1)], (2, 2)))

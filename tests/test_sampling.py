@@ -17,7 +17,7 @@ from salmetric.sampling import (
     NegativePool,
     SplitStreams,
     draw_count,
-    draw_linear,
+    draw_indices,
     farthest_pool,
     negative_pool,
     neighbor_ranking,
@@ -31,6 +31,11 @@ from salmetric.seeding import derive_seed
 from salmetric.synth import SynthConfig, gen_dataset
 
 FRAME = (64, 64)
+
+
+def draw_linear(linear, p, count, streams):
+    """:func:`draw_indices` over the entries of ``linear``."""
+    return np.asarray(linear)[draw_indices(len(linear), p, count, streams)]
 
 
 def toy_dataset(sigma=8.0):
@@ -607,3 +612,152 @@ def test_pools_equal_the_isin_construction(seed):
             merged = np.concatenate([ds.image(nid).fixations.linear for nid in ranked])
             _assert_pool(farthest_pool(rec.id, ds, k),
                          *_isin_pool(rec.id, ds, *np.unique(merged, return_counts=True)))
+
+
+@pytest.mark.parametrize("n, count", [
+    (2, 1), (10, 1), (10, 9), (57, 56),  # count 1 and n - 1 on Floyd's branch
+    (3057, 15), (307170, 30),            # Floyd, as AUC-Borji draws at 64x48 and 640x480
+    (10001, 200), (10001, 201),          # either side of the tail-shuffle cutoff
+    (10001, 1), (10001, 10000),          # count 1 and n - 1 on the shuffle branch
+    (20000, 5000),
+    (2 ** 31 + 1, 40),                   # a bound just past 2**31: half the halves rejected
+    (3 * 2 ** 30 + 5, 40),
+    (2 ** 32 - 1, 25),                   # the largest pool a draw takes
+])
+def test_unweighted_draw_replays_generator_choice(n, count):
+    """Each row is the set ``default_rng(seed).choice(n, count,
+    replace=False)`` draws, on both of its algorithms and where Lemire's
+    bounded draw rejects often."""
+    seeds = EDGE_SEEDS + [derive_seed("uniform", n, count, i) for i in range(13)]
+    rows = draw_indices(n, None, count, SplitStreams(seeds))
+    assert rows.shape == (len(seeds), count)
+    for row, seed in zip(rows, seeds):
+        expected = np.random.default_rng(seed).choice(n, count, replace=False)
+        assert np.array_equal(row, np.sort(expected))
+
+
+def test_unweighted_draw_of_the_whole_pool_reads_no_stream(monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("a draw of the whole pool read a stream")
+
+    monkeypatch.setattr(SplitStreams, "raw", no_read)
+    rows = draw_indices(7, None, 7, SplitStreams([0, 1]))
+    assert rows.tolist() == [list(range(7))] * 2
+    for seed in (0, 1):
+        assert sorted(np.random.default_rng(seed).choice(7, 7, replace=False)) == list(range(7))
+
+
+def test_unweighted_draw_is_pinned_without_generator(monkeypatch):
+    """Split 0 of three seeds on an implicit pool, fixed literally: the
+    unweighted draw, like the weighted one, rests on PCG64's raw stream
+    alone."""
+    def no_generator(*args, **kwargs):
+        raise AssertionError("the unweighted draw must not build a numpy random object")
+
+    expected = []
+    pool = NegativePool(excluded=FixationSet([(0, 0), (3, 1), (5, 2)], (8, 4)))
+    seeds = [derive_seed(s, 0) for s in (0, 1, 2)]
+    for seed in seeds:
+        drawn = np.random.default_rng(seed).choice(len(pool), 4, replace=False)
+        expected.append(np.sort(complement_set((8, 4), pool.excluded).linear[drawn]).tolist())
+    for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, no_generator)
+    rows = pool.draw(4, SplitStreams(seeds))
+    assert rows.tolist() == expected
+
+
+def test_pool_of_2_to_the_32_locations_is_refused():
+    """An implicit pool holds only its excluded locations, so a frame of
+    2**32 pixels and more costs O(|F|) memory; a draw from a pool that
+    large raises a one-line ValueError, where numpy would draw 64-bit
+    bounds instead."""
+    frame = (65536, 65537)  # 2**32 + 65536 pixels
+    positives = FixationSet([(0, 0), (7, 3), (100, 2)], frame)
+    pool = NegativePool(excluded=positives)
+    assert len(pool) == 2 ** 32 + 65536 - 3
+    with pytest.raises(ValueError) as err:
+        sample_from_pool(pool, positives, seed=0)
+    assert "\n" not in str(err.value)
+    largest = NegativePool(excluded=FixationSet.from_linear(np.arange(65536), frame))
+    assert len(largest) == 2 ** 32
+    with pytest.raises(ValueError):
+        largest.draw(3, SplitStreams([5]))
+    # one location fewer is the largest pool drawn, as numpy draws it
+    drawable = NegativePool(excluded=FixationSet.from_linear(np.arange(65537), frame))
+    assert len(drawable) == 2 ** 32 - 1
+    expected = np.sort(np.random.default_rng(5).choice(2 ** 32 - 1, 3, replace=False)) + 65537
+    assert drawable.draw(3, SplitStreams([5])).tolist() == [expected.tolist()]
+
+
+@pytest.mark.parametrize("frame, excluded", [
+    ((1, 1), []),
+    ((4, 3), [0]),
+    ((4, 3), [11]),
+    ((4, 3), [0, 1, 2, 5, 6, 11]),
+    ((4, 3), list(range(11))),
+    ((9, 7), [3, 4, 5, 20, 21, 40, 62]),
+])
+def test_excluded_pool_maps_positions_like_the_complement(frame, excluded):
+    fixations = FixationSet.from_linear(excluded, frame)
+    pool = NegativePool(excluded=fixations)
+    complement = complement_set(frame, fixations)
+    assert len(pool) == len(complement)
+    assert pool.frame == frame
+    assert np.array_equal(pool.locations(np.arange(len(pool))), complement.linear)
+    assert pool.probabilities() is None
+    clone = pickle.loads(pickle.dumps(pool))
+    assert len(clone) == len(pool) and clone.excluded == fixations
+
+
+def test_pool_takes_one_form():
+    support = FixationSet([(0, 0), (1, 1)], (4, 4))
+    for bad in ({}, {"support": support, "excluded": support},
+                {"excluded": support, "weights": np.ones(2)}):
+        with pytest.raises(ValueError) as err:
+            NegativePool(**bad)
+        assert "\n" not in str(err.value)
+
+
+def test_borji_pool_builds_no_complement(monkeypatch, bias_dataset):
+    """The borji pool and its draws never list the non-fixated locations,
+    and draw what the explicit complement draws."""
+    rec = bias_dataset.images[5]
+    explicit = NegativePool(complement_set(bias_dataset.frame, rec.fixations))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the borji pool must not build its complement")
+
+    monkeypatch.setattr(sampling_module, "complement_set", refused, raising=False)
+    pool = negative_pool("borji", rec.id, bias_dataset)
+    seeds = [derive_seed(4, i) for i in range(12)]
+    implicit_rows = pool.draw(len(rec.fixations), SplitStreams(seeds))
+    monkeypatch.undo()
+    assert pool.excluded == rec.fixations and pool.support is None
+    assert np.array_equal(implicit_rows, explicit.draw(len(rec.fixations), SplitStreams(seeds)))
+
+
+@pytest.mark.parametrize("command", ["negatives", "quality"])
+def test_a_command_seeds_every_image_draw_in_one_pass(monkeypatch, tmp_path, command):
+    """``salmetric negatives`` seeds one SplitStreams for all its images, and
+    ``quality`` one per sampler, not one per image."""
+    from salmetric import cli
+    from salmetric.io import write_manifest
+
+    ds = gen_dataset(SynthConfig(n_images=6, frame=(24, 20), fixations_per_image=5, seed=3))
+    write_manifest(ds, tmp_path / "manifest.json")
+    built = []
+    init = SplitStreams.__init__
+
+    def counting(self, seeds):
+        built.append(len(tuple(seeds)))
+        init(self, seeds)
+
+    monkeypatch.setattr(SplitStreams, "__init__", counting)
+    if command == "negatives":
+        argv = ["negatives", tmp_path / "manifest.json", "--sampler", "fn", "--k", "2",
+                "--out", tmp_path / "negs"]
+    else:
+        argv = ["quality", tmp_path / "manifest.json", "--samplers", "shuffled,fn:2",
+                "--out", tmp_path / "quality.json"]
+    assert cli.run([str(a) for a in argv]) == 0
+    assert built == [len(ds)] * (1 if command == "negatives" else 2)
