@@ -28,8 +28,8 @@ from .errors import (
     ZeroVarianceError,
 )
 from .gaussian import center_bias_map, density_from_fixations
-from .roc import auc_averaged, auc_complement
-from .sampling import NegativePool, negative_pool, split_streams
+from .roc import auc_averaged, auc_complement, auc_splits
+from .sampling import NegativePool, draw_count, draw_pools, negative_pool, split_streams
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 
@@ -197,21 +197,22 @@ class MetricReport:
     config: EvalConfig
 
 
-def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, streams):
+def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, draws: dict):
     """Score one image's prediction ``pred`` on each metric of ``cfg``: the
     one place a metric name picks its scorer.
 
-    ``task`` holds the image's inputs from :func:`_score_images`, ``image_seed``
-    seeds its tie-break and ``streams``, when a sampled AUC is asked for,
-    are the :func:`split_streams` of ``image_seed``. A ``pred`` that is
-    already a DensityMap is scored as it is by the distribution metrics.
-    Returns the id, the scores and the split spread of each sampled AUC."""
+    ``task`` holds the image's inputs from :func:`_score_images`,
+    ``image_seed`` seeds its tie-break, and ``draws`` maps each sampled AUC
+    to its negatives, drawn on the :func:`split_streams` of ``image_seed``:
+    one row of locations per split, or the error its draw raised, raised
+    here when that metric's turn comes. A ``pred`` that is already a
+    DensityMap is scored as it is by the distribution metrics. Returns the
+    id, the scores and the split spread of each sampled AUC."""
     fx: FixationSet = task["fixations"]
     scores: dict = {}
     stds: dict = {}
     scored = None
     density = None
-    block = None
     for name in cfg.metrics:
         if name == "cc":
             density = density or normalize_to_density(pred)
@@ -233,50 +234,129 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, st
             if name == "auc_judd":
                 scores[name] = auc_complement(scored, fx)
                 continue
-            if block is None:
-                # the first words of every split, shared by the image's
-                # sampled AUCs; a draw of ``count <= len(fx)`` reads most of
-                # its words from here, and the block dies with this call
-                block = streams.with_words(2 * len(fx))
-            mean, std = auc_averaged(scored, fx, task["pools"][name], block)
-            scores[name] = mean
-            stds[name] = std
+            if isinstance(draws[name], Exception):
+                raise draws[name]
+            scores[name], stds[name] = auc_splits(scored.values_at(fx), scored, draws[name])
     return task["id"], scores, stds
+
+
+# A chunk of images holds at most about this many floats (1 MB) at once: its
+# predictions, its weighted pools' padded cdfs and keys, and its stream
+# words and drawn locations. A 640×480 chunk is one image.
+_CHUNK_FLOATS = 2 ** 17
+
+
+def _image_floats(dataset: DatasetIndex, cfg: EvalConfig, n_preds: int) -> int:
+    """What one image of ``n_preds`` predictions adds to a chunk, at most: a
+    weighted pool holds at most the dataset's pooled locations, an ``fn``
+    pool at most its ``k`` neighbours' fixations, and a draw at most one
+    negative per fixation."""
+    width, height = dataset.frame
+    fixations = max(len(rec.fixations) for rec in dataset.images)
+    pooled = len(dataset.pooled)
+    cdf = {"borji": 0, "shuffled": pooled, "fn": min(pooled, cfg.k * fixations)}
+    samplers = [SAMPLED_METRICS[name] for name in cfg.metrics if name in SAMPLED_METRICS]
+    return (n_preds * (width * height + cfg.n_splits * fixations * (2 + 3 * len(samplers)))
+            + 2 * sum(cdf[sampler] for sampler in samplers))
+
+
+def _draw_chunk(dataset: DatasetIndex, cfg: EvalConfig, preds, streams, images: range):
+    """The ``(image index, predictions, pools, draws)`` of ``images``, and
+    the error that ended the chunk early, if any.
+
+    Takes and checks the images' predictions in order, one iterable of
+    them from ``preds`` per image, before it builds any of their pools;
+    then builds each image's pools, one per sampled AUC of ``cfg``, and
+    decides the count of each of its predictions' draws, each on the next
+    split streams of ``streams``; then draws them all in one
+    :func:`draw_pools`. A prediction's ``draws`` maps each sampled AUC to
+    its negatives. A failing lookup or pool build ends the chunk before
+    its image; a failing count ends it after its image, and stands in
+    that draw's place, for :func:`_score_image` to raise."""
+    chunk, error = [], None
+    for i in images:
+        try:
+            # taken whole: an image's iterable may read state that taking the
+            # next one changes, as ``sigma_sweep``'s generators read their image
+            chunk.append((i, list(next(preds)), {}, []))
+        except Exception as exc:
+            error = exc
+            break
+    asked = [name for name in cfg.metrics if name in SAMPLED_METRICS]
+    requests, places, failed = [], [], False
+    for n, (i, image_preds, pools, draws) in enumerate(chunk):
+        rec = dataset.images[i]
+        try:
+            for name, sampler in SAMPLED_METRICS.items():
+                if name in asked:
+                    pools[name] = negative_pool(sampler, rec.id, dataset, cfg.k, cfg.sigma)
+        except Exception as exc:
+            del chunk[n:]
+            error = exc
+            break
+        for split in itertools.islice(streams, len(image_preds)):
+            drawn = {}
+            draws.append(drawn)
+            for name in asked:
+                try:
+                    count = draw_count(pools[name], rec.fixations)
+                except Exception as exc:
+                    drawn[name] = exc
+                    failed = True
+                    break
+                requests.append((pools[name], count, split))
+                places.append((drawn, name))
+            if failed:
+                break
+        if failed:
+            del chunk[n + 1:]
+            error = None
+            break
+    for (drawn, name), negatives in zip(places, draw_pools(requests)):
+        drawn[name] = negatives
+    return chunk, error
 
 
 def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
                   gt_sigma: float):
-    """Score the images of ``dataset`` in order, one at a time: build the
-    image's inputs, yield :func:`_score_image` of each of its predictions
-    (``preds`` yields an iterable of them per image, taken before the image's
-    inputs are built; ``seeds`` holds their seeds per image), and drop the
-    inputs and predictions before the next image. The inputs are the
-    ``gt_density`` at ``gt_sigma``, built only for cc, sim and kld, the ig
-    ``baseline`` at the image's fixations, and one pool per sampler, keyed
-    under every sampled AUC of :data:`SAMPLED_METRICS` that uses it. The
+    """Score the images of ``dataset`` in order, a chunk of
+    :func:`_draw_chunk` at a time: yield :func:`_score_image` of each of an
+    image's predictions (``preds`` yields an iterable of them per image, and
+    ``seeds`` holds their seeds per image), and drop the image's inputs and
+    predictions before the next image. The inputs are the ``gt_density`` at
+    ``gt_sigma``, built only for cc, sim and kld, the ig ``baseline`` at the
+    image's fixations, and the pool of each sampled AUC. A chunk holds
+    about :data:`_CHUNK_FLOATS` floats, or one image when nothing is drawn;
+    an error that ended it is raised once its images are scored. The
     centre-bias map is built once and dropped once every image's baseline
     values are gathered. Every seed's split streams are seeded in one pass,
     and only when a sampled AUC is asked for."""
-    streams = itertools.repeat(None)
+    streams, size = itertools.repeat(None), 1
     if any(m in SAMPLED_METRICS for m in cfg.metrics):
         streams = iter(split_streams([s for image in seeds for s in image], cfg.n_splits))
+        size = max(1, _CHUNK_FLOATS // _image_floats(dataset, cfg, max(map(len, seeds))))
     needs_gt = any(m in cfg.metrics for m in ("cc", "sim", "kld"))
-    baselines = itertools.repeat(None)
+    baselines = [None] * len(dataset)
     if "ig" in cfg.metrics:
         center = center_bias_map(dataset.frame)
-        baselines = iter([center.values_at(rec.fixations) for rec in dataset.images])
+        baselines = [center.values_at(rec.fixations) for rec in dataset.images]
         del center
-    asked = {name: sampler for name, sampler in SAMPLED_METRICS.items() if name in cfg.metrics}
-    for rec, image_preds, image_seeds in zip(dataset.images, preds, seeds):
-        density = density_from_fixations(rec.fixations, gt_sigma) if needs_gt else None
-        pools = {sampler: negative_pool(sampler, rec.id, dataset, cfg.k, cfg.sigma)
-                 for sampler in dict.fromkeys(asked.values())}
-        task = {"id": rec.id, "fixations": rec.fixations, "gt_density": density,
-                "baseline": next(baselines),
-                "pools": {name: pools[sampler] for name, sampler in asked.items()}}
-        for pred, image_seed in zip(image_preds, image_seeds):
-            yield _score_image(task, pred, cfg, image_seed, next(streams))
-        del density, pools, task, image_preds, pred
+    preds = iter(preds)
+    for start in range(0, len(dataset), size):
+        chunk, error = _draw_chunk(dataset, cfg, preds, streams,
+                                   range(start, min(start + size, len(dataset))))
+        chunk.reverse()
+        while chunk:
+            i, image_preds, pools, draws = chunk.pop()
+            rec = dataset.images[i]
+            density = density_from_fixations(rec.fixations, gt_sigma) if needs_gt else None
+            task = {"id": rec.id, "fixations": rec.fixations, "gt_density": density,
+                    "baseline": baselines[i], "pools": pools}
+            for pred, image_seed, drawn in zip(image_preds, seeds[i], draws):
+                yield _score_image(task, pred, cfg, image_seed, drawn)
+            del density, pools, task, image_preds, pred, draws, drawn
+        if error is not None:
+            raise error
 
 
 def _check_frame(image_id: str, frame, dataset: DatasetIndex):

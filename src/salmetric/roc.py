@@ -1,10 +1,11 @@
 """AUC of location-based scoring, and the ROC curve it is the area of.
 
 Scores come from :func:`auc_values`, the pairwise rank statistic, from
-:func:`auc_rows`, its batched form over the splits of a sampled AUC, and from
-:func:`auc_complement`, its form against every other location of a map. The curve
-API (:func:`roc_points`, :class:`RocCurve`, :func:`auc`) is for callers that
-want the curve itself, and is the oracle the rank statistic is tested against.
+:func:`auc_rows`, its batched form over the splits of a sampled AUC, which
+:func:`auc_splits` averages, and from :func:`auc_complement`, its form
+against every other location of a map. The curve API (:func:`roc_points`,
+:class:`RocCurve`, :func:`auc`) is for callers that want the curve itself,
+and is the oracle the rank statistic is tested against.
 """
 
 from dataclasses import dataclass
@@ -155,5 +156,11 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
         raise FrameMismatchError(
             f"negatives index a {pool.frame} frame, map is {pred.frame}"
         )
-    scores = auc_rows(pv, pred.values.ravel()[pool.draw(count, streams)])
+    return auc_splits(pv, pred, pool.draw(count, streams))
+
+
+def auc_splits(pos_values: np.ndarray, pred: GridMap, negatives: np.ndarray):
+    """Mean and population std of :func:`auc_rows` of ``pos_values`` against
+    ``pred``'s values at each row of the location array ``negatives``."""
+    scores = auc_rows(pos_values, pred.values.ravel()[negatives])
     return float(scores.mean()), float(scores.std())

@@ -10,7 +10,9 @@ one negative set from a pool, and :func:`draw_count` decides its size.
 :func:`draw_indices` is the one draw underneath both it and every sampled
 AUC, with a split axis: it reads each split's random stream from
 :class:`SplitStreams`, which :func:`split_streams` seeds for a whole run at
-once, and the pool maps the drawn positions to locations.
+once, and the pool maps the drawn positions to locations. :func:`draw_pools`
+makes the draws of many pools at once, with the weighted ones replayed
+together.
 """
 
 import copy
@@ -21,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DatasetIndex, FixationSet
-from .errors import EmptyPoolError, EmptyPositivesError, UndersizedPoolWarning, ZeroVarianceError
+from .errors import (
+    EmptyPoolError,
+    EmptyPositivesError,
+    FrameMismatchError,
+    UndersizedPoolWarning,
+    ZeroVarianceError,
+)
 from .gaussian import fixation_bands
 from .seeding import derive_seed
 
@@ -119,6 +127,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# _lookup's keys: a row number above bit 54, over ceil(cdf·2**53) <= 2**53;
+# one key array holds at most 2**10 rows and about 2**20 entries
+_KEY_SHIFT = _U64(54)
+_KEY_ROWS = 2 ** 10
+_KEY_FLOATS = 2 ** 20
 
 
 def _split128(values) -> np.ndarray:
@@ -259,7 +272,18 @@ class SplitStreams:
         part = copy.copy(self)
         part.seeds = self.seeds[start:stop]
         part._state = self._state[:, start:stop]
+        if self._words is not None:
+            part._words = self._words[start:stop]
         return part
+
+    @classmethod
+    def _joined(cls, parts: list) -> "SplitStreams":
+        """The rows of every streams of ``parts`` in turn, as one streams."""
+        whole = copy.copy(parts[0])
+        whole.seeds = tuple(seed for part in parts for seed in part.seeds)
+        whole._state = np.concatenate([part._state for part in parts], axis=1)
+        whole._words = None
+        return whole
 
     def rows(self) -> list:
         """These streams as one-row streams, one per seed."""
@@ -306,20 +330,59 @@ def draw_indices(n: int, p: np.ndarray | None, count: int, streams: SplitStreams
     build no numpy random object: a weighted one through
     :func:`_replay_choice`, an unweighted one (``p`` is ``None``) through
     :func:`_replay_uniform`. A draw of all ``n`` positions needs no stream.
-    A pool of ``2**32`` positions or more raises ``ValueError``."""
+    A count outside ``[0, n]``, or a pool of ``2**32`` positions or more,
+    raises ``ValueError``."""
     n = operator.index(n)
-    count = int(count)
+    count = operator.index(count)
     rows = len(streams)
     if n > _MAX_POOL:
         raise ValueError(f"cannot draw from a pool of {n} locations; the limit is 2**32 - 1")
+    if not 0 <= count <= n:
+        raise ValueError(f"cannot draw {count} distinct locations from a pool of {n}")
     if count == n:
         return np.tile(np.arange(n), (rows, 1))
+    if count == 0 or rows == 0:
+        return np.empty((rows, count), dtype=np.int64)
     if p is None:
         return _replay_uniform(n, count, streams)
     p = np.asarray(p, dtype=np.float64)  # as choice converts it
     if np.count_nonzero(p > 0.0) < count:
         raise ValueError(f"fewer than {count} locations have a positive draw probability")
-    return np.nonzero(_replay_choice(p, count, streams))[1].reshape(rows, count)
+    return _replay_choice([p], [count], [np.arange(rows)], streams)[0]
+
+
+def draw_pools(draws: list) -> list:
+    """``[pool.draw(count, streams) for pool, count, streams in draws]``,
+    drawn together: the first words of every streams are read in one
+    jump-ahead (a streams named by several draws is read once), and the
+    weighted pools' draws of ``0 < count < len(pool)`` run in one
+    :func:`_replay_choice` per size class. The other draws go through
+    :func:`draw_indices` one at a time, on the same words. Every count must
+    come from :func:`draw_count`."""
+    parts = list({id(streams): streams for _, _, streams in draws}.values())
+    if not parts:
+        return []
+    first = dict(zip(map(id, parts), np.cumsum([0] + [len(part) for part in parts]).tolist()))
+    block = SplitStreams._joined(parts).with_words(2 * max(count for _, count, _ in draws))
+    weighted = [j for j, (pool, count, _) in enumerate(draws)
+                if pool.weights is not None and 0 < count < len(pool)]
+    # pools within a factor of two in size replay together, so that no cdf
+    # is padded past twice its own length
+    groups = {}
+    for j in weighted:
+        groups.setdefault(len(draws[j][0]).bit_length(), []).append(j)
+    idx = {}
+    for group in groups.values():
+        idx.update(zip(group, _replay_choice(
+            [draws[j][0].probabilities() for j in group], [draws[j][1] for j in group],
+            [first[id(draws[j][2])] + np.arange(len(draws[j][2])) for j in group], block)))
+    out = []
+    for j, (pool, count, streams) in enumerate(draws):
+        if j not in idx:
+            rows = block._rows(first[id(streams)], first[id(streams)] + len(streams))
+            idx[j] = draw_indices(len(pool), pool.probabilities(), count, rows)
+        out.append(pool.locations(idx.pop(j)))
+    return out
 
 
 def _bounded(bounds: np.ndarray, streams: SplitStreams) -> np.ndarray:
@@ -404,47 +467,92 @@ def _replay_uniform(n: int, count: int, streams: SplitStreams) -> np.ndarray:
     return out
 
 
-def _replay_choice(p: np.ndarray, count: int, streams: SplitStreams) -> np.ndarray:
+def _replay_choice(ps: list, counts: list, rows: list, streams: SplitStreams) -> list:
     """Which entries ``Generator.choice(len(p), count, replace=False, p=p)``
-    draws on each stream, as a ``len(streams) × len(p)`` mask.
+    draws on each stream of ``rows[g]`` (row numbers of ``streams``), for
+    ``p, count`` of ``ps[g], counts[g]``: one ``len(rows[g]) × counts[g]``
+    array per pool, each row ascending. Every count is at least 1 and at
+    most the number of positive entries of its ``p``.
 
     ``choice`` runs rounds: it draws ``count - found`` uniforms, zeroes the
     found entries of ``p``, looks the uniforms up in ``cdf = cumsum(p) /
     cdf[-1]`` with ``searchsorted(side="right")`` and keeps the new entries.
-    Here every row runs those rounds in lockstep, on the same floats. A
-    zeroed entry is never looked up again, so a row's set after a round is
-    the union of its lookups so far. Round 1 shares one cdf across rows; later
-    rounds run only for the rows still short, a block of rows at a time, so
-    their cdfs never hold more than about 2**21 floats, and read the words
-    of all the block's rows at once."""
-    rows = len(streams)
-    taken = np.zeros((rows, p.size), dtype=bool)
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    first = cdf.searchsorted(streams.uniforms(np.arange(rows)[:, None], np.arange(count)),
-                             side="right")
-    taken[np.arange(rows)[:, None], first] = True
-    found = taken.sum(axis=1)
-    used = np.full(rows, count)  # words each row has read
-    short = np.flatnonzero(found < count)
-    block = max(1, 2 ** 21 // p.size)
-    while short.size:
-        for start in range(0, short.size, block):
-            part = short[start:start + block]
-            cdfs = np.cumsum(np.where(taken[part], 0.0, p), axis=1)
-            cdfs /= cdfs[:, -1:].copy()
-            need = count - found[part]
-            ends = np.cumsum(need)
-            starts = ends - need
-            # row part[j] reads its next need[j] words, from used[part[j]] on
-            positions = np.arange(ends[-1]) + np.repeat(used[part] - starts, need)
-            u = streams.uniforms(np.repeat(part, need), positions)
-            for r, row_cdf, a, b in zip(part.tolist(), cdfs, starts.tolist(), ends.tolist()):
-                taken[r, row_cdf.searchsorted(u[a:b], side="right")] = True
-            used[part] += need
-        found[short] = taken[short].sum(axis=1)
-        short = short[found[short] < count]
-    return taken
+    Here round 1 of every row of every pool is one :func:`_lookup` on the
+    pools' own cdfs; the rows that drew a repeat run each later round
+    together, each on its own cdf. A zeroed entry is never looked up again,
+    so a row's set after a round is the union of its lookups so far."""
+    table = np.zeros((len(ps), max(p.size for p in ps)))
+    for g, p in enumerate(ps):
+        table[g, :p.size] = p
+    width = table.shape[1]
+    pool = np.repeat(np.arange(len(ps)), [len(r) for r in rows])  # each replay row's pool
+    stream = np.concatenate(rows)
+    count = np.asarray(counts)[pool]
+    owner = np.repeat(np.arange(pool.size), count)  # the replay row of each drawn slot
+    position = np.arange(owner.size) - (np.cumsum(count) - count)[owner]
+    found = _lookup(lambda a, b: table[a:b], len(ps), width, pool[owner],
+                    streams.raw(stream[owner], position))
+    # each row's slots sorted; a row with a repeat is short
+    found = np.sort(owner * width + found) - owner * width
+    is_short = np.zeros(pool.size, dtype=bool)
+    is_short[owner[1:][(found[1:] == found[:-1]) & (owner[1:] == owner[:-1])]] = True
+    short = np.flatnonzero(is_short)
+    if short.size:
+        slots = is_short[owner]
+        need = count[short]
+        taken = np.zeros((short.size, width), dtype=bool)  # each short row's entries so far
+        taken[np.repeat(np.arange(short.size), need), found[slots]] = True
+        used = need.copy()  # the words each short row has read
+        pending = np.arange(short.size)
+        more = need - taken.sum(axis=1)
+
+        def zeroed(a, b):  # pending rows [a, b)'s p rows, their entries so far zeroed
+            return np.where(taken[pending[a:b]], 0.0, table[pool[short[pending[a:b]]]])
+
+        while pending.size:
+            at = np.repeat(np.arange(pending.size), more)
+            position = np.arange(at.size) - (np.cumsum(more) - more)[at] + used[pending][at]
+            hit = _lookup(zeroed, pending.size, width, at,
+                          streams.raw(stream[short[pending]][at], position))
+            taken[pending[at], hit] = True
+            used[pending] += more
+            more = need[pending] - taken[pending].sum(axis=1)
+            pending, more = pending[more > 0], more[more > 0]
+        found[slots] = np.nonzero(taken)[1]
+    ends = np.cumsum([len(r) * c for r, c in zip(rows, counts)])
+    parts = np.split(found, ends[:-1])
+    return [part.reshape(len(r), c) for part, r, c in zip(parts, rows, counts)]
+
+
+def _lookup(rows_of, n_rows: int, width: int, seg: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for the uniform ``u`` of each
+    raw word of ``words``, where ``cdf`` is ``choice``'s cdf of row
+    ``seg[j]`` of ``n_rows`` zero-padded p rows of ``width`` entries, and
+    ``rows_of(a, b)`` returns rows ``[a, b)``; ``seg`` is ascending.
+
+    A uniform is ``k·2**-53`` for ``k = word >> 11``, so ``cdf <= u`` exactly
+    when ``ceil(cdf·2**53) <= k``, and every row's search is one search of
+    the uint64 queries ``(row << 54) + k`` in the keys ``(row << 54) +
+    ceil(cdf·2**53)``. A row's trailing zeros leave its cdf values bit-equal
+    to its own cumsum's, and at 1 they key ``2**53``, past any query. One
+    key array holds at most ``2**10`` rows and about ``_KEY_FLOATS``
+    entries."""
+    out = np.empty(words.size, dtype=np.int64)
+    step = min(_KEY_ROWS, max(1, _KEY_FLOATS // width))
+    starts = range(0, n_rows, step)
+    bounds = np.searchsorted(seg, [*starts, n_rows]).tolist()
+    for start, lo, hi in zip(starts, bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        cdf = np.cumsum(rows_of(start, start + step), axis=1)
+        cdf /= cdf[:, -1:].copy()
+        cdf *= 2.0 ** 53
+        keys = np.ceil(cdf, out=cdf).astype(np.uint64)
+        keys += (np.arange(len(keys), dtype=np.uint64) << _KEY_SHIFT)[:, None]
+        local = seg[lo:hi] - start
+        queries = (local.astype(np.uint64) << _KEY_SHIFT) + (words[lo:hi] >> _U64(11))
+        out[lo:hi] = keys.ravel().searchsorted(queries, side="right") - local * width
+    return out
 
 
 def draw_count(pool: NegativePool, positives: FixationSet) -> int:
@@ -479,9 +587,16 @@ def sample_from_pool(pool: NegativePool, positives: FixationSet,
     it is row 0 of :meth:`NegativePool.draw` on ``SplitStreams([seed])``.
     ``seed`` may also be that one-row stream itself, such as a row of
     :meth:`SplitStreams.rows`, so that a caller drawing many sets seeds
-    them all in one pass."""
+    them all in one pass. Positives of another frame than the pool's raise
+    :class:`FrameMismatchError`, and streams of more than one row
+    ``ValueError``."""
     count = draw_count(pool, positives)
+    if positives.frame != pool.frame:
+        raise FrameMismatchError(
+            f"positives index a {positives.frame} frame, the pool a {pool.frame} frame")
     streams = seed if isinstance(seed, SplitStreams) else SplitStreams([seed])
+    if len(streams) != 1:
+        raise ValueError(f"one negative set is drawn on one stream, got {len(streams)}")
     return FixationSet.from_linear(pool.draw(count, streams)[0], pool.frame)
 
 

@@ -400,6 +400,86 @@ def test_evaluate_all_looks_each_prediction_up_once():
     assert report == evaluate_all(ds, preds, EvalConfig(k=2, n_splits=4))
 
 
+def _chunk_sizes(monkeypatch) -> list:
+    """Record how many images each chunk of the scoring loop takes."""
+    sizes = []
+    draw_chunk = metrics_module._draw_chunk
+
+    def recording(dataset, cfg, preds, streams, images):
+        sizes.append(len(images))
+        return draw_chunk(dataset, cfg, preds, streams, images)
+
+    monkeypatch.setattr(metrics_module, "_draw_chunk", recording)
+    return sizes
+
+
+def test_scores_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Chunks of 1, 2, 3 and every image draw and score alike: the same
+    ``evaluate_all`` report, and the same ``sigma_sweep`` table, whose
+    images have one seed per training width."""
+    ds = gen_dataset(SynthConfig(n_images=7, frame=(24, 20), fixations_per_image=6, seed=4))
+    preds = {rec.id: density_from_fixations(rec.fixations, ds.sigma) for rec in ds.images}
+    config = EvalConfig(metrics=("nss", "auc_borji", "s_auc", "fn_auc"), n_splits=5, k=2)
+    sweep_metrics = ("cc", "fn_auc", "auc_borji", "s_auc")
+    sweep_config = EvalConfig(metrics=sweep_metrics, n_splits=4, k=2)
+    sizes = _chunk_sizes(monkeypatch)
+    results = []
+    for per_chunk in (1, 2, 3, len(ds)):
+        runs = []
+        for cfg, n_preds, run in (
+                (config, 1, lambda: evaluate_all(ds, preds, config)),
+                (sweep_config, 3, lambda: sigma_sweep(ds, (1.5, 3.0, 6.0), metrics=sweep_metrics,
+                                                      n_splits=4, k=2))):
+            floats = metrics_module._image_floats(ds, cfg, n_preds)
+            monkeypatch.setattr(metrics_module, "_CHUNK_FLOATS", per_chunk * floats)
+            sizes.clear()
+            runs.append(run())
+            assert sizes[0] == per_chunk and sum(sizes) == len(ds)
+        results.append(runs)
+    assert all(runs == results[0] for runs in results[1:])
+
+
+def test_an_empty_fn_pool_mid_chunk_exits_after_the_images_before_it(tmp_path, monkeypatch,
+                                                                      capsys):
+    """Image c holds every other image's fixations, so with k = N − 1 its fn
+    pool is empty: ``evaluate`` exits 1 with the one-line message of the
+    empty pool once a and b, drawn in the same chunk, are scored."""
+    from salmetric.cli import run
+    from salmetric.io import write_manifest, write_map
+
+    frame = (12, 12)
+    ds = DatasetIndex([
+        ImageRecord("a", FixationSet([(1, 1), (2, 1)], frame)),
+        ImageRecord("b", FixationSet([(9, 9), (9, 10)], frame)),
+        ImageRecord("c", FixationSet([(1, 1), (2, 1), (9, 9), (9, 10), (5, 2)], frame)),
+        ImageRecord("d", FixationSet([(5, 2), (1, 1)], frame)),
+    ], sigma=1.5)
+    write_manifest(ds, tmp_path / "manifest.json")
+    (tmp_path / "preds").mkdir()
+    for rec in ds.images:
+        write_map(density_from_fixations(rec.fixations, ds.sigma),
+                  tmp_path / "preds" / f"{rec.id}.smap")
+    sizes = _chunk_sizes(monkeypatch)
+    scored = []
+    score_image = metrics_module._score_image
+
+    def recording(task, *args):
+        result = score_image(task, *args)
+        scored.append(result[0])
+        return result
+
+    monkeypatch.setattr(metrics_module, "_score_image", recording)
+    argv = ["evaluate", tmp_path / "manifest.json", "--pred", tmp_path / "preds",
+            "--metrics", "auc_judd,fn_auc", "--k", "3", "--splits", "4",
+            "--out", tmp_path / "report.json"]
+    assert run([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err == (
+        "error: no negative candidates left after removing the positives\n")
+    assert sizes == [len(ds)]
+    assert scored == ["a", "b"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_auc_judd_scores_the_borji_pool(monkeypatch):
     """AUC-Judd and AUC-Borji build no complement set while they score, and
     AUC-Judd still equals the pairwise statistic over the explicit

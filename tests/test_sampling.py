@@ -1,5 +1,7 @@
 import pickle
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from salmetric.core import DatasetIndex, FixationSet, ImageRecord, complement_se
 from salmetric.errors import (
     EmptyPoolError,
     EmptyPositivesError,
+    FrameMismatchError,
     InvalidSigmaError,
     UndersizedPoolWarning,
 )
@@ -478,6 +481,165 @@ def test_pool_rejects_bad_weights(weights):
 def test_draw_needs_enough_positive_probabilities():
     with pytest.raises(ValueError, match="positive draw probability"):
         draw_linear(np.arange(4), np.array([0.5, 0.0, 0.0, 0.5]), 3, SplitStreams([0]))
+
+
+@pytest.mark.parametrize("p", [None, np.full(5, 0.2)])
+def test_draw_rejects_a_negative_count(p):
+    with pytest.raises(ValueError) as err:
+        draw_indices(5, p, -1, SplitStreams([1]))
+    assert "\n" not in str(err.value)
+
+
+def test_draw_rejects_a_count_past_the_pool_without_hanging():
+    """A count past the pool once looped for ever on a bound that wrapped
+    below zero; the draw runs in a child process, so a hang fails the test
+    at its timeout and does not stop the suite."""
+    code = ("import numpy as np\n"
+            "from salmetric.sampling import SplitStreams, draw_indices\n"
+            "for p in (None, np.full(5, 0.2)):\n"
+            "    try:\n"
+            "        draw_indices(5, p, 7, SplitStreams([1]))\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "cannot draw 7 distinct locations from a pool of 5\n" * 2
+
+
+def test_sample_from_pool_checks_its_frame_and_stream():
+    frame = (6, 5)
+    pool = NegativePool(excluded=FixationSet([(1, 1), (2, 3)], frame))
+    with pytest.raises(FrameMismatchError) as err:
+        sample_from_pool(pool, FixationSet([(1, 1), (2, 3)], (5, 6)), seed=0)
+    assert "\n" not in str(err.value)
+    positives = pool.excluded
+    with pytest.raises(ValueError, match="one stream, got 2"):
+        sample_from_pool(pool, positives, SplitStreams([0, 1]))
+    with pytest.raises(ValueError, match="one stream, got 0"):
+        sample_from_pool(pool, positives, SplitStreams([]))
+    alone = sample_from_pool(pool, positives, SplitStreams([0, 1]).rows()[1])
+    assert alone == sample_from_pool(pool, positives, seed=1)
+
+
+def _lookups(monkeypatch):
+    """Record the row blocks of every :func:`sampling._lookup` key array, one
+    list per call."""
+    calls = []
+    lookup = sampling_module._lookup
+
+    def recording(rows_of, *args):
+        calls.append([])
+
+        def recorded(a, b):
+            calls[-1].append((a, b))
+            return rows_of(a, b)
+        return lookup(recorded, *args)
+
+    monkeypatch.setattr(sampling_module, "_lookup", recording)
+    return calls
+
+
+# p vectors of one replay: zero-weight entries, non-integer weights, a
+# count of every positive entry, one-location pools, and a heavy entry that
+# keeps rows short for many rounds
+REPLAY_POOLS = [
+    (np.array([0.0, 2.5, 0.0, 0.5, 1.25, 0.0]), 3),  # every positive entry
+    (np.array([1.0]), 1),                            # one location
+    (np.array([0.3, 0.0, 0.7]), 1),
+    (np.array([1e6, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0]), 6),
+    (np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0] * 30), 40),
+    (np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]), 7),
+]
+
+
+def test_batched_replay_equals_generator_choice(monkeypatch):
+    """Each pool's rows equal numpy's own draw, whatever the other pools of
+    the replay, and the rows of the heavy pool need three rounds or more."""
+    calls = _lookups(monkeypatch)
+    ps = [p / p.sum() for p, _ in REPLAY_POOLS]
+    counts = [count for _, count in REPLAY_POOLS]
+    seeds = EDGE_SEEDS + [derive_seed("batched", i) for i in range(17)]
+    streams = SplitStreams(seeds)
+    every = np.arange(len(seeds))
+    rows = [every[j::2] if j % 3 else every for j in range(len(ps))]
+    drawn = sampling_module._replay_choice(ps, counts, rows, streams)
+    assert len(calls) >= 3
+    for p, count, pool_rows, got in zip(ps, counts, rows, drawn):
+        assert got.shape == (len(pool_rows), count)
+        for row, r in zip(got, pool_rows.tolist()):
+            expected = np.random.default_rng(seeds[r]).choice(p.size, count, replace=False, p=p)
+            assert np.array_equal(row, np.sort(expected))
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.0 ** -55])
+def test_replay_where_a_uniform_meets_the_cdf(offset):
+    """A uniform equal to a cdf value (offset 0) passes it; one just below a
+    cdf value in the same 2**-53 step (offset 2**-55) does not. Random
+    draws almost never land there, so the pool is built around the first
+    uniform of each stream."""
+    candidates = [derive_seed("edge", i) for i in range(200)]
+    first = SplitStreams(candidates).uniforms(np.arange(200), np.zeros(200, dtype=int))
+    picked = [(seed, u) for seed, u in zip(candidates, first.tolist()) if 0.125 <= u < 0.25][:4]
+    assert len(picked) == 4
+    seeds, ps = [seed for seed, _ in picked], []
+    for _, u in picked:
+        p = np.array([u + offset, 1.0 - (u + offset)])
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        # the first cdf value meets the uniform, or sits in the same step
+        assert cdf[0] == u if offset == 0 else u < cdf[0] < u + 2.0 ** -53
+        ps.append(p)
+    streams = SplitStreams(seeds)
+    drawn = sampling_module._replay_choice(ps, [1] * 4, [np.array([j]) for j in range(4)],
+                                           streams)
+    for seed, p, got in zip(seeds, ps, drawn):
+        expected = np.random.default_rng(seed).choice(2, 1, replace=False, p=p)
+        assert got.tolist() == [expected.tolist()] == [[1 if offset == 0 else 0]]
+
+
+def test_batched_replay_splits_its_key_space(monkeypatch):
+    """More than 2**10 pools in round 1, and more than 2**10 short rows in
+    the rounds after it, each split over several key arrays."""
+    calls = _lookups(monkeypatch)
+    rng = np.random.default_rng(12)
+    ps = [w / w.sum() for w in (rng.integers(1, 5, size=int(n)).astype(float)
+                                for n in rng.integers(2, 9, size=1100))]
+    counts = [max(1, p.size // 2) for p in ps]
+    seeds = [derive_seed("segments", i) for i in range(1100)]
+    streams = SplitStreams(seeds)
+    drawn = sampling_module._replay_choice(ps, counts, [np.array([j]) for j in range(1100)],
+                                           streams)
+    assert len(calls[0]) == 2
+    for p, count, seed, got in zip(ps, counts, seeds, drawn):
+        expected = np.random.default_rng(seed).choice(p.size, count, replace=False, p=p)
+        assert got.tolist() == [sorted(expected.tolist())]
+    calls.clear()
+    heavy = np.ones(12)
+    heavy[3] = 1e4
+    p = heavy / heavy.sum()
+    rows = sampling_module._replay_choice([p], [6], [np.arange(1100)], streams)[0]
+    assert len(calls[1]) == 2  # every row is short after round 1
+    for row, seed in zip(rows, seeds):
+        expected = np.random.default_rng(seed).choice(12, 6, replace=False, p=p)
+        assert np.array_equal(row, np.sort(expected))
+
+
+def test_draw_pools_equals_one_draw_per_pool(bias_dataset):
+    """Pools of every sampler, an undersized pool drawn whole, and streams
+    shared by several draws: each result is the pool's own draw."""
+    streams = split_streams([derive_seed(5, rec.id) for rec in bias_dataset.images[:6]], 9)
+    draws = []
+    for rec, split in zip(bias_dataset.images[:6], streams):
+        for sampler in ("borji", "shuffled", "fn"):
+            pool = negative_pool(sampler, rec.id, bias_dataset, 3)
+            draws.append((pool, draw_count(pool, rec.fixations), split))
+    tiny = NegativePool(FixationSet([(1, 2), (7, 3)], bias_dataset.frame), np.array([1.0, 3.0]))
+    draws.append((tiny, 2, streams[0]))
+    got = sampling_module.draw_pools(draws)
+    assert len(got) == len(draws)
+    for (pool, count, split), negatives in zip(draws, got):
+        assert np.array_equal(negatives, pool.draw(count, split))
 
 
 EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1, 2 ** 128 - 1]
