@@ -13,12 +13,10 @@ from .core import (
     GridMap,
     ImageRecord,
     complement_set,
-    fixations_from_map,
     normalize_to_density,
     vectorize,
 )
 from .gaussian import (
-    aggregate_density,
     blur,
     center_bias_map,
     density_from_fixations,

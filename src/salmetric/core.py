@@ -18,14 +18,10 @@ from .errors import (
     EmptyFixationsError,
     FrameMismatchError,
     NegativeValueError,
-    NonBinaryMapError,
     ZeroMassError,
 )
 
 Frame = tuple[int, int]
-
-# fixation maps are accepted as binary up to this absolute slack
-_BINARY_ATOL = 1e-9
 
 
 class GridMap:
@@ -240,16 +236,6 @@ def vectorize(fixations: FixationSet) -> GridMap:
     flat = np.zeros(w * h, dtype=np.float64)
     flat[fixations.linear] = 1.0
     return GridMap(flat.reshape(h, w))
-
-
-def fixations_from_map(grid: GridMap) -> FixationSet:
-    """Inverse of :func:`vectorize` for binary maps."""
-    v = grid.values
-    is_zero = np.abs(v) <= _BINARY_ATOL
-    is_one = np.abs(v - 1.0) <= _BINARY_ATOL
-    if not np.all(is_zero | is_one):
-        raise NonBinaryMapError("map values must all be 0 or 1")
-    return FixationSet.from_linear(np.flatnonzero(is_one.ravel()), grid.frame)
 
 
 def normalize_to_density(grid: GridMap) -> DensityMap:

@@ -5,10 +5,6 @@ class SalmetricError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonBinaryMapError(SalmetricError):
-    """A map expected to hold only 0/1 values holds something else."""
-
-
 class ZeroMassError(SalmetricError):
     """An all-zero map cannot be normalized into a density."""
 

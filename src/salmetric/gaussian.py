@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import DatasetIndex, DensityMap, FixationSet, Frame, GridMap
+from .core import DensityMap, FixationSet, Frame, GridMap
 from .errors import EmptyFixationsError, InvalidSigmaError
 
 
@@ -211,12 +211,6 @@ def fixation_bands(fixation_sets, sigma: float):
         raise InvalidSigmaError(
             f"sigma {sigma!r} is so wide that the blurred fixation map underflows to 0"
         )
-
-
-def aggregate_density(dataset: DatasetIndex, sigma: float | None = None) -> DensityMap:
-    """Density of the pooled fixations of every image in the dataset."""
-    sigma = dataset.sigma if sigma is None else sigma
-    return density_from_fixations(dataset.pooled, sigma)
 
 
 def _gaussian_field(frame: Frame, sigma_x: float, sigma_y: float, cx: float,

@@ -7,7 +7,6 @@ scores (nss, the AUCs) consume the raw prediction and the fixation set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -129,7 +128,7 @@ def auc_borji(pred: GridMap, fixations: FixationSet, n_splits: int = 100, seed: 
     """AUC against uniform draws of non-fixated pixels; returns (mean, std)."""
     scored = _tie_break(pred, tie_break, seed)
     pool = NegativePool(excluded=fixations)
-    return auc_averaged(scored, fixations, pool, split_streams([seed], n_splits)[0])
+    return auc_averaged(scored, fixations, pool, split_streams([seed], n_splits))
 
 
 def s_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, n_splits: int = 100,
@@ -138,7 +137,7 @@ def s_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, n_splits: int = 1
     scored = _tie_break(pred, tie_break, seed)
     pool = negative_pool("shuffled", image_id, dataset)
     return auc_averaged(scored, dataset.image(image_id).fixations, pool,
-                        split_streams([seed], n_splits)[0])
+                        split_streams([seed], n_splits))
 
 
 def fn_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, k: int = 5,
@@ -148,7 +147,7 @@ def fn_auc(pred: GridMap, image_id: str, dataset: DatasetIndex, k: int = 5,
     scored = _tie_break(pred, tie_break, seed)
     pool = negative_pool("fn", image_id, dataset, k, sigma)
     return auc_averaged(scored, dataset.image(image_id).fixations, pool,
-                        split_streams([seed], n_splits)[0])
+                        split_streams([seed], n_splits))
 
 
 @dataclass(frozen=True)
@@ -260,80 +259,30 @@ def _image_floats(dataset: DatasetIndex, cfg: EvalConfig, n_preds: int) -> int:
             + 2 * sum(cdf[sampler] for sampler in samplers))
 
 
-def _draw_chunk(dataset: DatasetIndex, cfg: EvalConfig, preds, streams, images: range):
-    """The ``(image index, predictions, pools, draws)`` of ``images``, and
-    the error that ended the chunk early, if any.
-
-    Takes and checks the images' predictions in order, one iterable of
-    them from ``preds`` per image, before it builds any of their pools;
-    then builds each image's pools, one per sampled AUC of ``cfg``, and
-    decides the count of each of its predictions' draws, each on the next
-    split streams of ``streams``; then draws them all in one
-    :func:`draw_pools`. A prediction's ``draws`` maps each sampled AUC to
-    its negatives. A failing lookup or pool build ends the chunk before
-    its image; a failing count ends it after its image, and stands in
-    that draw's place, for :func:`_score_image` to raise."""
-    chunk, error = [], None
-    for i in images:
-        try:
-            # taken whole: an image's iterable may read state that taking the
-            # next one changes, as ``sigma_sweep``'s generators read their image
-            chunk.append((i, list(next(preds)), {}, []))
-        except Exception as exc:
-            error = exc
-            break
-    asked = [name for name in cfg.metrics if name in SAMPLED_METRICS]
-    requests, places, failed = [], [], False
-    for n, (i, image_preds, pools, draws) in enumerate(chunk):
-        rec = dataset.images[i]
-        try:
-            for name, sampler in SAMPLED_METRICS.items():
-                if name in asked:
-                    pools[name] = negative_pool(sampler, rec.id, dataset, cfg.k, cfg.sigma)
-        except Exception as exc:
-            del chunk[n:]
-            error = exc
-            break
-        for split in itertools.islice(streams, len(image_preds)):
-            drawn = {}
-            draws.append(drawn)
-            for name in asked:
-                try:
-                    count = draw_count(pools[name], rec.fixations)
-                except Exception as exc:
-                    drawn[name] = exc
-                    failed = True
-                    break
-                requests.append((pools[name], count, split))
-                places.append((drawn, name))
-            if failed:
-                break
-        if failed:
-            del chunk[n + 1:]
-            error = None
-            break
-    for (drawn, name), negatives in zip(places, draw_pools(requests)):
-        drawn[name] = negatives
-    return chunk, error
-
-
 def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
                   gt_sigma: float):
-    """Score the images of ``dataset`` in order, a chunk of
-    :func:`_draw_chunk` at a time: yield :func:`_score_image` of each of an
-    image's predictions (``preds`` yields an iterable of them per image, and
-    ``seeds`` holds their seeds per image), and drop the image's inputs and
-    predictions before the next image. The inputs are the ``gt_density`` at
-    ``gt_sigma``, built only for cc, sim and kld, the ig ``baseline`` at the
-    image's fixations, and the pool of each sampled AUC. A chunk holds
-    about :data:`_CHUNK_FLOATS` floats, or one image when nothing is drawn;
-    an error that ended it is raised once its images are scored. The
-    centre-bias map is built once and dropped once every image's baseline
-    values are gathered. Every seed's split streams are seeded in one pass,
-    and only when a sampled AUC is asked for."""
-    streams, size = itertools.repeat(None), 1
-    if any(m in SAMPLED_METRICS for m in cfg.metrics):
-        streams = iter(split_streams([s for image in seeds for s in image], cfg.n_splits))
+    """Score the images of ``dataset`` in order, in one pass: yield
+    :func:`_score_image` of each of an image's predictions (``preds``
+    yields an iterable of them per image, and ``seeds`` holds their seeds
+    per image), and drop the image's inputs and predictions before the next
+    image. The inputs are the ``gt_density`` at ``gt_sigma``, built only for
+    cc, sim and kld, the ig ``baseline`` at the image's fixations, and the
+    pool of each sampled AUC.
+
+    The pass takes each image once: its predictions, then its pools, then
+    the count of each of its predictions' draws, on that prediction's rows
+    of the run's one :func:`split_streams`. It flushes the images taken so
+    far, a chunk of about :data:`_CHUNK_FLOATS` floats or one image when
+    nothing is drawn, at the chunk's last image, at the dataset's last
+    image, or at an image that fails: one :func:`draw_pools` call, then
+    scoring. A failing lookup or pool build is raised once the images
+    before it are scored; a failing count stands in that draw's place, for
+    :func:`_score_image` to raise. The centre-bias map is built once and
+    dropped once every image's baseline values are gathered."""
+    asked = [name for name in cfg.metrics if name in SAMPLED_METRICS]
+    streams, size = None, 1
+    if asked:
+        streams = split_streams([s for image in seeds for s in image], cfg.n_splits)
         size = max(1, _CHUNK_FLOATS // _image_floats(dataset, cfg, max(map(len, seeds))))
     needs_gt = any(m in cfg.metrics for m in ("cc", "sim", "kld"))
     baselines = [None] * len(dataset)
@@ -342,15 +291,43 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
         baselines = [center.values_at(rec.fixations) for rec in dataset.images]
         del center
     preds = iter(preds)
-    for start in range(0, len(dataset), size):
-        chunk, error = _draw_chunk(dataset, cfg, preds, streams,
-                                   range(start, min(start + size, len(dataset))))
+    chunk, requests, places, row = [], [], [], 0
+    for n, rec in enumerate(dataset.images):
+        error = None
+        try:
+            # taken whole: an image's iterable may read state that taking the
+            # next one changes, as ``sigma_sweep``'s generators read their image
+            image_preds = list(next(preds))
+            pools = {name: negative_pool(sampler, rec.id, dataset, cfg.k, cfg.sigma)
+                     for name, sampler in SAMPLED_METRICS.items() if name in asked}
+        except Exception as exc:
+            error = exc
+        else:
+            draws = [{} for _ in image_preds]
+            chunk.append((n, image_preds, pools, draws))
+            for drawn in draws:
+                for name in asked:
+                    try:
+                        count = draw_count(pools[name], rec.fixations)
+                    except Exception as exc:
+                        drawn[name] = error = exc
+                        break
+                    requests.append((pools[name], count, range(row, row + cfg.n_splits)))
+                    places.append((drawn, name))
+                row += cfg.n_splits
+                if error is not None:
+                    break
+        if error is None and len(chunk) < size and n + 1 < len(dataset):
+            continue
+        for (drawn, name), negatives in zip(places, draw_pools(streams, requests)):
+            drawn[name] = negatives
+        requests, places = [], []
         chunk.reverse()
         while chunk:
             i, image_preds, pools, draws = chunk.pop()
-            rec = dataset.images[i]
-            density = density_from_fixations(rec.fixations, gt_sigma) if needs_gt else None
-            task = {"id": rec.id, "fixations": rec.fixations, "gt_density": density,
+            image = dataset.images[i]
+            density = density_from_fixations(image.fixations, gt_sigma) if needs_gt else None
+            task = {"id": image.id, "fixations": image.fixations, "gt_density": density,
                     "baseline": baselines[i], "pools": pools}
             for pred, image_seed, drawn in zip(image_preds, seeds[i], draws):
                 yield _score_image(task, pred, cfg, image_seed, drawn)

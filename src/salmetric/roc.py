@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import FixationSet, GridMap
 from .errors import EmptyNegativesError, EmptyPositivesError, FrameMismatchError
-from .sampling import NegativePool, SplitStreams, draw_count
+from .sampling import NegativePool, SplitStreams, draw_count, draw_pools
 
 # auc_complement reads the map in bands of this many values
 _BAND = 2 ** 16
@@ -146,7 +146,7 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
     The one split loop of every sampled AUC. Split i draws :func:`draw_count`
     negatives on stream i; :func:`split_streams` gives the streams of
     ``derive_seed(seed, i)``, so the result does not depend on evaluation
-    order. One :meth:`NegativePool.draw` call draws every split and
+    order. One :func:`draw_pools` call draws every split and
     :func:`auc_rows` scores them straight from the flat map."""
     count = draw_count(pool, positives)
     if len(streams) < 1:
@@ -156,7 +156,7 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
         raise FrameMismatchError(
             f"negatives index a {pool.frame} frame, map is {pred.frame}"
         )
-    return auc_splits(pv, pred, pool.draw(count, streams))
+    return auc_splits(pv, pred, draw_pools(streams, [(pool, count, range(len(streams)))])[0])
 
 
 def auc_splits(pos_values: np.ndarray, pred: GridMap, negatives: np.ndarray):

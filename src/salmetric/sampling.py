@@ -92,11 +92,6 @@ class NegativePool:
         skip = self.excluded.linear - np.arange(len(self.excluded))
         return idx + np.searchsorted(skip, idx, side="right")
 
-    def draw(self, count: int, streams: "SplitStreams") -> np.ndarray:
-        """The locations of :func:`draw_indices` on this pool: row i holds
-        ``count`` distinct locations drawn on stream i, ascending."""
-        return self.locations(draw_indices(len(self), self.probabilities(), count, streams))
-
 
 @dataclass(frozen=True)
 class NeighborList:
@@ -276,15 +271,6 @@ class SplitStreams:
             part._words = self._words[start:stop]
         return part
 
-    @classmethod
-    def _joined(cls, parts: list) -> "SplitStreams":
-        """The rows of every streams of ``parts`` in turn, as one streams."""
-        whole = copy.copy(parts[0])
-        whole.seeds = tuple(seed for part in parts for seed in part.seeds)
-        whole._state = np.concatenate([part._state for part in parts], axis=1)
-        whole._words = None
-        return whole
-
     def rows(self) -> list:
         """These streams as one-row streams, one per seed."""
         return [self._rows(i, i + 1) for i in range(len(self))]
@@ -296,27 +282,24 @@ class SplitStreams:
         return block
 
     def raw(self, rows, positions) -> np.ndarray:
-        """Raw word ``positions`` of stream ``rows`` (index arrays that
-        broadcast together); one gather from the block of :meth:`with_words`
-        when it holds them all, else one jump-ahead."""
-        positions = np.asarray(positions)
+        """Raw word ``positions`` of stream ``rows`` (index arrays or ints
+        that broadcast together), in their broadcast shape; one gather from
+        the block of :meth:`with_words` when it holds them all, else one
+        jump-ahead. Both run on arrays, where uint64 arithmetic wraps."""
+        shape = np.broadcast_shapes(np.shape(rows), np.shape(positions))
+        rows, positions = np.atleast_1d(rows, positions)
         last = int(positions.max(initial=-1))
         if self._words is not None and last < self._words.shape[1]:
-            return self._words[rows, positions]
-        return _words(_jump_table(last + 1)[:, positions], self._state[:, rows])
-
-    def uniforms(self, rows, positions) -> np.ndarray:
-        """The doubles ``Generator.random`` makes of the same words."""
-        return (self.raw(rows, positions) >> _U64(11)) * 2.0 ** -53
+            return self._words[rows, positions].reshape(shape)
+        return _words(_jump_table(last + 1)[:, positions], self._state[:, rows]).reshape(shape)
 
 
-def split_streams(seeds, n_splits: int) -> list:
-    """For each seed s, the streams of ``derive_seed(s, i)`` for ``i <
-    n_splits``: the split streams of one image. All of them are seeded in
-    one pass."""
+def split_streams(seeds, n_splits: int) -> SplitStreams:
+    """The streams of ``derive_seed(s, i)`` for each seed s of ``seeds`` and
+    ``i < n_splits``, seeded in one pass: rows ``[j·n_splits, (j+1)·n_splits)``
+    are the split streams of ``seeds[j]``."""
     n_splits = int(n_splits)
-    whole = SplitStreams([derive_seed(s, i) for s in seeds for i in range(n_splits)])
-    return [whole._rows(j * n_splits, (j + 1) * n_splits) for j in range(len(seeds))]
+    return SplitStreams([derive_seed(s, i) for s in seeds for i in range(n_splits)])
 
 
 def draw_indices(n: int, p: np.ndarray | None, count: int, streams: SplitStreams) -> np.ndarray:
@@ -351,19 +334,22 @@ def draw_indices(n: int, p: np.ndarray | None, count: int, streams: SplitStreams
     return _replay_choice([p], [count], [np.arange(rows)], streams)[0]
 
 
-def draw_pools(draws: list) -> list:
-    """``[pool.draw(count, streams) for pool, count, streams in draws]``,
-    drawn together: the first words of every streams are read in one
-    jump-ahead (a streams named by several draws is read once), and the
-    weighted pools' draws of ``0 < count < len(pool)`` run in one
-    :func:`_replay_choice` per size class. The other draws go through
-    :func:`draw_indices` one at a time, on the same words. Every count must
-    come from :func:`draw_count`."""
-    parts = list({id(streams): streams for _, _, streams in draws}.values())
-    if not parts:
+def draw_pools(streams: SplitStreams, draws: list) -> list:
+    """The locations each ``(pool, count, rows)`` of ``draws`` draws on the
+    ``range`` ``rows`` of ``streams``: one row of ``count`` distinct
+    locations per stream, ascending, as :func:`draw_indices` draws them.
+
+    The first words of the rows the draws name, from the lowest to the
+    highest, are read in one jump-ahead, and the weighted pools' draws of
+    ``0 < count < len(pool)`` run in one :func:`_replay_choice` per size
+    class. The other draws go through :func:`draw_indices` one at a time,
+    on the same words. Every count must come from :func:`draw_count`."""
+    if not draws:
         return []
-    first = dict(zip(map(id, parts), np.cumsum([0] + [len(part) for part in parts]).tolist()))
-    block = SplitStreams._joined(parts).with_words(2 * max(count for _, count, _ in draws))
+    low = min(rows.start for _, _, rows in draws)
+    block = streams._rows(low, max(rows.stop for _, _, rows in draws))
+    block = block.with_words(2 * max(count for _, count, _ in draws))
+    draws = [(pool, count, range(rows.start - low, rows.stop - low)) for pool, count, rows in draws]
     weighted = [j for j, (pool, count, _) in enumerate(draws)
                 if pool.weights is not None and 0 < count < len(pool)]
     # pools within a factor of two in size replay together, so that no cdf
@@ -375,12 +361,12 @@ def draw_pools(draws: list) -> list:
     for group in groups.values():
         idx.update(zip(group, _replay_choice(
             [draws[j][0].probabilities() for j in group], [draws[j][1] for j in group],
-            [first[id(draws[j][2])] + np.arange(len(draws[j][2])) for j in group], block)))
+            [draws[j][2] for j in group], block)))
     out = []
-    for j, (pool, count, streams) in enumerate(draws):
+    for j, (pool, count, rows) in enumerate(draws):
         if j not in idx:
-            rows = block._rows(first[id(streams)], first[id(streams)] + len(streams))
-            idx[j] = draw_indices(len(pool), pool.probabilities(), count, rows)
+            idx[j] = draw_indices(len(pool), pool.probabilities(), count,
+                                  block._rows(rows.start, rows.stop))
         out.append(pool.locations(idx.pop(j)))
     return out
 
@@ -584,7 +570,7 @@ def sample_from_pool(pool: NegativePool, positives: FixationSet,
 
     With :func:`negative_pool`, the public way to draw a sampler's negatives.
     Pool positions are in location order, so a seed pins the draw exactly:
-    it is row 0 of :meth:`NegativePool.draw` on ``SplitStreams([seed])``.
+    it is row 0 of :func:`draw_pools` on ``SplitStreams([seed])``.
     ``seed`` may also be that one-row stream itself, such as a row of
     :meth:`SplitStreams.rows`, so that a caller drawing many sets seeds
     them all in one pass. Positives of another frame than the pool's raise
@@ -597,7 +583,8 @@ def sample_from_pool(pool: NegativePool, positives: FixationSet,
     streams = seed if isinstance(seed, SplitStreams) else SplitStreams([seed])
     if len(streams) != 1:
         raise ValueError(f"one negative set is drawn on one stream, got {len(streams)}")
-    return FixationSet.from_linear(pool.draw(count, streams)[0], pool.frame)
+    return FixationSet.from_linear(draw_pools(streams, [(pool, count, range(1))])[0][0],
+                                   pool.frame)
 
 
 def _pool_without(image_id: str, dataset: DatasetIndex, support, counts) -> NegativePool:

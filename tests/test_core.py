@@ -8,7 +8,6 @@ from salmetric.core import (
     GridMap,
     ImageRecord,
     complement_set,
-    fixations_from_map,
     normalize_to_density,
     vectorize,
 )
@@ -18,7 +17,6 @@ from salmetric.errors import (
     EmptyFixationsError,
     FrameMismatchError,
     NegativeValueError,
-    NonBinaryMapError,
     ZeroMassError,
 )
 
@@ -137,21 +135,14 @@ def test_vectorize_diagonal():
     assert np.array_equal(m.values, [[1, 0], [0, 1]])
 
 
-def test_fixations_from_map_examples():
-    fs = fixations_from_map(GridMap([[1, 0], [0, 1]]))
-    assert fs == FixationSet([(0, 0), (1, 1)], frame=(2, 2))
-    assert len(fixations_from_map(GridMap(np.zeros((3, 2))))) == 0
-    with pytest.raises(NonBinaryMapError):
-        fixations_from_map(GridMap([[0.5, 0], [0, 0]]))
-
-
 def test_vectorize_round_trip_random_binary():
     rng = np.random.default_rng(11)
     for _ in range(50):
         h, w = rng.integers(1, 9, size=2)
         binary = (rng.random((h, w)) < 0.4).astype(float)
-        m = GridMap(binary)
-        assert np.array_equal(vectorize(fixations_from_map(m)).values, m.values)
+        fs = FixationSet.from_linear(np.flatnonzero(binary.ravel()), (int(w), int(h)))
+        assert np.array_equal(vectorize(fs).values, binary)
+        assert np.array_equal(np.flatnonzero(vectorize(fs).values.ravel()), fs.linear)
 
 
 def test_normalize_to_density_examples():

@@ -4,13 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord, vectorize
+from salmetric.core import FixationSet, GridMap, vectorize
 from salmetric.errors import EmptyFixationsError, InvalidSigmaError
 from salmetric import gaussian as gaussian_module
 from salmetric.gaussian import (
     _correlate_axis,
     _kernel_1d,
-    aggregate_density,
     blur,
     center_bias_map,
     density_from_fixations,
@@ -215,31 +214,6 @@ def test_density_translation_equivariance():
     d1 = density_from_fixations(moved, 2.0).values
     assert np.allclose(d0[24 - 7 : 24 + 8, 20 - 7 : 20 + 8],
                        d1[26 - 7 : 26 + 8, 23 - 7 : 23 + 8], atol=1e-12)
-
-
-def test_aggregate_density_single_image_and_dedup():
-    rec = ImageRecord("a", FixationSet([(3, 3), (10, 4)], (16, 16)))
-    ds = DatasetIndex([rec], sigma=2.0)
-    assert np.allclose(
-        aggregate_density(ds).values,
-        density_from_fixations(rec.fixations, 2.0).values,
-        atol=1e-12,
-    )
-    twin = DatasetIndex(
-        [rec, ImageRecord("b", FixationSet([(3, 3), (10, 4)], (16, 16)))], sigma=2.0
-    )
-    assert np.allclose(
-        aggregate_density(twin).values,
-        density_from_fixations(rec.fixations, 2.0).values,
-        atol=1e-12,
-    )
-
-
-def test_aggregate_density_centrally_biased(bias_dataset):
-    d = aggregate_density(bias_dataset, sigma=8.0).values
-    y, x = np.unravel_index(np.argmax(d), d.shape)
-    # argmax inside the central quarter box of the 64x64 frame
-    assert 24 <= x < 40 and 24 <= y < 40
 
 
 def test_global_gaussian_distinct_values_480x640():

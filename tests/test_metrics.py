@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from salmetric.errors import (
     DimensionMismatchError,
     EmptyFixationsError,
     MissingPredictionError,
+    SalmetricError,
     UndersizedPoolWarning,
     ZeroVarianceError,
 )
@@ -400,17 +402,32 @@ def test_evaluate_all_looks_each_prediction_up_once():
     assert report == evaluate_all(ds, preds, EvalConfig(k=2, n_splits=4))
 
 
-def _chunk_sizes(monkeypatch) -> list:
-    """Record how many images each chunk of the scoring loop takes."""
-    sizes = []
-    draw_chunk = metrics_module._draw_chunk
+def _drawn_rows(monkeypatch) -> list:
+    """Record the stream rows of each ``draw_pools`` call of the scoring
+    loop: one range per prediction drawn, in row order."""
+    calls = []
+    draw_pools = metrics_module.draw_pools
 
-    def recording(dataset, cfg, preds, streams, images):
-        sizes.append(len(images))
-        return draw_chunk(dataset, cfg, preds, streams, images)
+    def recording(streams, draws):
+        calls.append(sorted({rows for _, _, rows in draws}, key=lambda rows: rows.start))
+        return draw_pools(streams, draws)
 
-    monkeypatch.setattr(metrics_module, "_draw_chunk", recording)
-    return sizes
+    monkeypatch.setattr(metrics_module, "draw_pools", recording)
+    return calls
+
+
+def _scored_ids(monkeypatch) -> list:
+    """Record the id of each image ``_score_image`` scores without error."""
+    scored = []
+    score_image = metrics_module._score_image
+
+    def recording(task, *args):
+        result = score_image(task, *args)
+        scored.append(result[0])
+        return result
+
+    monkeypatch.setattr(metrics_module, "_score_image", recording)
+    return scored
 
 
 def test_scores_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -422,7 +439,7 @@ def test_scores_do_not_depend_on_the_chunk_size(monkeypatch):
     config = EvalConfig(metrics=("nss", "auc_borji", "s_auc", "fn_auc"), n_splits=5, k=2)
     sweep_metrics = ("cc", "fn_auc", "auc_borji", "s_auc")
     sweep_config = EvalConfig(metrics=sweep_metrics, n_splits=4, k=2)
-    sizes = _chunk_sizes(monkeypatch)
+    calls = _drawn_rows(monkeypatch)
     results = []
     for per_chunk in (1, 2, 3, len(ds)):
         runs = []
@@ -432,8 +449,9 @@ def test_scores_do_not_depend_on_the_chunk_size(monkeypatch):
                                                       n_splits=4, k=2))):
             floats = metrics_module._image_floats(ds, cfg, n_preds)
             monkeypatch.setattr(metrics_module, "_CHUNK_FLOATS", per_chunk * floats)
-            sizes.clear()
+            calls.clear()
             runs.append(run())
+            sizes = [len(rows) // n_preds for rows in calls]
             assert sizes[0] == per_chunk and sum(sizes) == len(ds)
         results.append(runs)
     assert all(runs == results[0] for runs in results[1:])
@@ -459,25 +477,52 @@ def test_an_empty_fn_pool_mid_chunk_exits_after_the_images_before_it(tmp_path, m
     for rec in ds.images:
         write_map(density_from_fixations(rec.fixations, ds.sigma),
                   tmp_path / "preds" / f"{rec.id}.smap")
-    sizes = _chunk_sizes(monkeypatch)
-    scored = []
-    score_image = metrics_module._score_image
-
-    def recording(task, *args):
-        result = score_image(task, *args)
-        scored.append(result[0])
-        return result
-
-    monkeypatch.setattr(metrics_module, "_score_image", recording)
+    calls = _drawn_rows(monkeypatch)
+    scored = _scored_ids(monkeypatch)
     argv = ["evaluate", tmp_path / "manifest.json", "--pred", tmp_path / "preds",
             "--metrics", "auc_judd,fn_auc", "--k", "3", "--splits", "4",
             "--out", tmp_path / "report.json"]
     assert run([str(a) for a in argv]) == 1
     assert capsys.readouterr().err == (
         "error: no negative candidates left after removing the positives\n")
-    assert sizes == [len(ds)]
+    assert calls == [[range(0, 4), range(4, 8)]]
     assert scored == ["a", "b"]
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("first, second",
+                         itertools.permutations(("wrong_frame", "empty_pool", "constant"), 2))
+def test_the_first_fault_of_a_chunk_in_image_order_is_raised(monkeypatch, first, second):
+    """Two faults at images 1 and 3 of one chunk: a prediction of another
+    frame, an empty fn pool (the image holds every other image's
+    fixations, and k = N − 1), or a constant prediction scored by cc. The
+    earlier image's message is raised once image 0, and only it, is
+    scored. A frame of 2**k pixels keeps the constant's density exactly
+    constant."""
+    frame = (16, 16)
+    own = [[(1, 1), (2, 1)], [(9, 9), (9, 10)], [(5, 2), (6, 3)], [(2, 8), (3, 9)],
+           [(8, 2), (10, 4)]]
+    at = {first: 1, second: 3}
+    every = [xy for fixations in own for xy in fixations]
+    ds = DatasetIndex([
+        ImageRecord(f"img{j}", FixationSet(every if j == at.get("empty_pool") else fx, frame))
+        for j, fx in enumerate(own)], sigma=1.5)
+    preds = {rec.id: density_from_fixations(rec.fixations, ds.sigma) for rec in ds.images}
+    messages = {"empty_pool": "no negative candidates left after removing the positives",
+                "constant": "constant input has no correlation"}
+    if "wrong_frame" in at:
+        image_id = ds.ids[at["wrong_frame"]]
+        preds[image_id] = GridMap(np.arange(20.0).reshape(4, 5))
+        messages["wrong_frame"] = f"prediction for {image_id!r} is (5, 4), dataset frame is {frame}"
+    if "constant" in at:
+        preds[ds.ids[at["constant"]]] = GridMap(np.full((16, 16), 0.5))
+    config = EvalConfig(metrics=("cc", "fn_auc"), n_splits=4, k=len(ds) - 1)
+    assert len(ds) * metrics_module._image_floats(ds, config, 1) <= metrics_module._CHUNK_FLOATS
+    scored = _scored_ids(monkeypatch)
+    with pytest.raises(SalmetricError) as err:
+        evaluate_all(ds, preds, config)
+    assert str(err.value) == messages[first]
+    assert scored == ["img0"]
 
 
 def test_auc_judd_scores_the_borji_pool(monkeypatch):
@@ -602,7 +647,7 @@ def test_auc_averaged_matches_pairwise_oracle_over_pool_draws(kind, bias_dataset
     for scored in (pred, tie_break_global(pred)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = auc_averaged(scored, fx, pool, split_streams([8], 13)[0])
+            got = auc_averaged(scored, fx, pool, split_streams([8], 13))
         assert bool(caught) is (kind == "undersized")
         flat = scored.values.ravel()
         # numpy's own draw is the oracle, not the replay under test

@@ -126,10 +126,10 @@ def test_auc_averaged_single_split_and_fixed_sampler():
     rng = np.random.default_rng(37)
     pred, pos, neg = _random_case(rng)
     pool = NegativePool(neg)
-    mean, std = auc_averaged(pred, pos, pool, split_streams([0], 1)[0])
+    mean, std = auc_averaged(pred, pos, pool, split_streams([0], 1))
     assert mean == auc_single(pred, pos, neg)
     assert std == 0.0
-    mean, std = auc_averaged(pred, pos, pool, split_streams([0], 25)[0])
+    mean, std = auc_averaged(pred, pos, pool, split_streams([0], 25))
     assert mean == auc_single(pred, pos, neg)
     assert std == 0.0
 
@@ -138,10 +138,10 @@ def test_auc_averaged_deterministic():
     rng = np.random.default_rng(41)
     pred, pos, _ = _random_case(rng)
     pool = NegativePool(complement_set((8, 8), pos))
-    first = auc_averaged(pred, pos, pool, split_streams([9], 20)[0])
-    second = auc_averaged(pred, pos, pool, split_streams([9], 20)[0])
+    first = auc_averaged(pred, pos, pool, split_streams([9], 20))
+    second = auc_averaged(pred, pos, pool, split_streams([9], 20))
     assert first == second
-    third = auc_averaged(pred, pos, pool, split_streams([10], 20)[0])
+    third = auc_averaged(pred, pos, pool, split_streams([10], 20))
     assert first != third
 
 
@@ -149,10 +149,10 @@ def test_auc_averaged_empty_draw():
     pred = GridMap(np.ones((2, 2)))
     pool = NegativePool(FixationSet([(1, 1)], (2, 2)))
     with pytest.raises(EmptyPositivesError):
-        auc_averaged(pred, FixationSet([], (2, 2)), pool, split_streams([0], 3)[0])
+        auc_averaged(pred, FixationSet([], (2, 2)), pool, split_streams([0], 3))
     with pytest.raises(EmptyPoolError):
         auc_averaged(pred, FixationSet([(0, 0)], (2, 2)), NegativePool(FixationSet([], (2, 2))),
-                     split_streams([0], 100)[0])
+                     split_streams([0], 100))
 
 
 def test_auc_single_heavily_tied_maps_match_brute_force():

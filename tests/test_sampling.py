@@ -21,6 +21,7 @@ from salmetric.sampling import (
     SplitStreams,
     draw_count,
     draw_indices,
+    draw_pools,
     farthest_pool,
     negative_pool,
     neighbor_ranking,
@@ -39,6 +40,11 @@ FRAME = (64, 64)
 def draw_linear(linear, p, count, streams):
     """:func:`draw_indices` over the entries of ``linear``."""
     return np.asarray(linear)[draw_indices(len(linear), p, count, streams)]
+
+
+def draw_pool(pool, count, streams):
+    """:func:`draw_pools` of one draw from ``pool`` on every row of ``streams``."""
+    return draw_pools(streams, [(pool, count, range(len(streams)))])[0]
 
 
 def toy_dataset(sigma=8.0):
@@ -579,7 +585,7 @@ def test_replay_where_a_uniform_meets_the_cdf(offset):
     draws almost never land there, so the pool is built around the first
     uniform of each stream."""
     candidates = [derive_seed("edge", i) for i in range(200)]
-    first = SplitStreams(candidates).uniforms(np.arange(200), np.zeros(200, dtype=int))
+    first = (SplitStreams(candidates).raw(np.arange(200), 0) >> np.uint64(11)) * 2.0 ** -53
     picked = [(seed, u) for seed, u in zip(candidates, first.tolist()) if 0.125 <= u < 0.25][:4]
     assert len(picked) == 4
     seeds, ps = [seed for seed, _ in picked], []
@@ -626,20 +632,27 @@ def test_batched_replay_splits_its_key_space(monkeypatch):
 
 
 def test_draw_pools_equals_one_draw_per_pool(bias_dataset):
-    """Pools of every sampler, an undersized pool drawn whole, and streams
-    shared by several draws: each result is the pool's own draw."""
-    streams = split_streams([derive_seed(5, rec.id) for rec in bias_dataset.images[:6]], 9)
+    """Pools of every sampler, an undersized pool drawn whole, and rows
+    shared by several draws: each result is the pool's own draw on its own
+    rows, also when a call's lowest row is not the first."""
+    images = bias_dataset.images[:6]
+    streams = split_streams([derive_seed(5, rec.id) for rec in images], 9)
     draws = []
-    for rec, split in zip(bias_dataset.images[:6], streams):
+    for j, rec in enumerate(images):
         for sampler in ("borji", "shuffled", "fn"):
             pool = negative_pool(sampler, rec.id, bias_dataset, 3)
-            draws.append((pool, draw_count(pool, rec.fixations), split))
+            draws.append((pool, draw_count(pool, rec.fixations), range(9 * j, 9 * j + 9)))
     tiny = NegativePool(FixationSet([(1, 2), (7, 3)], bias_dataset.frame), np.array([1.0, 3.0]))
-    draws.append((tiny, 2, streams[0]))
-    got = sampling_module.draw_pools(draws)
+    draws.append((tiny, 2, range(0, 9)))
+    got = draw_pools(streams, draws)
     assert len(got) == len(draws)
-    for (pool, count, split), negatives in zip(draws, got):
-        assert np.array_equal(negatives, pool.draw(count, split))
+    for (pool, count, rows), negatives in zip(draws, got):
+        own = SplitStreams(streams.seeds[rows.start:rows.stop])
+        assert np.array_equal(negatives, pool.locations(
+            draw_indices(len(pool), pool.probabilities(), count, own)))
+    middle = draw_pools(streams, draws[6:12])
+    assert all(np.array_equal(a, b) for a, b in zip(middle, got[6:12]))
+    assert draw_pools(streams, []) == []
 
 
 EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 1, 2 ** 128 - 1]
@@ -659,8 +672,21 @@ def test_stream_words_equal_pcg64_raw():
     rows = np.array([0, 6, 6, 3, 40])
     positions = np.array([699, 0, 23, 24, 511])
     assert np.array_equal(blocked.raw(rows, positions), words[rows, positions])
-    assert np.array_equal(blocked.uniforms(rows, positions),
-                          (words[rows, positions] >> np.uint64(11)) * 2.0 ** -53)
+    # the doubles Generator.random makes of the same words, which _lookup reads
+    for row, seed in enumerate(seeds):
+        assert np.array_equal((words[row, :5] >> np.uint64(11)) * 2.0 ** -53,
+                              np.random.Generator(np.random.PCG64(seed)).random(5))
+
+
+def test_stream_word_at_a_scalar_row_and_position():
+    """Ints index a stream word as index arrays do, with no numpy-scalar
+    overflow warning, and give the broadcast shape."""
+    streams = SplitStreams([1, 2])
+    for view in (streams, streams.with_words(8)):
+        assert view.raw(0, 0) == np.random.PCG64(1).random_raw()
+        assert view.raw(1, 5) == np.random.PCG64(2).random_raw(6)[5]
+        assert view.raw(1, 5).shape == ()
+        assert view.raw(1, np.arange(3)).tolist() == np.random.PCG64(2).random_raw(3).tolist()
 
 
 def test_weighted_draw_reads_words_past_the_block(monkeypatch):
@@ -695,19 +721,23 @@ def test_stream_seed_out_of_range(seed):
 
 
 def test_split_streams_in_one_call_equal_one_call_per_seed():
+    """Rows ``[6·j, 6·j + 6)`` of one call are the streams of a call on
+    ``seeds[j]`` alone."""
     seeds = [0, 7, 2 ** 63 - 1, derive_seed(3, "img")]
     together = split_streams(seeds, 6)
-    assert len(together) == len(seeds)
+    assert len(together) == 6 * len(seeds)
     positions = np.arange(40)
-    for seed, streams in zip(seeds, together):
-        alone = split_streams([seed], 6)[0]
-        assert streams.seeds == alone.seeds == tuple(derive_seed(seed, i) for i in range(6))
-        rows = np.arange(6)[:, None]
-        assert np.array_equal(streams.raw(rows, positions), alone.raw(rows, positions))
-        # streams are plain arrays and ints: a pickle round-trip keeps
-        # every word, so a caller can hand them to another process
-        assert np.array_equal(pickle.loads(pickle.dumps(streams)).raw(rows, positions),
-                              alone.raw(rows, positions))
+    rows = np.arange(6)[:, None]
+    for j, seed in enumerate(seeds):
+        alone = split_streams([seed], 6)
+        assert together.seeds[6 * j:6 * j + 6] == alone.seeds == tuple(
+            derive_seed(seed, i) for i in range(6))
+        assert np.array_equal(together.raw(6 * j + rows, positions), alone.raw(rows, positions))
+    # streams are plain arrays and ints: a pickle round-trip keeps every
+    # word, so a caller can hand them to another process
+    every = np.arange(len(together))[:, None]
+    assert np.array_equal(pickle.loads(pickle.dumps(together)).raw(every, positions),
+                          together.raw(every, positions))
 
 
 def _isin_pool(image_id, dataset, support, counts):
@@ -824,7 +854,7 @@ def test_unweighted_draw_is_pinned_without_generator(monkeypatch):
         expected.append(np.sort(complement_set((8, 4), pool.excluded).linear[drawn]).tolist())
     for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
         monkeypatch.setattr(np.random, name, no_generator)
-    rows = pool.draw(4, SplitStreams(seeds))
+    rows = draw_pool(pool, 4, SplitStreams(seeds))
     assert rows.tolist() == expected
 
 
@@ -843,12 +873,12 @@ def test_pool_of_2_to_the_32_locations_is_refused():
     largest = NegativePool(excluded=FixationSet.from_linear(np.arange(65536), frame))
     assert len(largest) == 2 ** 32
     with pytest.raises(ValueError):
-        largest.draw(3, SplitStreams([5]))
+        draw_pool(largest, 3, SplitStreams([5]))
     # one location fewer is the largest pool drawn, as numpy draws it
     drawable = NegativePool(excluded=FixationSet.from_linear(np.arange(65537), frame))
     assert len(drawable) == 2 ** 32 - 1
     expected = np.sort(np.random.default_rng(5).choice(2 ** 32 - 1, 3, replace=False)) + 65537
-    assert drawable.draw(3, SplitStreams([5])).tolist() == [expected.tolist()]
+    assert draw_pool(drawable, 3, SplitStreams([5])).tolist() == [expected.tolist()]
 
 
 @pytest.mark.parametrize("frame, excluded", [
@@ -892,10 +922,11 @@ def test_borji_pool_builds_no_complement(monkeypatch, bias_dataset):
     monkeypatch.setattr(sampling_module, "complement_set", refused, raising=False)
     pool = negative_pool("borji", rec.id, bias_dataset)
     seeds = [derive_seed(4, i) for i in range(12)]
-    implicit_rows = pool.draw(len(rec.fixations), SplitStreams(seeds))
+    implicit_rows = draw_pool(pool, len(rec.fixations), SplitStreams(seeds))
     monkeypatch.undo()
     assert pool.excluded == rec.fixations and pool.support is None
-    assert np.array_equal(implicit_rows, explicit.draw(len(rec.fixations), SplitStreams(seeds)))
+    assert np.array_equal(implicit_rows,
+                          draw_pool(explicit, len(rec.fixations), SplitStreams(seeds)))
 
 
 @pytest.mark.parametrize("command", ["negatives", "quality"])
