@@ -156,8 +156,8 @@ def fixation_bands(fixation_sets, sigma: float):
     stay finite. A band is built for all maps at once: step t adds every
     map's t-th fixated row in reach of the band, so each map takes its rows
     in ascending order, as the whole-frame blur does; those rows are first
-    blurred along x, a fixation at a time. A row adds +0.0 to the band rows
-    out of its reach."""
+    blurred along x, a fixation at a time, each fixation a window of the
+    padded x kernel. A row adds +0.0 to the band rows out of its reach."""
     _check_sigma(sigma)
     sigma = float(sigma)
     sets = list(fixation_sets)
@@ -179,8 +179,8 @@ def fixation_bands(fixation_sets, sigma: float):
     start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     count = np.diff(np.r_[start, key.size])
     line_image, line_row = image[start], row[start]
-    x_tap = (width - 1) - col  # plus a column: where a fixation's tap sits in kx_pad
-    columns = np.arange(width)
+    x_tap = (width - 1) - col  # where a fixation's x-blur starts in kx_pad
+    windows = np.lib.stride_tricks.sliding_window_view(kx_pad, width)
     reach = ky.size // 2
     # the band, a step's product and its gathered rows: three band-sized arrays
     rows = max(1, _BAND_FLOATS // (3 * len(sets) * width))
@@ -194,10 +194,10 @@ def fixation_bands(fixation_sets, sigma: float):
         band.fill(0.0)
         for t in range(int(step.max(initial=-1)) + 1):
             lines = near[step == t]
-            blurred = np.zeros((lines.size, width))
-            for u in range(int(count[lines].max())):
+            blurred = windows[x_tap[start[lines]]]
+            for u in range(1, int(count[lines].max())):
                 has = count[lines] > u
-                blurred[has] += kx_pad[x_tap[start[lines[has]] + u][:, None] + columns]
+                blurred[has] += windows[x_tap[start[lines[has]] + u]]
             taps = ky_pad[np.arange(y0, y1)[None, :] - line_row[lines][:, None] + height - 1]
             added = taps[:, :, None] * blurred[:, None, :]
             if lines.size == len(sets):  # every map has a t-th line: no gather

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gaussian import center_bias_map, density_from_fixations
 from .roc import auc_averaged, auc_complement, auc_splits
-from .sampling import NegativePool, draw_count, draw_pools, negative_pool, split_streams
+from .sampling import NegativePool, draw_count, draw_pools, negative_pool, negative_pools, split_streams
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 
@@ -269,16 +269,16 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
     cc, sim and kld, the ig ``baseline`` at the image's fixations, and the
     pool of each sampled AUC.
 
-    The pass takes each image once: its predictions, then its pools, then
-    the count of each of its predictions' draws, on that prediction's rows
-    of the run's one :func:`split_streams`. It flushes the images taken so
-    far, a chunk of about :data:`_CHUNK_FLOATS` floats or one image when
-    nothing is drawn, at the chunk's last image, at the dataset's last
-    image, or at an image that fails: one :func:`draw_pools` call, then
-    scoring. A failing lookup or pool build is raised once the images
-    before it are scored; a failing count stands in that draw's place, for
-    :func:`_score_image` to raise. The centre-bias map is built once and
-    dropped once every image's baseline values are gathered."""
+    The pass takes each image's predictions once, and flushes the images
+    taken so far, a chunk of about :data:`_CHUNK_FLOATS` floats or one image
+    when nothing is drawn, at the chunk's last image, at the dataset's last
+    image, or at an image whose lookup fails: one :func:`negative_pools`
+    call, the count of each prediction's draws on its rows of the run's one
+    :func:`split_streams`, one :func:`draw_pools` call, then scoring. A
+    failing lookup or pool build is raised once the images before it are
+    scored; a failing count ends the chunk at its image and stands in that
+    draw's place, for :func:`_score_image` to raise. The centre-bias map is
+    built once and dropped once every image's baseline values are gathered."""
     asked = [name for name in cfg.metrics if name in SAMPLED_METRICS]
     streams, size = None, 1
     if asked:
@@ -291,40 +291,41 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
         baselines = [center.values_at(rec.fixations) for rec in dataset.images]
         del center
     preds = iter(preds)
-    chunk, requests, places, row = [], [], [], 0
-    for n, rec in enumerate(dataset.images):
+    chunk, row = [], 0
+    for n in range(len(dataset)):
         error = None
         try:
             # taken whole: an image's iterable may read state that taking the
             # next one changes, as ``sigma_sweep``'s generators read their image
-            image_preds = list(next(preds))
-            pools = {name: negative_pool(sampler, rec.id, dataset, cfg.k, cfg.sigma)
-                     for name, sampler in SAMPLED_METRICS.items() if name in asked}
+            chunk.append((n, list(next(preds))))
         except Exception as exc:
             error = exc
-        else:
-            draws = [{} for _ in image_preds]
-            chunk.append((n, image_preds, pools, draws))
-            for drawn in draws:
-                for name in asked:
-                    try:
-                        count = draw_count(pools[name], rec.fixations)
-                    except Exception as exc:
-                        drawn[name] = error = exc
-                        break
-                    requests.append((pools[name], count, range(row, row + cfg.n_splits)))
-                    places.append((drawn, name))
-                row += cfg.n_splits
-                if error is not None:
-                    break
         if error is None and len(chunk) < size and n + 1 < len(dataset):
             continue
+        built = {name: negative_pools(SAMPLED_METRICS[name], [i for i, _ in chunk], dataset,
+                                      cfg.k, cfg.sigma) for name in asked}
+        taken, requests, places = [], [], []
+        for j, (i, image_preds) in enumerate(chunk):
+            pools = {name: built[name][j] for name in asked}
+            draws = [{} for _ in image_preds]
+            taken.append((i, image_preds, pools, draws))
+            try:
+                for drawn in draws:
+                    for name in asked:
+                        count = draw_count(pools[name], dataset.images[i].fixations)
+                        requests.append((pools[name], count, range(row, row + cfg.n_splits)))
+                        places.append((drawn, name))
+                    row += cfg.n_splits
+            except Exception as exc:
+                # the chunk ends at this image, and its score raises this
+                drawn[name] = error = exc
+                break
         for (drawn, name), negatives in zip(places, draw_pools(streams, requests)):
             drawn[name] = negatives
-        requests, places = [], []
-        chunk.reverse()
-        while chunk:
-            i, image_preds, pools, draws = chunk.pop()
+        chunk, requests, places, built = [], [], [], {}
+        taken.reverse()
+        while taken:
+            i, image_preds, pools, draws = taken.pop()
             image = dataset.images[i]
             density = density_from_fixations(image.fixations, gt_sigma) if needs_gt else None
             task = {"id": image.id, "fixations": image.fixations, "gt_density": density,

@@ -148,14 +148,14 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
     ``derive_seed(seed, i)``, so the result does not depend on evaluation
     order. One :func:`draw_pools` call draws every split and
     :func:`auc_rows` scores them straight from the flat map."""
-    count = draw_count(pool, positives)
-    if len(streams) < 1:
-        raise ValueError("n_splits must be at least 1")
     pv = pred.values_at(positives)
     if pool.frame != pred.frame:
         raise FrameMismatchError(
             f"negatives index a {pool.frame} frame, map is {pred.frame}"
         )
+    count = draw_count(pool, positives)
+    if len(streams) < 1:
+        raise ValueError("n_splits must be at least 1")
     return auc_splits(pv, pred, draw_pools(streams, [(pool, count, range(len(streams)))])[0])
 
 

@@ -1,8 +1,8 @@
 """Negative sets: the pools every sampled AUC and sampler draws from.
 
-:func:`negative_pool` maps a sampler name to an image's :class:`NegativePool`:
-for ``borji`` every location but the image's own, held as those locations;
-otherwise the deduplicated support set plus per-location draw weights.
+:func:`negative_pools` maps a sampler name to images' :class:`NegativePool`
+objects, built together: for ``borji`` every location but the image's own,
+held as those locations; otherwise a support set plus draw weights.
 Weights count how many images fixated a location, so sampling reproduces the
 dataset's fixation distribution even when many fixations collide on a small
 grid; the support set alone would flatten it. :func:`sample_from_pool` draws
@@ -350,13 +350,12 @@ def draw_pools(streams: SplitStreams, draws: list) -> list:
     block = streams._rows(low, max(rows.stop for _, _, rows in draws))
     block = block.with_words(2 * max(count for _, count, _ in draws))
     draws = [(pool, count, range(rows.start - low, rows.stop - low)) for pool, count, rows in draws]
-    weighted = [j for j, (pool, count, _) in enumerate(draws)
-                if pool.weights is not None and 0 < count < len(pool)]
     # pools within a factor of two in size replay together, so that no cdf
     # is padded past twice its own length
     groups = {}
-    for j in weighted:
-        groups.setdefault(len(draws[j][0]).bit_length(), []).append(j)
+    for j, (pool, count, _) in enumerate(draws):
+        if pool.weights is not None and 0 < count < len(pool):
+            groups.setdefault(len(pool).bit_length(), []).append(j)
     idx = {}
     for group in groups.values():
         idx.update(zip(group, _replay_choice(
@@ -576,31 +575,15 @@ def sample_from_pool(pool: NegativePool, positives: FixationSet,
     them all in one pass. Positives of another frame than the pool's raise
     :class:`FrameMismatchError`, and streams of more than one row
     ``ValueError``."""
-    count = draw_count(pool, positives)
     if positives.frame != pool.frame:
         raise FrameMismatchError(
             f"positives index a {positives.frame} frame, the pool a {pool.frame} frame")
+    count = draw_count(pool, positives)
     streams = seed if isinstance(seed, SplitStreams) else SplitStreams([seed])
     if len(streams) != 1:
         raise ValueError(f"one negative set is drawn on one stream, got {len(streams)}")
     return FixationSet.from_linear(draw_pools(streams, [(pool, count, range(1))])[0][0],
                                    pool.frame)
-
-
-def _pool_without(image_id: str, dataset: DatasetIndex, support, counts) -> NegativePool:
-    """Sorted, repeat-free, non-empty ``support`` weighted by ``counts``,
-    minus the image's own locations."""
-    own = dataset.image(image_id).fixations.linear
-    at = np.minimum(support.searchsorted(own), support.size - 1)
-    keep = np.ones(support.size, dtype=bool)
-    keep[at[support[at] == own]] = False
-    kept = FixationSet.from_linear(support[keep], dataset.frame)
-    return NegativePool(kept, counts[keep].astype(np.float64))
-
-
-def shuffled_pool(image_id: str, dataset: DatasetIndex) -> NegativePool:
-    """Fixations pooled from the whole dataset, minus this image's own."""
-    return _pool_without(image_id, dataset, dataset.pooled.linear, dataset.pooled_counts)
 
 
 def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
@@ -610,10 +593,10 @@ def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
     shifted by the mean of its first band: ``G`` sums ``B·Bᵀ`` over the
     shifted bands B and ``s`` their row sums, and the correlations are the
     centred Gram ``G − s·sᵀ/(w·h)`` divided by the square roots of its
-    diagonal, then clipped. Correlation ignores each density's
+    diagonal, then clipped, in place. Correlation ignores each density's
     mass, so the bands are not normalised. No N × w·h array is built: the
     memory is the N × N matrix and one band, which with its temporaries
-    holds about 2**17 floats."""
+    holds about 2**17 floats, or one N × N temporary at the end."""
     key = ("density_cc", float(sigma))
     cached = dataset._cache.get(key)
     if cached is None:
@@ -635,61 +618,81 @@ def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
         norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
         if np.any(norms == 0.0):
             raise ZeroVarianceError("an image density is constant; cannot correlate")
-        cached = np.clip(gram / np.outer(norms, norms), -1.0, 1.0)
-        dataset._cache[key] = cached
+        gram /= np.outer(norms, norms)
+        cached = dataset._cache[key] = np.clip(gram, -1.0, 1.0, out=gram)
     return cached
 
 
-def _id_rank(dataset: DatasetIndex) -> np.ndarray:
-    """Each image's position in id order, cached on the dataset."""
+def _farthest(dataset: DatasetIndex, images: list, k: int, sigma: float) -> np.ndarray:
+    """Row j: the ``k`` images least correlated with image ``images[j]`` at
+    ``sigma``, lowest first, equal correlations in id order: one ``lexsort``
+    of their :func:`_cc_matrix` rows, each image's own entry set last."""
     rank = dataset._cache.get("id_rank")
-    if rank is None:
-        by_id = sorted(range(len(dataset)), key=lambda j: dataset.images[j].id)
-        rank = np.empty(len(dataset), dtype=np.int64)
-        rank[by_id] = np.arange(len(dataset))
-        dataset._cache["id_rank"] = rank
-    return rank
-
-
-def _neighbor_order(i: int, dataset: DatasetIndex, cmat: np.ndarray) -> np.ndarray:
-    """Positions of the images other than image ``i``, lowest correlation
-    ``cmat[i]`` first; equal correlations in id order."""
-    others = np.delete(np.arange(len(dataset)), i)
-    return others[np.lexsort((_id_rank(dataset)[others], cmat[i, others]))]
+    if rank is None:  # each image's position in id order
+        by_id = sorted(range(len(dataset)), key=dataset.ids.__getitem__)
+        rank = dataset._cache["id_rank"] = np.argsort(by_id)
+    rows = _cc_matrix(dataset, sigma)[images]
+    rows[np.arange(len(images)), images] = 2.0
+    return np.lexsort((np.broadcast_to(rank, rows.shape), rows))[:, :k]
 
 
 def neighbor_ranking(image_id: str, dataset: DatasetIndex, sigma: float | None = None) -> NeighborList:
     """Order the other images by how unlike their fixation density is."""
     if len(dataset) < 2:
         raise ValueError("need at least two images to rank neighbors")
-    cmat = _cc_matrix(dataset, dataset.sigma if sigma is None else sigma)
+    sigma = dataset.sigma if sigma is None else sigma
     i = dataset.index(image_id)
-    order = _neighbor_order(i, dataset, cmat)
-    ids = dataset.ids
-    entries = zip([ids[j] for j in order.tolist()], (-cmat[i, order]).tolist())
-    return NeighborList(query=image_id, entries=tuple(entries))
+    order = _farthest(dataset, [i], len(dataset) - 1, sigma)[0].tolist()
+    unlike = (-_cc_matrix(dataset, sigma)[i]).tolist()
+    return NeighborList(query=image_id, entries=tuple((dataset.ids[j], unlike[j]) for j in order))
 
 
-def farthest_pool(image_id: str, dataset: DatasetIndex, k: int, sigma: float | None = None) -> NegativePool:
-    """Union of the top-k farthest neighbors' fixations, minus this image's own."""
-    if not (1 <= k <= len(dataset) - 1):
-        raise ValueError(f"k must be in [1, {len(dataset) - 1}], got {k}")
-    cmat = _cc_matrix(dataset, dataset.sigma if sigma is None else sigma)
-    farthest = _neighbor_order(dataset.index(image_id), dataset, cmat)[:k]
-    merged = np.concatenate([dataset.images[j].fixations.linear for j in farthest.tolist()])
-    support, counts = np.unique(merged, return_counts=True)
-    return _pool_without(image_id, dataset, support, counts)
+def negative_pools(sampler: str, images, dataset: DatasetIndex, k: int = 5,
+                   sigma: float | None = None) -> list:
+    """The ``sampler`` pool of each image at a position of the list ``images``:
+    ``borji``, every location but the image's own; ``shuffled`` and ``fn``,
+    the pooled support weighted by how many other images, or of the image's
+    ``k`` farthest neighbours at ``sigma``, fixated each location, less the
+    locations of weight 0 and the image's own, in one array pass."""
+    if sampler == "borji":
+        return [NegativePool(excluded=dataset.images[i].fixations) for i in images]
+    if sampler not in ("shuffled", "fn"):
+        raise ValueError(f"unknown sampler {sampler!r}; expected borji, shuffled or fn")
+    if not images:
+        return []
+    support = dataset.pooled.linear
+    shape = (len(images), support.size)
+    if sampler == "shuffled":
+        counts = np.broadcast_to(dataset.pooled_counts, shape)
+    else:
+        if not 1 <= k <= len(dataset) - 1:
+            raise ValueError(f"k must be in [1, {len(dataset) - 1}], got {k}")
+        farthest = _farthest(dataset, images, k, dataset.sigma if sigma is None else sigma)
+        linear = [dataset.images[j].fixations.linear for j in farthest.ravel().tolist()]
+        row = np.repeat(np.arange(len(linear)) // k, [a.size for a in linear])
+        at = row * support.size + support.searchsorted(np.concatenate(linear))
+        counts = np.bincount(at, minlength=support.size * len(images)).reshape(shape)
+    own = [dataset.images[i].fixations.linear for i in images]
+    keep = counts > 0
+    keep[np.repeat(np.arange(len(images)), [a.size for a in own]),
+         support.searchsorted(np.concatenate(own))] = False
+    location, weights = np.broadcast_to(support, shape)[keep], counts[keep].astype(np.float64)
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    return [NegativePool(FixationSet.from_linear(location[start:end], dataset.frame),
+                         weights[start:end]) for start, end in zip([0] + ends, ends)]
 
 
 def negative_pool(sampler: str, image_id: str, dataset: DatasetIndex, k: int = 5,
                   sigma: float | None = None) -> NegativePool:
-    """The one map from a sampler name to the image's pool: ``borji``, every
-    non-fixated location; ``shuffled``, :func:`shuffled_pool`; ``fn``,
-    :func:`farthest_pool` over ``k`` neighbours ranked at ``sigma``."""
-    if sampler == "borji":
-        return NegativePool(excluded=dataset.image(image_id).fixations)
-    if sampler == "shuffled":
-        return shuffled_pool(image_id, dataset)
-    if sampler == "fn":
-        return farthest_pool(image_id, dataset, k, sigma)
-    raise ValueError(f"unknown sampler {sampler!r}; expected borji, shuffled or fn")
+    """One image's pool: :func:`negative_pools` of that image alone."""
+    return negative_pools(sampler, [dataset.index(image_id)], dataset, k, sigma)[0]
+
+
+def shuffled_pool(image_id: str, dataset: DatasetIndex) -> NegativePool:
+    """Fixations pooled from the whole dataset, minus this image's own."""
+    return negative_pool("shuffled", image_id, dataset)
+
+
+def farthest_pool(image_id: str, dataset: DatasetIndex, k: int, sigma: float | None = None) -> NegativePool:
+    """Union of the top-k farthest neighbors' fixations, minus this image's own."""
+    return negative_pool("fn", image_id, dataset, k, sigma)

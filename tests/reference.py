@@ -57,26 +57,30 @@ def farthest(dataset, i: int, k: int, sigma: float) -> list:
     return others[:k]
 
 
+def pool_counts(metric: str, dataset, i: int, k: int, sigma: float):
+    """Image ``i``'s candidate negatives for a sampled AUC, in location
+    order, and how many of the pooled images fixated each (``None`` for
+    uniform); both may be empty."""
+    own = set(dataset.images[i].fixations.linear.tolist())
+    width, height = dataset.frame
+    if metric == "auc_borji":
+        return np.array(sorted(set(range(width * height)) - own), dtype=np.int64), None
+    if metric == "s_auc":
+        counts = _counts(rec.fixations for j, rec in enumerate(dataset.images) if j != i)
+    else:
+        counts = _counts(dataset.images[j].fixations for j in farthest(dataset, i, k, sigma))
+    locations = sorted(set(counts) - own)
+    return (np.array(locations, dtype=np.int64),
+            np.array([counts[location] for location in locations], dtype=np.float64))
+
+
 def pool(metric: str, dataset, i: int, k: int, sigma: float):
     """Image ``i``'s candidate negatives for a sampled AUC, in location
     order, and their draw probabilities (``None`` for uniform)."""
-    own = set(dataset.images[i].fixations.linear.tolist())
-    width, height = dataset.frame
-    counts = None
-    if metric == "auc_borji":
-        locations = sorted(set(range(width * height)) - own)
-    else:
-        if metric == "s_auc":
-            counts = _counts(rec.fixations for j, rec in enumerate(dataset.images) if j != i)
-        else:
-            counts = _counts(dataset.images[j].fixations for j in farthest(dataset, i, k, sigma))
-        locations = sorted(set(counts) - own)
-    if not locations:
+    locations, weights = pool_counts(metric, dataset, i, k, sigma)
+    if not locations.size:
         raise Abort("empty pool")
-    if counts is None:
-        return np.array(locations, dtype=np.int64), None
-    weights = np.array([counts[location] for location in locations], dtype=np.float64)
-    return np.array(locations, dtype=np.int64), weights / weights.sum()
+    return locations, None if weights is None else weights / weights.sum()
 
 
 def evaluate(dataset, predictions: dict, config) -> tuple:

@@ -131,7 +131,7 @@ def test_evaluate_wrong_frame_exits_1_before_building_anything(workspace, capsys
         raise AssertionError("built before every prediction was checked")
 
     monkeypatch.setattr(metrics_module, "density_from_fixations", built)
-    monkeypatch.setattr(metrics_module, "negative_pool", built)
+    monkeypatch.setattr(metrics_module, "negative_pools", built)
     out = tmp / "r.json"
     assert run(["evaluate", str(manifest), "--pred", str(preds), "--out", str(out)]) == 1
     assert capsys.readouterr().err == \

@@ -178,6 +178,28 @@ def test_fixation_bands_scale_by_a_power_of_two_only_past_a_kernel_peak_of_2_256
         assert np.isfinite(bands @ bands.T).all()
 
 
+@pytest.mark.parametrize("sigma", [1.0, 3.0, 19.0])
+def test_fixation_bands_equal_the_densities_on_rows_of_several_fixations(sigma, monkeypatch):
+    """A row holding several fixations is blurred along x a fixation at a
+    time, in column order; every band still equals the densities bit for
+    bit, on rows of 1 to 14 fixations, with bands of one row and of the
+    whole frame."""
+    rng = np.random.default_rng(int(sigma))
+    w, h = 40, 30
+    sets = []
+    for _ in range(6):
+        rows = rng.choice(h, size=5, replace=False)
+        sets.append(FixationSet.from_linear(np.concatenate(
+            [y * w + rng.choice(w, size=int(rng.integers(1, 15)), replace=False)
+             for y in rows.tolist()]), (w, h)))
+    expected = b"".join(density_from_fixations(fx, sigma).values.tobytes() for fx in sets)
+    for floats in (1, 2 ** 17):
+        monkeypatch.setattr(gaussian_module, "_BAND_FLOATS", floats)
+        maps = np.concatenate([band.copy().reshape(len(sets), -1, w)
+                               for band in fixation_bands(sets, sigma)], axis=1)
+        assert (maps / maps.sum(axis=(1, 2), keepdims=True)).tobytes() == expected
+
+
 def test_density_rejects_sigma_whose_blur_underflows():
     fixations = FixationSet([(3, 3), (10, 4)], (16, 12))
     # 1e308 also has a three-width radius too large for an integer

@@ -359,7 +359,7 @@ def test_evaluate_all_checks_predictions_before_building_anything(monkeypatch, b
         raise AssertionError("built before every prediction was checked")
 
     monkeypatch.setattr(metrics_module, "density_from_fixations", built)
-    monkeypatch.setattr(metrics_module, "negative_pool", built)
+    monkeypatch.setattr(metrics_module, "negative_pools", built)
     with pytest.raises(error, match="'c'"):
         evaluate_all(ds, preds, EvalConfig(k=2))
 
@@ -374,16 +374,18 @@ def test_evaluate_all_checks_a_frame_before_building_that_image(monkeypatch):
     def building(name, original):
         def wrapper(*args, **kwargs):
             built.append(name)
-            if any(arg is ds.image("c").fixations or arg == "c" for arg in args):
+            # negative_pools takes a list of image positions
+            if any(arg is ds.image("c").fixations or arg == "c"
+                   or (isinstance(arg, list) and ds.index("c") in arg) for arg in args):
                 raise AssertionError(f"{name} built image c's input before its frame was checked")
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("density_from_fixations", "negative_pool"):
+    for name in ("density_from_fixations", "negative_pools"):
         monkeypatch.setattr(metrics_module, name, building(name, getattr(metrics_module, name)))
     with pytest.raises(DimensionMismatchError, match="'c'"):
         evaluate_all(ds, preds, EvalConfig(k=2))
-    assert set(built) == {"density_from_fixations", "negative_pool"}
+    assert set(built) == {"density_from_fixations", "negative_pools"}
 
 
 def test_evaluate_all_looks_each_prediction_up_once():

@@ -9,7 +9,8 @@ import pytest
 import reference
 from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord
 from salmetric.errors import SalmetricError
-from salmetric.metrics import TIE_BREAK_MODES, EvalConfig, evaluate_all
+from salmetric.metrics import SAMPLED_METRICS, TIE_BREAK_MODES, EvalConfig, evaluate_all
+from salmetric.sampling import _farthest, negative_pools
 
 N_CASES = 40
 
@@ -101,3 +102,32 @@ def test_the_cases_cover_the_corners():
     assert last_k >= 5
     assert modes == set(TIE_BREAK_MODES)
     assert scored >= N_CASES * 3 // 4
+
+
+@pytest.mark.parametrize("case", range(N_CASES))
+def test_a_chunks_pools_equal_the_reference_pools(case):
+    """``negative_pools`` builds a chunk of images' pools in array passes.
+    At chunk sizes 1, 2, 3 and N, every image's pools hold the reference's
+    locations, counts and length, and its ``fn`` neighbours are the
+    reference's: ``np.corrcoef`` ranks with equal correlations in id order,
+    and the cases' repeated images tie exactly."""
+    dataset, _, config = random_case(case)
+    sigma = dataset.sigma if config.sigma is None else config.sigma
+    n = len(dataset)
+    for size in (1, 2, 3, n):
+        for first in range(0, n, size):
+            chunk = list(range(first, min(first + size, n)))
+            built = {sampler: negative_pools(sampler, chunk, dataset, config.k, sigma)
+                     for sampler in SAMPLED_METRICS.values()}
+            farthest = _farthest(dataset, chunk, config.k, sigma)
+            for j, (i, neighbours) in enumerate(zip(chunk, farthest)):
+                assert neighbours.tolist() == reference.farthest(dataset, i, config.k, sigma)
+                for metric, sampler in SAMPLED_METRICS.items():
+                    pool = built[sampler][j]
+                    locations, weights = reference.pool_counts(metric, dataset, i, config.k, sigma)
+                    assert len(pool) == locations.size
+                    assert np.array_equal(pool.locations(np.arange(len(pool))), locations)
+                    if weights is None:
+                        assert pool.weights is None
+                    else:
+                        assert np.array_equal(pool.weights, weights)

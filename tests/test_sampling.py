@@ -2,11 +2,14 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from salmetric.core import DatasetIndex, FixationSet, ImageRecord, complement_set
+from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord, complement_set
 from salmetric.errors import (
     EmptyPoolError,
     EmptyPositivesError,
@@ -16,6 +19,7 @@ from salmetric.errors import (
 )
 from salmetric.gaussian import center_bias_map, density_from_fixations, fixation_bands
 from salmetric.metrics import cc
+from salmetric.roc import auc_averaged
 from salmetric.sampling import (
     NegativePool,
     SplitStreams,
@@ -208,14 +212,19 @@ def _stacked_cc(ds, sigma):
     return np.clip(rows @ rows.T, -1.0, 1.0)
 
 
+def _neighbour_orders(ds, cmat):
+    """Every image's neighbours as the pool builder ranks them, all images in
+    one chunk, on the neighbour matrix ``cmat``."""
+    with mock.patch.object(sampling_module, "_cc_matrix", lambda dataset, sigma: cmat):
+        return sampling_module._farthest(ds, list(range(len(ds))), len(ds) - 1, ds.sigma)
+
+
 def _reordered_neighbours(ds, banded, stacked):
     """Every place where the two matrices rank an image's neighbours
     differently: the image, the rank, the neighbour each matrix puts there
     and how far apart their stacked correlations lie."""
     out = []
-    for i in range(len(ds)):
-        a = sampling_module._neighbor_order(i, ds, banded)
-        b = sampling_module._neighbor_order(i, ds, stacked)
+    for i, (a, b) in enumerate(zip(_neighbour_orders(ds, banded), _neighbour_orders(ds, stacked))):
         for rank in np.flatnonzero(a != b).tolist():
             out.append((ds.ids[i], rank, ds.ids[a[rank]], ds.ids[b[rank]],
                         float(abs(stacked[i, a[rank]] - stacked[i, b[rank]]))))
@@ -265,6 +274,31 @@ def test_cc_matrix_ranks_the_benchmark_datasets_as_the_stacked_matrix(config):
     banded = sampling_module._cc_matrix(ds, ds.sigma)
     assert np.abs(banded - stacked).max() < 1e-13
     assert _reordered_neighbours(ds, banded, stacked) == []
+
+
+def test_cc_matrix_memory_does_not_grow_with_rows_of_several_fixations():
+    """The matrix build holds the N × N matrix, one band with its
+    temporaries (about ``_BAND_FLOATS`` floats) and a few arrays of one
+    entry per fixation, however many rows hold several fixations: with two
+    fixations in every row of 24 images at 256×160, its tracemalloc peak
+    stays under 2·``_BAND_FLOATS`` floats plus 16 per fixation (3.1 MB),
+    where keeping every such row's x-blur would take 24·160·256 floats
+    (7.9 MB)."""
+    n, (w, h) = 24, (256, 160)
+    rng = np.random.default_rng(5)
+    rows = np.arange(h)[:, None] * w
+    ds = DatasetIndex([ImageRecord(f"i{j:02d}", FixationSet.from_linear(
+        rows + rng.integers(0, w // 2, size=(h, 1)) + [0, w // 2], (w, h))) for j in range(n)],
+        sigma=1.0)
+    fixations = sum(len(rec.fixations) for rec in ds.images)
+    assert fixations == 2 * n * h
+    tracemalloc.start()
+    try:
+        sampling_module._cc_matrix(ds, ds.sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (2 * gaussian_module._BAND_FLOATS + 16 * fixations), peak
 
 
 def test_cc_matrix_reorders_only_neighbours_the_stacked_matrix_ties():
@@ -526,6 +560,19 @@ def test_sample_from_pool_checks_its_frame_and_stream():
         sample_from_pool(pool, positives, SplitStreams([]))
     alone = sample_from_pool(pool, positives, SplitStreams([0, 1]).rows()[1])
     assert alone == sample_from_pool(pool, positives, seed=1)
+
+
+def test_a_frame_mismatch_raises_before_the_undersized_pool_warning():
+    """A call that fails its frame check warns nothing first: the frame is
+    checked before the draw count, which warns of an undersized pool."""
+    pool = NegativePool(FixationSet([(0, 0)], (4, 4)))
+    positives = FixationSet([(0, 0), (1, 1), (2, 2)], (5, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FrameMismatchError):
+            sample_from_pool(pool, positives, seed=0)
+        with pytest.raises(FrameMismatchError):
+            auc_averaged(GridMap(np.ones((5, 5))), positives, pool, split_streams([0], 3))
 
 
 def _lookups(monkeypatch):
