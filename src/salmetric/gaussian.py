@@ -135,82 +135,48 @@ def density_from_fixations(fixations: FixationSet, sigma: float) -> DensityMap:
     return DensityMap(values / mass)
 
 
-# A band of :func:`fixation_bands` and the temporaries it is built with hold
-# about this many floats (1 MB).
-_BAND_FLOATS = 2 ** 17
+def _centred(taps: np.ndarray) -> np.ndarray:
+    """Subtract each row's mean from ``taps``, in place, and return those
+    means. Each row is first shifted by its first tap, so that a flat row
+    centres to exactly 0 and a nearly flat one keeps its digits."""
+    first = taps[:, 0].copy()
+    taps -= first[:, None]
+    mean = taps.mean(axis=1)
+    taps -= mean[:, None]
+    return first + mean
 
 
-def fixation_bands(fixation_sets, sigma: float):
-    """The blurred fixation maps of ``fixation_sets`` (over one frame), a band
-    of rows at a time: yields an ``N × (y1 − y0)·w`` array for each band of
-    rows ``[y0, y1)``, top to bottom, holding every map's rows of the band.
-    A band and the temporaries it is built with hold about ``_BAND_FLOATS``
-    floats, and a band at least one row of each map. The bands share one
-    buffer, each written over by the next, so a band must be copied to be
-    kept. Raises :class:`InvalidSigmaError`, as :func:`density_from_fixations`
-    does, after the last band if some map underflows to 0 everywhere.
-
-    Each row is bit for bit that row of :func:`density_from_fixations` before
-    it divides by the mass, times a power of two that is 1 unless the kernel
-    peak passes 2**256 (sigma below about 1e-39), so that products of rows
-    stay finite. A band is built for all maps at once: step t adds every
-    map's t-th fixated row in reach of the band, so each map takes its rows
-    in ascending order, as the whole-frame blur does; those rows are first
-    blurred along x, a fixation at a time, each fixation a window of the
-    padded x kernel. A row adds +0.0 to the band rows out of its reach."""
+def tap_grams(sigma: float, frame: Frame, rows, cols):
+    """The Grams of the blur taps of fixations in ``rows`` and ``cols`` of
+    ``frame``. Row j of U is the y kernel centred on ``rows[j]`` and row j of
+    V the x kernel on ``cols[j]``, each zero-padded past its reach and scaled
+    to a peak of 1, so a fixation at ``(x, y)`` adds ``U[y] ⊗ V[x]`` to the
+    blurred map, times the product of the peaks. Returns ``Ay = ŨŨᵀ``,
+    ``Ax = VVᵀ``, ``h·Axc = h·ṼṼᵀ`` and ``ū``, where ``ū`` holds U's row means
+    and a tilde marks taps less their row means. Raises
+    :class:`InvalidSigmaError`, as :func:`density_from_fixations` does, when
+    the product of the peaks underflows to 0."""
     _check_sigma(sigma)
     sigma = float(sigma)
-    sets = list(fixation_sets)
-    width, height = sets[0].frame
+    width, height = frame
     kx, ky = _kernel_1d(sigma, width), _kernel_1d(sigma, height)
-    peak = float(kx.max() * ky.max())
-    scale = 2.0 ** -math.frexp(peak)[1] if peak > 2.0 ** 256 else 1.0
-    # the kernels zero-padded so that every offset d within the frame reads
-    # tap d at d + n - 1, a tap out of reach reading 0
-    kx_pad = np.zeros(2 * width - 1)
-    kx_pad[width - 1 - kx.size // 2 : width + kx.size // 2] = kx
-    ky_pad = np.zeros(2 * height - 1)
-    ky_pad[height - 1 - ky.size // 2 : height + ky.size // 2] = ky
-    # every fixation, by image and then in row-major order; a line is the
-    # fixations of one image in one row, and lines are sorted the same way
-    image = np.repeat(np.arange(len(sets)), [len(fixations) for fixations in sets])
-    row, col = np.divmod(np.concatenate([fixations.linear for fixations in sets]), width)
-    key = image * height + row
-    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    count = np.diff(np.r_[start, key.size])
-    line_image, line_row = image[start], row[start]
-    x_tap = (width - 1) - col  # where a fixation's x-blur starts in kx_pad
-    windows = np.lib.stride_tricks.sliding_window_view(kx_pad, width)
-    reach = ky.size // 2
-    # the band, a step's product and its gathered rows: three band-sized arrays
-    rows = max(1, _BAND_FLOATS // (3 * len(sets) * width))
-    buffer = np.empty(len(sets) * rows * width)
-    held = np.zeros(len(sets), dtype=bool)  # the maps with a nonzero row so far
-    for y0 in range(0, height, rows):
-        y1 = min(y0 + rows, height)
-        near = np.flatnonzero((line_row >= y0 - reach) & (line_row < y1 + reach))
-        step = np.arange(near.size) - np.searchsorted(line_image[near], line_image[near])
-        band = buffer[: buffer.size // rows * (y1 - y0)].reshape(len(sets), y1 - y0, width)
-        band.fill(0.0)
-        for t in range(int(step.max(initial=-1)) + 1):
-            lines = near[step == t]
-            blurred = windows[x_tap[start[lines]]]
-            for u in range(1, int(count[lines].max())):
-                has = count[lines] > u
-                blurred[has] += windows[x_tap[start[lines[has]] + u]]
-            taps = ky_pad[np.arange(y0, y1)[None, :] - line_row[lines][:, None] + height - 1]
-            added = taps[:, :, None] * blurred[:, None, :]
-            if lines.size == len(sets):  # every map has a t-th line: no gather
-                band += added
-            else:
-                band[line_image[lines]] += added
-        band *= scale
-        held |= band.any(axis=(1, 2))
-        yield band.reshape(len(sets), -1)
-    if not held.all():
+    if kx.max() * ky.max() == 0.0:
         raise InvalidSigmaError(
             f"sigma {sigma!r} is so wide that the blurred fixation map underflows to 0"
         )
+
+    def taps(kernel, at, n):  # the tap at offset d is pad[d + n - 1], 0 out of reach
+        pad = np.zeros(2 * n - 1)
+        pad[n - 1 - kernel.size // 2 : n + kernel.size // 2] = kernel / kernel.max()
+        return np.lib.stride_tricks.sliding_window_view(pad, n)[n - 1 - np.asarray(at)]
+
+    u, v = taps(ky, rows, height), taps(kx, cols, width)
+    u_mean = _centred(u)
+    ay, ax = np.einsum("ik,jk->ij", u, u), np.einsum("ik,jk->ij", v, v)
+    _centred(v)
+    axc = np.einsum("ik,jk->ij", v, v)
+    axc *= height
+    return ay, ax, axc, u_mean
 
 
 def _gaussian_field(frame: Frame, sigma_x: float, sigma_y: float, cx: float,

@@ -30,7 +30,7 @@ from .errors import (
     UndersizedPoolWarning,
     ZeroVarianceError,
 )
-from .gaussian import fixation_bands
+from .gaussian import density_from_fixations, tap_grams
 from .seeding import derive_seed
 
 
@@ -589,51 +589,71 @@ def sample_from_pool(pool: NegativePool, positives: FixationSet,
 def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
     """Pairwise correlation of per-image densities, cached on the dataset.
 
-    Built from :func:`fixation_bands` of the blurred fixation maps, each map
-    shifted by the mean of its first band: ``G`` sums ``B·Bᵀ`` over the
-    shifted bands B and ``s`` their row sums, and the correlations are the
-    centred Gram ``G − s·sᵀ/(w·h)`` divided by the square roots of its
-    diagonal, then clipped, in place. Correlation ignores each density's
-    mass, so the bands are not normalised. No N × w·h array is built: the
-    memory is the N × N matrix and one band, which with its temporaries
-    holds about 2**17 floats, or one N × N temporary at the end."""
+    Built from the blur kernels' :func:`tap_grams` at the fixated rows and
+    columns; no map is blurred. Fixation a adds ``u_a ⊗ v_a`` to its image's
+    map. Centred, ``u⊗v − ū·v̄ = ũ⊗v + ū·𝟙⊗ṽ`` with ``⟨ũ, 𝟙⟩ = 0``, so the
+    centred Gram is ``C_ij = Σ_{a∈i, b∈j} Ay[y_a, y_b]·Ax[x_a, x_b] +
+    h·ū[y_a]·ū[y_b]·Axc[x_a, x_b]``, which subtracts no large terms:
+    ``Z_i = Σ_{a∈i} (Ay[y_a] ⊗ Ax[x_a] + ū ⊗ h·ū[y_a]·Axc[x_a])`` read at
+    image j's fixations. The correlations are C divided by the square roots
+    of its diagonal, by rows and then by columns, and clipped, in place. The
+    memory is the N × N matrix, the Grams, one image's Z and arrays of one
+    entry per fixation. Every product is an ``einsum``: a BLAS call would
+    leave pages of its buffer resident."""
     key = ("density_cc", float(sigma))
     cached = dataset._cache.get(key)
     if cached is None:
-        gram = np.zeros((len(dataset), len(dataset)))
-        sums = np.zeros(len(dataset))
-        shift = None
-        for band in fixation_bands([rec.fixations for rec in dataset.images], sigma):
-            if shift is None:
-                # the first band's mean stands in for each map's mean: rows
-                # shifted by a constant keep their centred Gram, and a broad,
-                # nearly flat map then keeps its variance through the
-                # subtraction below
-                shift = band.mean(axis=1, keepdims=True)
-            band -= shift
-            gram += band @ band.T
-            sums += band.sum(axis=1)
-        width, height = dataset.frame
-        gram -= np.outer(sums, sums) / (width * height)
-        norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
-        if np.any(norms == 0.0):
-            raise ZeroVarianceError("an image density is constant; cannot correlate")
-        gram /= np.outer(norms, norms)
+        n, (width, height) = len(dataset), dataset.frame
+        sizes = np.array([len(rec.fixations) for rec in dataset.images])
+        start = np.r_[0, np.cumsum(sizes)]
+        ys, xs = np.divmod(np.concatenate([rec.fixations.linear for rec in dataset.images]), width)
+        rows, y = np.unique(ys, return_inverse=True)
+        cols, x = np.unique(xs, return_inverse=True)
+        ay, ax, axc, u_mean = tap_grams(sigma, dataset.frame, rows, cols)
+        gram = np.empty((n, n))
+        at = y * cols.size + x  # each fixation's entry of a flattened Z_i
+        z = np.empty((rows.size, cols.size))
+        for i in range(n):
+            f = slice(start[i], start[i + 1])
+            np.einsum("ar,ax->rx", ay[y[f]], ax[x[f]], out=z)
+            z += np.multiply.outer(u_mean, np.einsum("a,ax", u_mean[y[f]], axc[x[f]]))
+            gram[i] = np.add.reduceat(z.ravel()[at], start[:-1])
+        norms = gram.diagonal().copy()
+        constant = norms <= 0.0
+        for i in np.flatnonzero(sizes == width * height).tolist():
+            # with every pixel fixated and a kernel too narrow to reach the next
+            # pixel, the map is flat to the bit, which C resolves only to rounding
+            values = density_from_fixations(dataset.images[i].fixations, sigma).values
+            constant[i] |= values.min() == values.max()
+        if constant.any():
+            raise ZeroVarianceError(
+                f"image {dataset.ids[int(np.argmax(constant))]!r} has a constant density at "
+                f"sigma {float(sigma)!r}; cannot correlate")
+        np.sqrt(norms, out=norms)
+        gram /= norms[:, None]
+        gram /= norms
         cached = dataset._cache[key] = np.clip(gram, -1.0, 1.0, out=gram)
     return cached
 
 
 def _farthest(dataset: DatasetIndex, images: list, k: int, sigma: float) -> np.ndarray:
     """Row j: the ``k`` images least correlated with image ``images[j]`` at
-    ``sigma``, lowest first, equal correlations in id order: one ``lexsort``
-    of their :func:`_cc_matrix` rows, each image's own entry set last."""
+    ``sigma``, lowest first, equal correlations in id order, each image's own
+    entry set last, of their :func:`_cc_matrix` rows. Below ``k = N − 1``
+    only a row's entries up to its k-th lowest, found by ``np.partition``,
+    are ``lexsort``ed, by row, then correlation and then id rank."""
     rank = dataset._cache.get("id_rank")
     if rank is None:  # each image's position in id order
         by_id = sorted(range(len(dataset)), key=dataset.ids.__getitem__)
         rank = dataset._cache["id_rank"] = np.argsort(by_id)
     rows = _cc_matrix(dataset, sigma)[images]
     rows[np.arange(len(images)), images] = 2.0
-    return np.lexsort((np.broadcast_to(rank, rows.shape), rows))[:, :k]
+    if k >= rows.shape[1] - 1:
+        return np.lexsort((np.broadcast_to(rank, rows.shape), rows))[:, :k]
+    row, col = np.nonzero(rows <= np.partition(rows, k - 1, axis=1)[:, k - 1:k])
+    order = np.lexsort((rank[col], rows[row, col], row))
+    # row is ascending, so each row's entries start where they did unsorted
+    return col[order][np.searchsorted(row, np.arange(len(images)))[:, None] + np.arange(k)]
 
 
 def neighbor_ranking(image_id: str, dataset: DatasetIndex, sigma: float | None = None) -> NeighborList:

@@ -6,18 +6,17 @@ import pytest
 
 from salmetric.core import FixationSet, GridMap, vectorize
 from salmetric.errors import EmptyFixationsError, InvalidSigmaError
-from salmetric import gaussian as gaussian_module
 from salmetric.gaussian import (
     _correlate_axis,
     _kernel_1d,
     blur,
     center_bias_map,
     density_from_fixations,
-    fixation_bands,
     gaussian_kernel,
     global_gaussian_map,
     kernel_radius,
     sigma_for_dataset,
+    tap_grams,
 )
 
 
@@ -164,40 +163,41 @@ def test_density_blurs_only_the_fixated_rows_bit_for_bit():
         assert density_from_fixations(fixations, sigma).values.tobytes() == expected.tobytes()
 
 
-def test_fixation_bands_scale_by_a_power_of_two_only_past_a_kernel_peak_of_2_256(monkeypatch):
-    monkeypatch.setattr(gaussian_module, "_BAND_FLOATS", 40)
-    rng = np.random.default_rng(41)
-    sets = [FixationSet.from_linear(rng.choice(16 * 12, size=5, replace=False), (16, 12))
-            for _ in range(3)]
-    for sigma, scaled in ((1e-30, False), (1e-100, True), (5.3e-155, True)):
-        maps = np.stack([blur(vectorize(fx), sigma).values.ravel() for fx in sets])
-        bands = np.concatenate([b.copy() for b in fixation_bands(sets, sigma)], axis=1)
-        ratio = np.unique(bands[maps > 0] / maps[maps > 0])
-        assert ratio.size == 1 and math.frexp(ratio[0])[0] == 0.5
-        assert bool(ratio[0] < 1.0) is scaled
-        assert np.isfinite(bands @ bands.T).all()
-
-
-@pytest.mark.parametrize("sigma", [1.0, 3.0, 19.0])
-def test_fixation_bands_equal_the_densities_on_rows_of_several_fixations(sigma, monkeypatch):
-    """A row holding several fixations is blurred along x a fixation at a
-    time, in column order; every band still equals the densities bit for
-    bit, on rows of 1 to 14 fixations, with bands of one row and of the
-    whole frame."""
-    rng = np.random.default_rng(int(sigma))
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0, 19.0, 500.0, 1e6])
+def test_tap_grams_give_the_centred_inner_products_of_blurred_maps(sigma):
+    """Summed over pairs of fixations, ``Ay·Ax + ū·ū·h·Axc`` is the inner
+    product of two centred blurred fixation maps over the peaks' product
+    squared, with the rows and columns asked for in any order."""
+    rng = np.random.default_rng(int(sigma * 10))
     w, h = 40, 30
-    sets = []
-    for _ in range(6):
-        rows = rng.choice(h, size=5, replace=False)
-        sets.append(FixationSet.from_linear(np.concatenate(
-            [y * w + rng.choice(w, size=int(rng.integers(1, 15)), replace=False)
-             for y in rows.tolist()]), (w, h)))
-    expected = b"".join(density_from_fixations(fx, sigma).values.tobytes() for fx in sets)
-    for floats in (1, 2 ** 17):
-        monkeypatch.setattr(gaussian_module, "_BAND_FLOATS", floats)
-        maps = np.concatenate([band.copy().reshape(len(sets), -1, w)
-                               for band in fixation_bands(sets, sigma)], axis=1)
-        assert (maps / maps.sum(axis=(1, 2), keepdims=True)).tobytes() == expected
+    sets = [FixationSet.from_linear(rng.choice(w * h, size=n, replace=False), (w, h))
+            for n in (1, 9, 25)]
+    ys, xs = np.divmod(np.concatenate([fx.linear for fx in sets]), w)
+    rows, cols = rng.permutation(np.unique(ys)), rng.permutation(np.unique(xs))
+    ay, ax, axc, u_mean = tap_grams(sigma, (w, h), rows, cols)
+    assert ay.shape == (rows.size, rows.size) and ax.shape == axc.shape == (cols.size, cols.size)
+    row_of, col_of = np.zeros(h, dtype=int), np.zeros(w, dtype=int)
+    row_of[rows], col_of[cols] = np.arange(rows.size), np.arange(cols.size)
+    at = [(row_of[fx.linear // w], col_of[fx.linear % w]) for fx in sets]
+    peaks = _kernel_1d(sigma, w).max() * _kernel_1d(sigma, h).max()
+    maps = np.stack([blur(vectorize(fx), sigma).values.ravel() for fx in sets]) / peaks
+    maps -= maps.mean(axis=1, keepdims=True)
+    for (yi, xi), di in zip(at, maps):
+        for (yj, xj), dj in zip(at, maps):
+            gram = (ay[np.ix_(yi, yj)] * ax[np.ix_(xi, xj)]
+                    + np.outer(u_mean[yi], u_mean[yj]) * axc[np.ix_(xi, xj)]).sum()
+            # the centred maps lose about (sigma / w)**2 of their digits
+            tolerance = 1e-14 * max(1.0, (sigma / w) ** 2)
+            assert abs(gram - di @ dj) <= tolerance * np.sqrt((di @ di) * (dj @ dj))
+
+
+def test_tap_grams_reject_sigma_whose_blur_underflows():
+    for sigma in (1e200, 1e308):
+        with pytest.raises(InvalidSigmaError, match=re.escape(
+                f"sigma {sigma!r} is so wide that the blurred fixation map underflows to 0")):
+            tap_grams(sigma, (16, 12), [3], [10])
+    with pytest.raises(InvalidSigmaError, match="1e-320"):
+        tap_grams(1e-320, (16, 12), [3], [10])
 
 
 def test_density_rejects_sigma_whose_blur_underflows():

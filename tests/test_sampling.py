@@ -16,8 +16,9 @@ from salmetric.errors import (
     FrameMismatchError,
     InvalidSigmaError,
     UndersizedPoolWarning,
+    ZeroVarianceError,
 )
-from salmetric.gaussian import center_bias_map, density_from_fixations, fixation_bands
+from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.metrics import cc
 from salmetric.roc import auc_averaged
 from salmetric.sampling import (
@@ -33,7 +34,6 @@ from salmetric.sampling import (
     shuffled_pool,
     split_streams,
 )
-from salmetric import gaussian as gaussian_module
 from salmetric import sampling as sampling_module
 from salmetric.seeding import derive_seed
 from salmetric.synth import SynthConfig, gen_dataset
@@ -182,18 +182,22 @@ def test_identical_images_are_closest():
     assert abs(ranking.entries[-1][1] - (-1.0)) < 1e-9
 
 
-def test_neighbor_ranking_breaks_exact_ties_by_id():
-    # five fixation patterns, each repeated under ids whose string order is
-    # neither dataset order nor numeric order, so correlations tie exactly
+def _tie_dataset():
+    """Five fixation patterns, each repeated under ids whose string order is
+    neither dataset order nor numeric order, so correlations tie exactly."""
     rng = np.random.default_rng(19)
     patterns = [FixationSet.from_linear(rng.choice(24 * 16, size=4, replace=False), (24, 16))
                 for _ in range(5)]
     ids = [f"img{n}" for n in rng.permutation(30)]
-    ds = DatasetIndex([ImageRecord(image_id, patterns[n % 5]) for n, image_id in enumerate(ids)],
-                      sigma=3.0)
+    return DatasetIndex([ImageRecord(image_id, patterns[n % 5]) for n, image_id in enumerate(ids)],
+                        sigma=3.0)
+
+
+def test_neighbor_ranking_breaks_exact_ties_by_id():
+    ds = _tie_dataset()
     cmat = sampling_module._cc_matrix(ds, ds.sigma)
     ties = 0
-    for i, image_id in enumerate(ids):
+    for i, image_id in enumerate(ds.ids):
         expected = sorted(((rec.id, float(-cmat[i, j])) for j, rec in enumerate(ds.images)
                            if j != i), key=lambda e: (-e[1], e[0]))
         entries = neighbor_ranking(image_id, ds).entries
@@ -203,8 +207,8 @@ def test_neighbor_ranking_breaks_exact_ties_by_id():
 
 
 def _stacked_cc(ds, sigma):
-    """The neighbour matrix as it was built before the row bands: every
-    density stacked, centred and normed in one call."""
+    """The neighbour matrix by brute force: every density stacked, centred
+    and normed in one call."""
     rows = np.stack([density_from_fixations(rec.fixations, sigma).values.ravel()
                      for rec in ds.images])
     rows -= rows.mean(axis=1, keepdims=True)
@@ -219,12 +223,12 @@ def _neighbour_orders(ds, cmat):
         return sampling_module._farthest(ds, list(range(len(ds))), len(ds) - 1, ds.sigma)
 
 
-def _reordered_neighbours(ds, banded, stacked):
+def _reordered_neighbours(ds, built, stacked):
     """Every place where the two matrices rank an image's neighbours
     differently: the image, the rank, the neighbour each matrix puts there
     and how far apart their stacked correlations lie."""
     out = []
-    for i, (a, b) in enumerate(zip(_neighbour_orders(ds, banded), _neighbour_orders(ds, stacked))):
+    for i, (a, b) in enumerate(zip(_neighbour_orders(ds, built), _neighbour_orders(ds, stacked))):
         for rank in np.flatnonzero(a != b).tolist():
             out.append((ds.ids[i], rank, ds.ids[a[rank]], ds.ids[b[rank]],
                         float(abs(stacked[i, a[rank]] - stacked[i, b[rank]]))))
@@ -241,49 +245,47 @@ def _random_dataset(rng, n_images, frame, sigma, most):
 @pytest.mark.parametrize("n_images, frame, sigma", [
     (2, (9, 7), 1.5), (12, (40, 30), 3.0), (60, (64, 48), 5.0), (25, (160, 120), 19.0),
 ])
-def test_cc_matrix_equals_the_stacked_matrix_bit_for_bit(n_images, frame, sigma, monkeypatch):
-    """The matrix is built from row bands of the blurred fixation maps. The
-    bands are bit for bit the rows of each density before it is normalised,
-    at several widths and band heights; the matrix stays within 1e-13 of
-    stacking the densities, as it was built before, and ranks every image's
-    neighbours the same."""
-    rng = np.random.default_rng(n_images)
-    ds = _random_dataset(rng, n_images, frame, sigma, 11)
-    sets = [rec.fixations for rec in ds.images]
-    w, h = frame
-    for width in (sigma, 0.3, 50.0):
-        expected = b"".join(density_from_fixations(fx, width).values.tobytes() for fx in sets)
-        for floats in (1, 3 * n_images * w, 2 ** 17):
-            monkeypatch.setattr(gaussian_module, "_BAND_FLOATS", floats)
-            maps = np.concatenate([band.copy().reshape(n_images, -1, w)
-                                   for band in fixation_bands(sets, width)], axis=1)
-            assert (maps / maps.sum(axis=(1, 2), keepdims=True)).tobytes() == expected
+def test_cc_matrix_equals_the_stacked_matrix(n_images, frame, sigma):
+    """The matrix built from the kernels' Gram at the fixations stays within
+    1e-13 of stacking the densities, and ranks every image's neighbours the
+    same."""
+    ds = _random_dataset(np.random.default_rng(n_images), n_images, frame, sigma, 11)
     stacked = _stacked_cc(ds, sigma)
-    banded = sampling_module._cc_matrix(ds, sigma)
-    assert np.abs(banded - stacked).max() < 1e-13
-    assert _reordered_neighbours(ds, banded, stacked) == []
+    built = sampling_module._cc_matrix(ds, sigma)
+    assert np.abs(built - stacked).max() < 1e-13
+    assert _reordered_neighbours(ds, built, stacked) == []
 
 
 @pytest.mark.parametrize("config", [
     SynthConfig(n_images=4, frame=(640, 480), fixations_per_image=30, cluster_sigma=19),
     SynthConfig(n_images=400, frame=(64, 48), fixations_per_image=15),
-], ids=["dense-large", "fn-many"])
+    SynthConfig(n_images=1600, frame=(64, 48), fixations_per_image=15),
+], ids=["dense-large", "fn-many", "fn-many-1600"])
 def test_cc_matrix_ranks_the_benchmark_datasets_as_the_stacked_matrix(config):
     ds = gen_dataset(config)
     stacked = _stacked_cc(ds, ds.sigma)
-    banded = sampling_module._cc_matrix(ds, ds.sigma)
-    assert np.abs(banded - stacked).max() < 1e-13
-    assert _reordered_neighbours(ds, banded, stacked) == []
+    built = sampling_module._cc_matrix(ds, ds.sigma)
+    assert np.abs(built - stacked).max() < 1e-13
+    assert _reordered_neighbours(ds, built, stacked) == []
+
+
+def _cc_matrix_peak(ds):
+    """The tracemalloc peak of building ``ds``'s neighbour matrix, in bytes."""
+    tracemalloc.start()
+    try:
+        sampling_module._cc_matrix(ds, ds.sigma)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_cc_matrix_memory_does_not_grow_with_rows_of_several_fixations():
-    """The matrix build holds the N × N matrix, one band with its
-    temporaries (about ``_BAND_FLOATS`` floats) and a few arrays of one
-    entry per fixation, however many rows hold several fixations: with two
+    """The matrix build holds the N × N matrix, the taps' Grams (h² + 2·w²
+    floats), one image's Z (at most w·h floats) and gathered taps (w + h
+    floats a fixation) and a few arrays of one entry per fixation: with two
     fixations in every row of 24 images at 256×160, its tracemalloc peak
-    stays under 2·``_BAND_FLOATS`` floats plus 16 per fixation (3.1 MB),
-    where keeping every such row's x-blur would take 24·160·256 floats
-    (7.9 MB)."""
+    stays under those plus 16 floats a fixation (3.6 MB), where a Z or a
+    blurred map for every image would take 24·160·256 floats (7.9 MB)."""
     n, (w, h) = 24, (256, 160)
     rng = np.random.default_rng(5)
     rows = np.arange(h)[:, None] * w
@@ -292,21 +294,26 @@ def test_cc_matrix_memory_does_not_grow_with_rows_of_several_fixations():
         sigma=1.0)
     fixations = sum(len(rec.fixations) for rec in ds.images)
     assert fixations == 2 * n * h
-    tracemalloc.start()
-    try:
-        sampling_module._cc_matrix(ds, ds.sigma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (2 * gaussian_module._BAND_FLOATS + 16 * fixations), peak
+    bound = 8 * (n * n + h * h + 2 * w * w + w * h + (w + h) * 2 * h + 16 * fixations)
+    peak = _cc_matrix_peak(ds)
+    assert peak < bound, (peak, bound)
+
+
+def test_cc_matrix_peak_at_the_fn_many_shape():
+    """At the benchmark's fn-many shape, 400 images of 64×48 with 15
+    fixations each, the build holds the N × N matrix and at most 1.5 MB
+    more."""
+    ds = gen_dataset(SynthConfig(n_images=400, frame=(64, 48), fixations_per_image=15))
+    peak = _cc_matrix_peak(ds)
+    assert peak <= 8 * len(ds) ** 2 + 1.5e6, peak
 
 
 def test_cc_matrix_reorders_only_neighbours_the_stacked_matrix_ties():
     """With 1-3 fixations an image, many pairs of correlations are equal in
     exact arithmetic, and rounding orders them, in either matrix. Any order
-    the bands change must be between neighbours whose stacked correlations
-    lie within 1e-12, frames from 1 pixel wide up and widths from 1e-100,
-    where the bands are scaled, to far past the frame."""
+    the built matrix changes must be between neighbours whose stacked
+    correlations lie within 1e-12, frames from 1 pixel wide up and widths
+    from 1e-100, where a kernel peak passes 2**256, to far past the frame."""
     rng = np.random.default_rng(23)
     for trial in range(96):
         frame = tuple(int(v) for v in rng.integers(1, 25, size=2))
@@ -317,11 +324,35 @@ def test_cc_matrix_reorders_only_neighbours_the_stacked_matrix_ties():
             sigma = 1e-100
         ds = _random_dataset(rng, int(rng.integers(2, 12)), frame, sigma, 3)
         stacked = _stacked_cc(ds, sigma)
-        banded = sampling_module._cc_matrix(ds, sigma)
-        assert np.abs(banded - stacked).max() < 1e-12, (frame, sigma)
-        moved = [r for r in _reordered_neighbours(ds, banded, stacked) if r[4] > 1e-12]
+        built = sampling_module._cc_matrix(ds, sigma)
+        assert np.abs(built - stacked).max() < 1e-12, (frame, sigma)
+        moved = [r for r in _reordered_neighbours(ds, built, stacked) if r[4] > 1e-12]
         assert moved == [], \
-            f"frame {frame}, sigma {sigma}: (image, rank, banded, stacked, gap) {moved}"
+            f"frame {frame}, sigma {sigma}: (image, rank, built, stacked, gap) {moved}"
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_farthest_by_partial_selection_equals_the_full_lexsort(seed):
+    """Each row's k farthest by ``np.partition`` and a ``lexsort`` of the
+    entries up to the k-th are those of one ``lexsort`` of the whole row, on
+    exact ties and on random sets, for k from 1 to N − 1 and chunks of 1, 7
+    and N images."""
+    if seed is None:
+        ds = _tie_dataset()
+    else:
+        rng = np.random.default_rng(seed)
+        ds = _random_dataset(rng, int(rng.integers(20, 40)), (20, 15), 2.0, 3)
+    n = len(ds)
+    rows = sampling_module._cc_matrix(ds, ds.sigma).copy()
+    rows[np.arange(n), np.arange(n)] = 2.0
+    rank = np.argsort(sorted(range(n), key=ds.ids.__getitem__))
+    full = np.lexsort((np.broadcast_to(rank, rows.shape), rows))
+    for k in (1, 2, 5, n - 2, n - 1):
+        for size in (1, 7, n):
+            got = np.concatenate([sampling_module._farthest(ds, list(range(i, min(i + size, n))),
+                                                            k, ds.sigma)
+                                  for i in range(0, n, size)])
+            assert np.array_equal(got, full[:, :k]), (k, size)
 
 
 def test_farthest_pool_monotone_in_k(bias_dataset):
@@ -393,6 +424,26 @@ def test_fn_pool_rejects_sigma_whose_blur_underflows():
         with pytest.raises(InvalidSigmaError,
                            match=re.escape(f"sigma {sigma!r} is so wide that the blurred")):
             negative_pool("fn", ds.ids[0], ds, k=1, sigma=sigma)
+
+
+@pytest.mark.parametrize("frame", [(4, 3), (5, 7)])
+def test_fn_pool_names_the_first_image_whose_density_is_constant(frame):
+    """Every pixel fixated under a kernel narrower than a pixel blurs to a
+    flat map, whose variance the kernel Gram leaves at its rounding; the
+    error names the first such image and the width, on frames where that
+    rounding lands on either side of 0."""
+    w, h = frame
+    every = FixationSet([(x, y) for x in range(w) for y in range(h)], frame)
+    corner = FixationSet([(0, 0), (1, 0)], frame)
+    ds = DatasetIndex([ImageRecord("corner", corner), ImageRecord("full_b", every),
+                       ImageRecord("full_a", every)], sigma=1e-3)
+    with pytest.raises(ZeroVarianceError, match=re.escape(
+            "image 'full_b' has a constant density at sigma 0.001; cannot correlate")):
+        negative_pool("fn", "corner", ds, k=1)
+    wide = DatasetIndex(ds.images, sigma=1e12)
+    with pytest.raises(ZeroVarianceError, match=re.escape(
+            "image 'corner' has a constant density at sigma 1000000000000.0")):
+        negative_pool("fn", "corner", wide, k=1)
 
 
 def test_k_bounds(bias_dataset):
@@ -809,12 +860,8 @@ class _ReadLog(tuple):
 
 
 def test_farthest_pool_neighbours_follow_the_ranking_on_exact_ties():
-    rng = np.random.default_rng(19)
-    patterns = [FixationSet.from_linear(rng.choice(24 * 16, size=4, replace=False), (24, 16))
-                for _ in range(5)]
-    ids = [f"img{n}" for n in rng.permutation(30)]
-    ds = DatasetIndex([ImageRecord(image_id, patterns[n % 5]) for n, image_id in enumerate(ids)],
-                      sigma=3.0)
+    ds = _tie_dataset()
+    ids = ds.ids
     cmat = sampling_module._cc_matrix(ds, ds.sigma)
     ds.images = _ReadLog(ds.images)
     ds.images.log = []
