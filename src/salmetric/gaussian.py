@@ -170,9 +170,12 @@ def tap_grams(sigma: float, frame: Frame, rows, cols):
         pad[n - 1 - kernel.size // 2 : n + kernel.size // 2] = kernel / kernel.max()
         return np.lib.stride_tricks.sliding_window_view(pad, n)[n - 1 - np.asarray(at)]
 
-    u, v = taps(ky, rows, height), taps(kx, cols, width)
+    u = taps(ky, rows, height)
     u_mean = _centred(u)
-    ay, ax = np.einsum("ik,jk->ij", u, u), np.einsum("ik,jk->ij", v, v)
+    ay = np.einsum("ik,jk->ij", u, u)
+    del u  # the y taps are let go before the x taps are built
+    v = taps(kx, cols, width)
+    ax = np.einsum("ik,jk->ij", v, v)
     _centred(v)
     axc = np.einsum("ik,jk->ij", v, v)
     axc *= height

@@ -586,20 +586,28 @@ def sample_from_pool(pool: NegativePool, positives: FixationSet,
                                    pool.frame)
 
 
+def _unit_density(dataset: DatasetIndex, i: int, sigma: float) -> np.ndarray:
+    """Image ``i``'s density at ``sigma``, flattened, centred, of norm 1; zeros if constant."""
+    values = density_from_fixations(dataset.images[i].fixations, sigma).values.ravel()
+    if values.min() == values.max():
+        return np.zeros_like(values)
+    values = values - values.mean()
+    return values / np.sqrt(np.einsum("k,k", values, values))
+
+
 def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
     """Pairwise correlation of per-image densities, cached on the dataset.
 
     Built from the blur kernels' :func:`tap_grams` at the fixated rows and
     columns; no map is blurred. Fixation a adds ``u_a ⊗ v_a`` to its image's
     map. Centred, ``u⊗v − ū·v̄ = ũ⊗v + ū·𝟙⊗ṽ`` with ``⟨ũ, 𝟙⟩ = 0``, so the
-    centred Gram is ``C_ij = Σ_{a∈i, b∈j} Ay[y_a, y_b]·Ax[x_a, x_b] +
-    h·ū[y_a]·ū[y_b]·Axc[x_a, x_b]``, which subtracts no large terms:
-    ``Z_i = Σ_{a∈i} (Ay[y_a] ⊗ Ax[x_a] + ū ⊗ h·ū[y_a]·Axc[x_a])`` read at
-    image j's fixations. The correlations are C divided by the square roots
-    of its diagonal, by rows and then by columns, and clipped, in place. The
-    memory is the N × N matrix, the Grams, one image's Z and arrays of one
-    entry per fixation. Every product is an ``einsum``: a BLAS call would
-    leave pages of its buffer resident."""
+    centred Gram's row i, which subtracts no large terms, is ``Z_i =
+    Σ_{a∈i} Ay[y_a] ⊗ Ax[x_a] + ū ⊗ q_i``, ``q_i = Σ_{a∈i} h·ū[y_a]·Axc[x_a]``,
+    summed at each image's fixations. The correlations are C over the square
+    roots of its diagonal, by rows, then columns, clipped, in place; an image
+    that fixates every pixel is correlated from its density. The memory is
+    the N × N matrix, the Grams, one Z and arrays of one entry a fixation.
+    Every product is an ``einsum``: BLAS would leave its buffer resident."""
     key = ("density_cc", float(sigma))
     cached = dataset._cache.get(key)
     if cached is None:
@@ -615,23 +623,28 @@ def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
         z = np.empty((rows.size, cols.size))
         for i in range(n):
             f = slice(start[i], start[i + 1])
-            np.einsum("ar,ax->rx", ay[y[f]], ax[x[f]], out=z)
-            z += np.multiply.outer(u_mean, np.einsum("a,ax", u_mean[y[f]], axc[x[f]]))
+            xa = ax[np.append(x[f], 0)]  # the last outer product is ū ⊗ q_i
+            np.einsum("a,ax", u_mean[y[f]], axc[x[f]], out=xa[-1])
+            ya = ay[np.append(y[f], 0)]
+            ya[-1] = u_mean
+            np.einsum("ar,ax->rx", ya, xa, out=z)
             gram[i] = np.add.reduceat(z.ravel()[at], start[:-1])
         norms = gram.diagonal().copy()
+        # every pixel fixated: a variance below the rounding of C's O(F²) terms
+        full = np.flatnonzero(sizes == width * height)
+        dense = np.array([_unit_density(dataset, i, sigma) for i in full])
         constant = norms <= 0.0
-        for i in np.flatnonzero(sizes == width * height).tolist():
-            # with every pixel fixated and a kernel too narrow to reach the next
-            # pixel, the map is flat to the bit, which C resolves only to rounding
-            values = density_from_fixations(dataset.images[i].fixations, sigma).values
-            constant[i] |= values.min() == values.max()
+        constant[full] = [not d.any() for d in dense]
         if constant.any():
             raise ZeroVarianceError(
                 f"image {dataset.ids[int(np.argmax(constant))]!r} has a constant density at "
                 f"sigma {float(sigma)!r}; cannot correlate")
+        norms[full] = 1.0
         np.sqrt(norms, out=norms)
         gram /= norms[:, None]
         gram /= norms
+        for j in range(n if full.size else 0):
+            gram[full, j] = gram[j, full] = np.einsum("fk,k", dense, _unit_density(dataset, j, sigma))
         cached = dataset._cache[key] = np.clip(gram, -1.0, 1.0, out=gram)
     return cached
 
@@ -639,17 +652,15 @@ def _cc_matrix(dataset: DatasetIndex, sigma: float) -> np.ndarray:
 def _farthest(dataset: DatasetIndex, images: list, k: int, sigma: float) -> np.ndarray:
     """Row j: the ``k`` images least correlated with image ``images[j]`` at
     ``sigma``, lowest first, equal correlations in id order, each image's own
-    entry set last, of their :func:`_cc_matrix` rows. Below ``k = N − 1``
-    only a row's entries up to its k-th lowest, found by ``np.partition``,
-    are ``lexsort``ed, by row, then correlation and then id rank."""
+    entry set last, of their :func:`_cc_matrix` rows. Only a row's entries up
+    to its k-th lowest, found by ``np.partition``, are ``lexsort``ed, by row,
+    then correlation and then id rank."""
     rank = dataset._cache.get("id_rank")
     if rank is None:  # each image's position in id order
         by_id = sorted(range(len(dataset)), key=dataset.ids.__getitem__)
         rank = dataset._cache["id_rank"] = np.argsort(by_id)
     rows = _cc_matrix(dataset, sigma)[images]
     rows[np.arange(len(images)), images] = 2.0
-    if k >= rows.shape[1] - 1:
-        return np.lexsort((np.broadcast_to(rank, rows.shape), rows))[:, :k]
     row, col = np.nonzero(rows <= np.partition(rows, k - 1, axis=1)[:, k - 1:k])
     order = np.lexsort((rank[col], rows[row, col], row))
     # row is ascending, so each row's entries start where they did unsorted

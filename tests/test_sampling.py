@@ -256,6 +256,25 @@ def test_cc_matrix_equals_the_stacked_matrix(n_images, frame, sigma):
     assert _reordered_neighbours(ds, built, stacked) == []
 
 
+@pytest.mark.parametrize("frame", [(4, 3), (5, 7)])
+@pytest.mark.parametrize("sigma", [0.15, 0.2, 0.3])
+def test_cc_matrix_correlates_a_fully_fixated_frame_as_the_stacked_matrix(frame, sigma):
+    """Every pixel fixated under a kernel that barely reaches the next pixel
+    blurs to a map whose variance lies far below the rounding of the Gram's
+    sums; its row still equals the stacked matrix's, on both sides."""
+    w, h = frame
+    every = FixationSet([(x, y) for x in range(w) for y in range(h)], frame)
+    ds = DatasetIndex([ImageRecord("corner", FixationSet([(0, 0), (1, 0)], frame)),
+                       ImageRecord("full", every),
+                       ImageRecord("mid", FixationSet([(2, 1), (1, 2)], frame)),
+                       ImageRecord("edge", FixationSet([(3, 2)], frame))], sigma=sigma)
+    stacked = _stacked_cc(ds, sigma)
+    built = sampling_module._cc_matrix(ds, sigma)
+    assert np.abs(built - stacked).max() < 1e-13
+    assert np.array_equal(built[1], built[:, 1])
+    assert _reordered_neighbours(ds, built, stacked) == []
+
+
 @pytest.mark.parametrize("config", [
     SynthConfig(n_images=4, frame=(640, 480), fixations_per_image=30, cluster_sigma=19),
     SynthConfig(n_images=400, frame=(64, 48), fixations_per_image=15),
