@@ -23,6 +23,9 @@ from .errors import (
 
 Frame = tuple[int, int]
 
+# elementwise passes over a whole map take it in bands of this many values
+BAND = 2 ** 14
+
 
 class GridMap:
     """Dense 2D map of finite float64 values."""
@@ -56,7 +59,11 @@ class GridMap:
             raise FrameMismatchError(
                 f"fixations index a {fixations.frame} frame, map is {self.frame}"
             )
-        return self.values.ravel()[fixations.linear]
+        return self.at(fixations.linear)
+
+    def at(self, index) -> np.ndarray:
+        """Values at ``index`` of the flattened map: locations or a slice."""
+        return self.values.ravel()[index]
 
     def __repr__(self):
         return f"{type(self).__name__}({self.width}x{self.height})"

@@ -126,13 +126,13 @@ def density_from_fixations(fixations: FixationSet, sigma: float) -> DensityMap:
     if mass == math.inf:
         # peaks near the float limit (sigma just above its lower bound) sum
         # past it; scaled to a peak of 1 they give the same point masses
-        values = values / values.max()
+        values /= values.max()
         mass = values.sum()
     if mass == 0.0:
         raise InvalidSigmaError(
             f"sigma {float(sigma)!r} is so wide that the blurred fixation map underflows to 0"
         )
-    return DensityMap(values / mass)
+    return DensityMap(np.divide(values, mass, out=values))
 
 
 def _centred(taps: np.ndarray) -> np.ndarray:
@@ -216,7 +216,7 @@ def _global_gaussian_map(w: int, h: int) -> GridMap:
         raise ValueError("frame must be at least 2x2")
     field = _gaussian_field((w, h), w / 4.0, h / 4.0, (w - 1) / 2.0 + _TIE_OFFSET_X,
                             (h - 1) / 2.0 + _TIE_OFFSET_Y)
-    return GridMap(field / field.max())
+    return GridMap(np.divide(field, field.max(), out=field))
 
 
 def center_bias_map(frame: Frame) -> DensityMap:
@@ -224,4 +224,4 @@ def center_bias_map(frame: Frame) -> DensityMap:
     the classic look-at-the-middle baseline."""
     w, h = int(frame[0]), int(frame[1])
     field = _gaussian_field((w, h), 0.25 * w, 0.25 * h, (w - 1) / 2.0, (h - 1) / 2.0)
-    return DensityMap(field / field.sum())
+    return DensityMap(np.divide(field, field.sum(), out=field))

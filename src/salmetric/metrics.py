@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    BAND,
     DatasetIndex,
     DensityMap,
     FixationSet,
@@ -30,7 +31,7 @@ from .gaussian import center_bias_map, density_from_fixations
 from .roc import auc_averaged, auc_complement, auc_splits
 from .sampling import NegativePool, draw_count, draw_pools, negative_pool, negative_pools, split_streams
 from .seeding import derive_seed
-from .smoothing import tie_break_global, tie_break_noise
+from .smoothing import TieBroken, tie_broken
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -46,17 +47,22 @@ def _check_dims(a: GridMap, b: GridMap):
 
 
 def cc(a: GridMap, b: GridMap) -> float:
-    """Pearson correlation between two maps over flattened pixels."""
+    """Pearson correlation between two maps over flattened pixels; one
+    scratch frame holds the terms of each sum in turn."""
     _check_dims(a, b)
     x = np.asarray(a.values, dtype=np.float64).ravel()
     y = np.asarray(b.values, dtype=np.float64).ravel()
-    xd = x - x.mean()
-    yd = y - y.mean()
-    xn = float(np.sqrt((xd * xd).sum()))
-    yn = float(np.sqrt((yd * yd).sum()))
+    mx, my = x.mean(), y.mean()
+    d = x - mx
+    xn = float(np.sqrt(np.multiply(d, d, out=d).sum()))
+    np.subtract(y, my, out=d)
+    yn = float(np.sqrt(np.multiply(d, d, out=d).sum()))
     if xn == 0.0 or yn == 0.0:
         raise ZeroVarianceError("constant input has no correlation")
-    return float((xd * yd).sum() / (xn * yn))
+    np.subtract(x, mx, out=d)
+    for start in range(0, d.size, BAND):
+        d[start:start + BAND] *= y[start:start + BAND] - my
+    return float(d.sum() / (xn * yn))
 
 
 def nss(pred: GridMap, fixations: FixationSet) -> float:
@@ -78,12 +84,16 @@ def sim(a: DensityMap, b: DensityMap) -> float:
 
 def kld(gt: DensityMap, pred: DensityMap) -> float:
     """Divergence of the prediction from the ground truth, summed over pixels
-    where the ground truth has mass."""
+    where the ground truth has mass; the terms fill one scratch frame."""
     _check_dims(gt, pred)
-    g = gt.values
-    p = pred.values
-    mask = g > 0.0
-    return float(np.sum(g[mask] * np.log(g[mask] / (p[mask] + EPS))))
+    g, p = gt.values.ravel(), pred.values.ravel()
+    terms, n = np.empty(g.size), 0
+    for start in range(0, g.size, BAND):
+        mask = g[start:start + BAND] > 0.0
+        gm = g[start:start + BAND][mask]
+        np.multiply(gm, np.log(gm / (p[start:start + BAND][mask] + EPS)), out=terms[n:n + gm.size])
+        n += gm.size
+    return float(np.sum(terms[:n]))
 
 
 def ig(pred: DensityMap, fixations: FixationSet, baseline: DensityMap | None = None) -> float:
@@ -104,17 +114,13 @@ def _ig_values(pv: np.ndarray, bv: np.ndarray) -> float:
     return float(np.mean(np.log2(pv + EPS) - np.log2(bv + EPS)))
 
 
-def _tie_break(pred: GridMap, mode: str, seed: int) -> GridMap:
-    if mode == "off":
-        return pred
+def _tie_break(pred: GridMap, mode: str, seed: int) -> TieBroken:
     # a flat map carries no ranking; leave it to score at chance
-    if pred.values.min() == pred.values.max():
-        return pred
-    if mode == "global":
-        return tie_break_global(pred)
-    if mode == "noise":
-        return tie_break_noise(pred, derive_seed(seed, "tie-noise"))
-    raise ValueError(f"unknown tie_break mode {mode!r}; expected one of {TIE_BREAK_MODES}")
+    if mode == "off" or pred.values.min() == pred.values.max():
+        return TieBroken(pred)
+    if mode not in ("global", "noise"):
+        raise ValueError(f"unknown tie_break mode {mode!r}; expected one of {TIE_BREAK_MODES}")
+    return tie_broken(pred, mode, derive_seed(seed, "tie-noise"))
 
 
 def auc_judd(pred: GridMap, fixations: FixationSet, tie_break: str = "global",
@@ -212,7 +218,10 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, dr
     stds: dict = {}
     scored = None
     density = None
-    for name in cfg.metrics:
+    # the prediction's density is let go after its last metric, before the AUCs' scratch
+    last = max((pos for pos, name in enumerate(cfg.metrics) if name in ("cc", "sim", "kld", "ig")),
+               default=-1)
+    for pos, name in enumerate(cfg.metrics):
         if name == "cc":
             density = density or normalize_to_density(pred)
             scores[name] = cc(density, task["gt_density"])
@@ -230,12 +239,15 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, dr
         else:
             if scored is None:
                 scored = _tie_break(pred, cfg.tie_break, image_seed)
+                positives = scored.values_at(fx)
             if name == "auc_judd":
                 scores[name] = auc_complement(scored, fx)
                 continue
             if isinstance(draws[name], Exception):
                 raise draws[name]
-            scores[name], stds[name] = auc_splits(scored.values_at(fx), scored, draws[name])
+            scores[name], stds[name] = auc_splits(positives, scored, draws[name])
+        if pos == last:
+            density = None
     return task["id"], scores, stds
 
 

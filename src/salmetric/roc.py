@@ -12,12 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FixationSet, GridMap
+from .core import BAND, FixationSet, GridMap
 from .errors import EmptyNegativesError, EmptyPositivesError, FrameMismatchError
 from .sampling import NegativePool, SplitStreams, draw_count, draw_pools
-
-# auc_complement reads the map in bands of this many values
-_BAND = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -110,23 +107,22 @@ def _pair_count(pv: np.ndarray, values: np.ndarray) -> int:
 
 
 def auc_complement(pred: GridMap, positives: FixationSet) -> float:
-    """AUC of ``positives`` against every other location of ``pred``: the
-    AUC-Judd negatives, never gathered.
+    """AUC of ``positives`` against every other location of ``pred`` (a
+    GridMap or a TieBroken one): the AUC-Judd negatives, never gathered.
 
-    The counts of :func:`auc_rows`, taken against the whole map a band of
-    ``_BAND`` values at a time, minus the positives' counts against
-    themselves. The counts are exact integers and the denominator is
-    ``|positives|·(w·h − |positives|)``, so this equals :func:`auc_values`
-    against the complement bit for bit."""
+    The counts of :func:`auc_rows`, taken against the whole map a band at a
+    time, minus the positives' counts against themselves. The counts are
+    exact integers and the denominator is ``|positives|·(w·h − |positives|)``,
+    so this equals :func:`auc_values` against the complement bit for bit."""
     if len(positives) == 0:
         raise EmptyPositivesError("no positive locations")
     pv = np.sort(pred.values_at(positives))
-    negatives = pred.values.size - pv.size
-    if negatives == 0:
+    size = pred.frame[0] * pred.frame[1]
+    if size == pv.size:
         raise EmptyNegativesError("no negative locations")
-    flat = pred.values.ravel()
-    pairs = sum(_pair_count(pv, flat[start:start + _BAND]) for start in range(0, flat.size, _BAND))
-    return (pairs - _pair_count(pv, pv)) / (2 * pv.size * negatives)
+    pairs = sum(_pair_count(pv, pred.at(slice(start, start + BAND)))
+                for start in range(0, size, BAND))
+    return (pairs - _pair_count(pv, pv)) / (2 * pv.size * (size - pv.size))
 
 
 def auc_single(pred: GridMap, positives: FixationSet, negatives: FixationSet) -> float:
@@ -140,8 +136,8 @@ def auc_single(pred: GridMap, positives: FixationSet, negatives: FixationSet) ->
 
 def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
                  streams: SplitStreams):
-    """Mean and population std of the AUC over ``len(streams)`` draws from
-    ``pool``.
+    """Mean and population std of the AUC of ``pred`` (a GridMap or a
+    TieBroken one) over ``len(streams)`` draws from ``pool``.
 
     The one split loop of every sampled AUC. Split i draws :func:`draw_count`
     negatives on stream i; :func:`split_streams` gives the streams of
@@ -162,5 +158,5 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
 def auc_splits(pos_values: np.ndarray, pred: GridMap, negatives: np.ndarray):
     """Mean and population std of :func:`auc_rows` of ``pos_values`` against
     ``pred``'s values at each row of the location array ``negatives``."""
-    scores = auc_rows(pos_values, pred.values.ravel()[negatives])
+    scores = auc_rows(pos_values, pred.at(negatives))
     return float(scores.mean()), float(scores.std())

@@ -6,19 +6,59 @@ field scaled to half the smallest gap between distinct map values, so any two
 strictly ordered pixels keep their order exactly.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .core import GridMap
+from .core import BAND, GridMap
 from .gaussian import global_gaussian_map
 
 
-def _tie_epsilon(values: np.ndarray, spread: float) -> float:
-    # the positive gaps of the sorted values are the gaps between distinct values
-    gaps = np.diff(np.sort(values, axis=None))
-    gaps = gaps[gaps > 0.0]
-    if gaps.size == 0 or spread <= 0.0:
-        return 1.0
-    return float(gaps.min() / (2.0 * spread))
+def _tie_gap(values: np.ndarray):
+    # the smallest positive gap of the sorted copy, taken a band at a time (one
+    # past the float range reads inf), or None when all values are equal
+    ordered = np.sort(values, axis=None)
+    if ordered[0] == ordered[-1]:
+        return None
+    with np.errstate(over="ignore"):
+        gaps = (np.diff(ordered[start:start + BAND + 1]) for start in range(0, ordered.size - 1, BAND))
+        return min(gap.min(initial=np.inf, where=gap > 0.0) for gap in gaps)
+
+
+class TieBroken(NamedTuple):
+    """A map's tie-broken values, never built whole: the value at flat index
+    b is the map's plus ``eps * field[b]``, or the map's alone with no field."""
+
+    map: GridMap
+    eps: float = 0.0
+    field: np.ndarray | None = None
+    frame = property(lambda self: self.map.frame)
+    values_at = GridMap.values_at
+
+    def at(self, index) -> np.ndarray:
+        values = self.map.at(index)
+        return values if self.field is None else values + self.eps * self.field.ravel()[index]
+
+    def whole(self) -> GridMap:
+        """The tie-broken map, built whole as ``smooth`` writes it."""
+        return self.map if self.field is None else GridMap(self.map.values + self.eps * self.field)
+
+
+def tie_broken(pred: GridMap, mode: str, seed: int = 0) -> TieBroken:
+    """``pred`` jittered by the ``global`` field or by ``noise`` drawn from
+    ``seed``; raises ``ValueError`` when a jittered value is not finite."""
+    if mode == "global" and (pred.width < 2 or pred.height < 2):
+        return TieBroken(pred)
+    gap = _tie_gap(pred.values)  # the sorted copy is let go before a noise field is drawn
+    field = (global_gaussian_map(pred.frame).values if mode == "global"
+             else np.random.default_rng(seed).random(pred.values.shape))
+    spread = float(field.max() - field.min())
+    out = TieBroken(pred, 1.0 if gap is None or spread <= 0.0 else float(gap / (2.0 * spread)), field)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(np.isfinite(out.at(slice(start, start + BAND))).all()
+                   for start in range(0, pred.values.size, BAND)):
+            raise ValueError("map values must be finite")
+    return out
 
 
 def tie_break_global(pred: GridMap) -> GridMap:
@@ -27,15 +67,9 @@ def tie_break_global(pred: GridMap) -> GridMap:
     The field is smooth and centered, so within a tied level it favors pixels
     the way a center-weighted viewer would, and the result is deterministic.
     """
-    if pred.width < 2 or pred.height < 2:
-        return pred
-    field = global_gaussian_map(pred.frame).values
-    eps = _tie_epsilon(pred.values, float(field.max() - field.min()))
-    return GridMap(pred.values + eps * field)
+    return tie_broken(pred, "global").whole()
 
 
 def tie_break_noise(pred: GridMap, seed: int = 0) -> GridMap:
     """Baseline jitter with per-pixel uniform noise, scaled the same way."""
-    noise = np.random.default_rng(seed).random(pred.values.shape)
-    eps = _tie_epsilon(pred.values, float(noise.max() - noise.min()))
-    return GridMap(pred.values + eps * noise)
+    return tie_broken(pred, "noise", seed).whole()

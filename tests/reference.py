@@ -11,21 +11,33 @@ against, and shares none of that path's scoring code:
 - each split draws its negatives with one call of numpy's
   ``Generator.choice``, seeded ``derive_seed(image_seed, split)``.
 
-Only the tie-break, the densities and the seed derivation come from the
-package; each has tests of its own.
+Only the tie-break maps, the densities and the seed derivation come from
+the package; each has tests of its own. The tie-broken map is built whole by
+the public ``tie_break_global`` and ``tie_break_noise``, which the scoring
+path does not call.
 """
 
 import numpy as np
 
 from salmetric.gaussian import density_from_fixations
-from salmetric.metrics import _tie_break
 from salmetric.seeding import derive_seed
+from salmetric.smoothing import tie_break_global, tie_break_noise
 
 AUC_METRICS = ("auc_judd", "auc_borji", "s_auc", "fn_auc")
 
 
 class Abort(Exception):
     """A dataset the evaluator cannot score: some image has no negatives."""
+
+
+def tie_broken_map(pred, mode: str, image_seed: int):
+    """The map the AUCs of ``evaluate_all`` score under tie-break ``mode``:
+    a flat map or mode ``off`` leaves it as it is."""
+    if mode == "off" or pred.values.min() == pred.values.max():
+        return pred
+    if mode == "global":
+        return tie_break_global(pred)
+    return tie_break_noise(pred, derive_seed(image_seed, "tie-noise"))
 
 
 def pairwise_auc(pos_values, neg_values) -> float:
@@ -91,7 +103,7 @@ def evaluate(dataset, predictions: dict, config) -> tuple:
     scores, stds = {}, {}
     for i, rec in enumerate(dataset.images):
         image_seed = derive_seed(config.seed, rec.id)
-        flat = _tie_break(predictions[rec.id], config.tie_break, image_seed).values.ravel()
+        flat = tie_broken_map(predictions[rec.id], config.tie_break, image_seed).values.ravel()
         positives = flat[rec.fixations.linear]
         scores[rec.id], image_stds = {}, {}
         for metric in config.metrics:

@@ -2,11 +2,13 @@ import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from salmetric.core import (
+    BAND,
     DatasetIndex,
     DensityMap,
     FixationSet,
@@ -29,6 +31,7 @@ from salmetric import roc as roc_module
 from salmetric import sampling as sampling_module
 from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.metrics import (
+    ALL_METRICS,
     EvalConfig,
     auc_borji,
     auc_judd,
@@ -44,8 +47,10 @@ from salmetric.metrics import (
 from salmetric.roc import auc_averaged
 from salmetric.sampling import NegativePool, shuffled_pool, split_streams
 from salmetric.seeding import derive_seed
-from salmetric.smoothing import _tie_epsilon, tie_break_global
+from salmetric.smoothing import _tie_gap, tie_break_global
 from salmetric.synth import SynthConfig, gen_dataset, sigma_sweep
+
+from reference import tie_broken_map
 
 
 def density(rows):
@@ -142,6 +147,21 @@ def test_kld_examples():
     assert abs(kld(gt, pred) - math.log(2.0)) < 1e-6
     assert kld(gt, pred) != kld(pred, gt)
     assert kld(pred, gt) > kld(gt, gt)
+
+
+def test_kld_equals_the_masked_expression():
+    """kld makes its terms a band at a time into one scratch frame; it must
+    keep the bits of the whole-frame masked form."""
+    rng = np.random.default_rng(4)
+    for shape in CC_SHAPES[1:]:
+        g = rng.random(shape) * (rng.random(shape) < 0.4)
+        g[0, 0] = 1.0
+        gt = normalize_to_density(GridMap(g))
+        pred = normalize_to_density(GridMap(rng.random(shape) ** 4))
+        mask = gt.values > 0.0
+        expected = float(np.sum(gt.values[mask] * np.log(
+            gt.values[mask] / (pred.values[mask] + metrics_module.EPS))))
+        assert kld(gt, pred) == expected
 
 
 def test_kld_nonnegative_random():
@@ -549,11 +569,36 @@ def test_auc_judd_scores_the_borji_pool(monkeypatch):
         for image_id, pred in preds.items():
             fx = ds.image(image_id).fixations
             seed = derive_seed(config.seed, image_id)
-            scored = metrics_module._tie_break(pred, config.tie_break, seed)
-            flat = scored.values.ravel()
+            flat = tie_broken_map(pred, config.tie_break, seed).values.ravel()
             expected = _pairwise_auc(flat[fx.linear], flat[complement_set(ds.frame, fx).linear])
             assert report.per_image[image_id]["auc_judd"] == expected == \
                 auc_judd(pred, fx, config.tie_break, seed)
+
+
+@pytest.mark.parametrize("metrics, kept", [(ALL_METRICS, False), (("cc", "auc_judd", "sim"), True)],
+                         ids=["all-nine", "sim-after-an-auc"])
+def test_the_prediction_density_is_let_go_after_its_last_metric(monkeypatch, metrics, kept):
+    """Each image's prediction density is built once, and it is gone when
+    the AUCs' tie-break starts unless a distribution metric comes later."""
+    ds, preds = make_eval_inputs()
+    preds = {image_id: GridMap(pred.values) for image_id, pred in preds.items()}
+    made, alive = [], []
+
+    def normalizing(grid):
+        out = normalize_to_density(grid)
+        made.append(weakref.ref(out))
+        return out
+
+    def tie_breaking(*args):
+        alive.append(made[-1]() is not None)
+        return tie_break(*args)
+
+    tie_break = metrics_module._tie_break
+    monkeypatch.setattr(metrics_module, "normalize_to_density", normalizing)
+    monkeypatch.setattr(metrics_module, "_tie_break", tie_breaking)
+    evaluate_all(ds, preds, EvalConfig(metrics=metrics, n_splits=3, k=1))
+    assert len(made) == len(ds)
+    assert alive == [kept] * len(ds)
 
 
 def test_ig_only_evaluate_builds_no_ground_truth_density(monkeypatch):
@@ -659,12 +704,10 @@ def test_auc_averaged_matches_pairwise_oracle_over_pool_draws(kind, bias_dataset
         assert got == (float(np.mean(splits)), float(np.std(splits)))
 
 
-def _unique_tie_epsilon(values, spread):
+def _unique_tie_gap(values):
     """The two-pass form: gaps between the distinct values."""
     distinct = np.unique(values)
-    if distinct.size < 2 or spread <= 0.0:
-        return 1.0
-    return float(np.diff(distinct).min() / (2.0 * spread))
+    return None if distinct.size < 2 else np.diff(distinct).min()
 
 
 @pytest.mark.parametrize("values", [
@@ -674,15 +717,56 @@ def _unique_tie_epsilon(values, spread):
     np.array([[-0.0, 0.0], [0.0, -0.0]]),
     np.full((5, 7), 0.3),
     np.random.default_rng(71).normal(size=(40, 40)),
+    np.random.default_rng(73).choice(np.arange(3000) * 0.25, size=(150, 200)),  # several bands
+    # the one smallest gap straddles the first band boundary of the sorted copy
+    np.random.default_rng(77).permutation(np.arange(40000.0) - 0.5 * (np.arange(40000) >= BAND)
+                                          ).reshape(200, 200),
 ])
 def test_tie_break_matches_unique_oracle(values):
     pred = GridMap(values)
-    for spread in (0.0, 0.75, 2.0):
-        assert _tie_epsilon(pred.values, spread) == _unique_tie_epsilon(pred.values, spread)
-    flat = np.unique(pred.values).size < 2
+    gap = _unique_tie_gap(pred.values)
+    assert _tie_gap(pred.values) == gap
     for mode in ("global", "noise"):
         out = metrics_module._tie_break(pred, mode, 5)
-        assert (out is pred) is flat
+        assert (out.field is None) is (gap is None)
+        if gap is not None:
+            assert out.eps == float(gap / (2.0 * float(out.field.max() - out.field.min())))
+
+
+@pytest.mark.parametrize("mode", ["global", "noise"])
+def test_tie_broken_values_equal_the_built_map(mode):
+    """The AUCs read the tie-broken values where they look, a band at a
+    time over the whole map; they equal the map that ``tie_break_global``
+    and ``tie_break_noise`` build, and AUC-Judd scores that map."""
+    pred = GridMap(np.random.default_rng(79).choice([0.0, 0.25, 1.0], size=(150, 200)))
+    fx = FixationSet.from_linear(np.random.default_rng(83).choice(30000, 40, replace=False),
+                                 (200, 150))
+    built = tie_broken_map(pred, mode, 7).values.ravel()
+    scored = metrics_module._tie_break(pred, mode, 7)
+    got = [scored.at(slice(start, start + BAND)) for start in range(0, built.size, BAND)]
+    assert len(got) > 1 and np.array_equal(np.concatenate(got), built)
+    assert np.array_equal(scored.values_at(fx), built[fx.linear])
+    negatives = complement_set((200, 150), fx).linear
+    assert auc_judd(pred, fx, mode, 7) == _pairwise_auc(built[fx.linear], built[negatives])
+
+
+@pytest.mark.parametrize("mode", ["global", "noise"])
+def test_a_jitter_past_the_float_range_raises_one_line(mode):
+    """A float64 map that holds the float maximum jitters past the float
+    range; scoring it raises the one-line ``GridMap`` error, and numpy warns
+    of no overflow on the way."""
+    ds, _ = make_eval_inputs()
+    pred = GridMap(np.random.default_rng(89).choice([0.0, np.finfo(np.float64).max],
+                                                    size=(12, 12)))
+    runs = (lambda: auc_judd(pred, ds.image("a").fixations, mode),
+            lambda: s_auc(pred, "a", ds, n_splits=3, tie_break=mode),
+            lambda: evaluate_all(ds, dict.fromkeys(ds.ids, pred),
+                                 EvalConfig(metrics=("auc_judd", "s_auc"), tie_break=mode)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            with pytest.raises(ValueError, match="^map values must be finite$"):
+                run()
 
 
 @pytest.mark.parametrize("metrics", [("auc_judd", "auc_borji", "s_auc"),
@@ -719,16 +803,24 @@ def test_scoring_keeps_one_image_inputs_alive(metrics):
         assert after - before < budget, f"{name} peak grew {after - before} bytes"
 
 
-def test_judd_borji_and_ig_hold_under_four_frames():
-    """AUC-Judd counts against the scored map a band at a time, AUC-Borji
-    draws pool positions without building the complement, and the ig
-    baseline is kept at the fixations: on 3 images at 320×240 the tracemalloc
-    peak of ``evaluate_all`` stays below 4 whole frames of float64, with the
-    predictions built beforehand."""
+@pytest.mark.parametrize("metrics, as_read", [(("auc_judd", "auc_borji", "ig"), False),
+                                               (ALL_METRICS, True)],
+                         ids=["judd-borji-ig", "all-nine"])
+def test_scoring_holds_under_four_frames(metrics, as_read):
+    """AUC-Judd counts against the tie-broken values a band at a time, the
+    sampled AUCs read them only where they look, AUC-Borji draws pool
+    positions without building the complement, the ig baseline is kept at
+    the fixations, cc and kld each work in one scratch frame, and the
+    prediction's density is dropped after its last metric: on 3 images at
+    320×240 the tracemalloc peak of ``evaluate_all`` stays below 4 whole
+    frames of float64, with the predictions built beforehand, as densities
+    or as the plain maps ``evaluate`` reads."""
     ds = gen_dataset(SynthConfig(n_images=3, frame=(320, 240), fixations_per_image=30,
                                  cluster_sigma=19.0, seed=0))
     preds = {rec.id: density_from_fixations(rec.fixations, ds.sigma) for rec in ds.images}
-    config = EvalConfig(metrics=("auc_judd", "auc_borji", "ig"), n_splits=10)
+    if as_read:
+        preds = {image_id: GridMap(pred.values) for image_id, pred in preds.items()}
+    config = EvalConfig(metrics=metrics, n_splits=10, k=2)
     evaluate_all(ds, preds, config)  # the tie-break field's per-frame cache fills here
     tracemalloc.start()
     try:
