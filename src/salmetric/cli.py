@@ -26,7 +26,7 @@ from .errors import MissingPredictionError, SalmetricError, UnknownModeError
 from .gaussian import density_from_fixations
 from .metrics import ALL_METRICS, TIE_BREAK_MODES, EvalConfig, _check_frame, evaluate_all
 from .quality import QUALITY_MEASURES, quality_report
-from .sampling import SplitStreams, negative_pool, sample_from_pool
+from .sampling import draw_negatives
 from .seeding import derive_seed
 from .smoothing import tie_break_global, tie_break_noise
 from .synth import PREDICTOR_MODES, SynthConfig, gen_dataset, gen_prediction, sigma_sweep
@@ -111,12 +111,8 @@ def _cmd_negatives(args) -> int:
     dataset = sio.read_manifest(args.manifest)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # every image's draw seeded in one pass
-    streams = SplitStreams([derive_seed(args.seed, "negatives", rec.id) for rec in dataset.images])
-    drawn = []
-    for rec, stream in zip(dataset.images, streams.rows()):
-        pool = negative_pool(args.sampler, rec.id, dataset, args.k)
-        drawn.append(ImageRecord(rec.id, sample_from_pool(pool, rec.fixations, stream)))
+    seeds = [derive_seed(args.seed, "negatives", image_id) for image_id in dataset.ids]
+    drawn = map(ImageRecord, dataset.ids, draw_negatives(args.sampler, dataset, seeds, args.k))
     negatives = DatasetIndex(drawn, name=f"{dataset.name}-negatives-{args.sampler}",
                              sigma=dataset.sigma)
     sio.write_manifest(negatives, out / "negatives.json")

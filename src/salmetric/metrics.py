@@ -29,7 +29,8 @@ from .errors import (
 )
 from .gaussian import center_bias_map, density_from_fixations
 from .roc import auc_averaged, auc_complement, auc_splits
-from .sampling import NegativePool, draw_count, draw_pools, negative_pool, negative_pools, split_streams
+from .sampling import (_CHUNK_FLOATS, NegativePool, _draw_floats, draw_count, draw_pools,
+                       negative_pool, negative_pools, split_streams)
 from .seeding import derive_seed
 from .smoothing import TieBroken, tie_broken
 
@@ -251,24 +252,12 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, dr
     return task["id"], scores, stds
 
 
-# A chunk of images holds at most about this many floats (1 MB) at once: its
-# predictions, its weighted pools' padded cdfs and keys, and its stream
-# words and drawn locations. A 640×480 chunk is one image.
-_CHUNK_FLOATS = 2 ** 17
-
-
 def _image_floats(dataset: DatasetIndex, cfg: EvalConfig, n_preds: int) -> int:
-    """What one image of ``n_preds`` predictions adds to a chunk, at most: a
-    weighted pool holds at most the dataset's pooled locations, an ``fn``
-    pool at most its ``k`` neighbours' fixations, and a draw at most one
-    negative per fixation."""
+    """What one image of ``n_preds`` predictions adds to a chunk, at most:
+    the predictions, and the :func:`_draw_floats` of their splits."""
     width, height = dataset.frame
-    fixations = max(len(rec.fixations) for rec in dataset.images)
-    pooled = len(dataset.pooled)
-    cdf = {"borji": 0, "shuffled": pooled, "fn": min(pooled, cfg.k * fixations)}
     samplers = [SAMPLED_METRICS[name] for name in cfg.metrics if name in SAMPLED_METRICS]
-    return (n_preds * (width * height + cfg.n_splits * fixations * (2 + 3 * len(samplers)))
-            + 2 * sum(cdf[sampler] for sampler in samplers))
+    return n_preds * width * height + _draw_floats(dataset, samplers, cfg.k, n_preds * cfg.n_splits)
 
 
 def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,

@@ -15,7 +15,7 @@ from .core import DatasetIndex, DensityMap, FixationSet
 from .errors import EmptyFixationsError
 from .gaussian import center_bias_map, density_from_fixations
 from .metrics import auc_judd, cc
-from .sampling import SplitStreams, negative_pool, sample_from_pool
+from .sampling import draw_negatives
 from .seeding import derive_seed
 
 QUALITY_MEASURES = ("cc", "auc")
@@ -68,7 +68,7 @@ def positive_contamination(negatives: FixationSet, positives: FixationSet,
 
 
 def _parse_sampler(label: str):
-    """Sampler spec "shuffled" or "fn:K" as ``(sampler, k)`` for :func:`negative_pool`."""
+    """Sampler spec "shuffled" or "fn:K" as ``(sampler, k)`` for :func:`draw_negatives`."""
     kind, *params = label.split(":")
     if kind == "shuffled" and not params:
         return "shuffled", None
@@ -85,7 +85,8 @@ def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: i
     """Mean quality triple per sampler across all images of the dataset.
 
     Each image's draw is seeded from (seed, sampler label, image id), so the
-    report is deterministic and order-independent."""
+    report is deterministic and order-independent; :func:`draw_negatives`
+    draws a sampler's sets a chunk of images at a time."""
     if measure not in QUALITY_MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {QUALITY_MEASURES}")
     samplers = list(samplers)
@@ -99,23 +100,14 @@ def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: i
     out = {}
     for label in samplers:
         sampler, k = _parse_sampler(label)
-        pen, con, ratios = [], [], []
-        # every image's draw seeded in one pass
-        streams = SplitStreams([derive_seed(seed, label, rec.id) for rec in dataset.images])
-        for rec, stream in zip(dataset.images, streams.rows()):
-            pool = negative_pool(sampler, rec.id, dataset, k, sigma)
-            negatives = sample_from_pool(pool, rec.fixations, stream)
-            triple = make_triple(
-                center_penalization(negatives, center, sigma, measure),
-                positive_contamination(negatives, rec.fixations, sigma, measure),
-            )
-            pen.append(triple.penalization)
-            con.append(triple.contamination)
-            if triple.ratio is not None:
-                ratios.append(triple.ratio)
-        out[label] = QualityTriple(
-            penalization=float(np.mean(pen)),
-            contamination=float(np.mean(con)),
-            ratio=float(np.mean(ratios)) if ratios else None,
-        )
+        seeds = [derive_seed(seed, label, rec.id) for rec in dataset.images]
+        drawn = draw_negatives(sampler, dataset, seeds, k, sigma)
+        # each set is scored as it comes, before a later image's failed draw is raised
+        triples = [make_triple(center_penalization(negatives, center, sigma, measure),
+                               positive_contamination(negatives, rec.fixations, sigma, measure))
+                   for rec, negatives in zip(dataset.images, drawn)]
+        ratios = [t.ratio for t in triples if t.ratio is not None]
+        out[label] = QualityTriple(float(np.mean([t.penalization for t in triples])),
+                                   float(np.mean([t.contamination for t in triples])),
+                                   float(np.mean(ratios)) if ratios else None)
     return out

@@ -73,44 +73,37 @@ def auc(curve: RocCurve) -> float:
 def auc_values(pos_values: np.ndarray, neg_values: np.ndarray) -> float:
     """Pairwise rank statistic of positive against negative values.
 
-    The Mann-Whitney form: each positive counts the negatives below it plus
-    one half for each tied negative, over P·N pairs. It equals the area under
-    the :func:`roc_points` curve. The counts are exact integers, so the
-    result is rounded once."""
-    nv = np.sort(neg_values, axis=None)
-    below = int(np.searchsorted(nv, pos_values, side="left").sum())
-    not_above = int(np.searchsorted(nv, pos_values, side="right").sum())
-    return (below + not_above) / (2 * np.size(pos_values) * nv.size)
+    The Mann-Whitney form of :func:`_pair_count` over P·N pairs, as one row
+    of :func:`auc_rows`. It equals the area under the :func:`roc_points`
+    curve. The counts are exact integers, so the result is rounded once."""
+    return float(auc_rows(pos_values, np.ravel(neg_values)[None])[0])
 
 
 def auc_rows(pos_values: np.ndarray, neg_rows: np.ndarray) -> np.ndarray:
     """:func:`auc_values` of ``pos_values`` against each row of ``neg_rows``.
 
-    The same exact pair counts, taken from the other side: each negative
-    counts the positives above it, plus one half for each tied positive. One
-    sort of the positives and one pair of lookups serve every row, in
-    O(rows·count) memory, and each row's integer counts are divided once."""
+    One sort of the positives and one pair of lookups serve every row, in
+    O(rows·count) memory. Each row's int64 counts, far below 2**53, convert
+    exactly and are divided once."""
     pv = np.sort(pos_values, axis=None)
-    below = (pv.size - np.searchsorted(pv, neg_rows, side="right")).sum(axis=1)
-    not_above = (pv.size - np.searchsorted(pv, neg_rows, side="left")).sum(axis=1)
-    # int64 counts far below 2**53 convert exactly, so this rounds as auc_values does
-    return (below + not_above) / (2 * pv.size * neg_rows.shape[1])
+    return _pair_count(pv, neg_rows) / (2 * pv.size * neg_rows.shape[1])
 
 
-def _pair_count(pv: np.ndarray, values: np.ndarray) -> int:
-    """The numerator of :func:`auc_rows` over the entries of ``values``: for
-    each, twice the sorted positives ``pv`` above it plus those tied with it.
-    Each lookup is summed before the next is made."""
-    not_above = int(np.searchsorted(pv, values, side="right").sum())
-    below = int(np.searchsorted(pv, values, side="left").sum())
-    return 2 * pv.size * values.size - not_above - below
+def _pair_count(pv: np.ndarray, values: np.ndarray):
+    """The rank statistic's numerator over the last axis of ``values``: each
+    entry counts twice the sorted positives ``pv`` above it plus those tied
+    with it, the Mann-Whitney count from the negatives' side. Each lookup is
+    summed before the next is made."""
+    not_above = np.searchsorted(pv, values, side="right").sum(axis=-1)
+    below = np.searchsorted(pv, values, side="left").sum(axis=-1)
+    return 2 * pv.size * values.shape[-1] - not_above - below
 
 
 def auc_complement(pred: GridMap, positives: FixationSet) -> float:
     """AUC of ``positives`` against every other location of ``pred`` (a
     GridMap or a TieBroken one): the AUC-Judd negatives, never gathered.
 
-    The counts of :func:`auc_rows`, taken against the whole map a band at a
+    The counts of :func:`_pair_count`, taken against the whole map a band at a
     time, minus the positives' counts against themselves. The counts are
     exact integers and the denominator is ``|positives|·(w·h − |positives|)``,
     so this equals :func:`auc_values` against the complement bit for bit."""
@@ -120,9 +113,9 @@ def auc_complement(pred: GridMap, positives: FixationSet) -> float:
     size = pred.frame[0] * pred.frame[1]
     if size == pv.size:
         raise EmptyNegativesError("no negative locations")
-    pairs = sum(_pair_count(pv, pred.at(slice(start, start + BAND)))
+    pairs = sum(int(_pair_count(pv, pred.at(slice(start, start + BAND))))
                 for start in range(0, size, BAND))
-    return (pairs - _pair_count(pv, pv)) / (2 * pv.size * (size - pv.size))
+    return (pairs - int(_pair_count(pv, pv))) / (2 * pv.size * (size - pv.size))
 
 
 def auc_single(pred: GridMap, positives: FixationSet, negatives: FixationSet) -> float:

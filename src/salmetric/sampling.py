@@ -5,14 +5,13 @@ objects, built together: for ``borji`` every location but the image's own,
 held as those locations; otherwise a support set plus draw weights.
 Weights count how many images fixated a location, so sampling reproduces the
 dataset's fixation distribution even when many fixations collide on a small
-grid; the support set alone would flatten it. :func:`sample_from_pool` draws
-one negative set from a pool, and :func:`draw_count` decides its size.
-:func:`draw_indices` is the one draw underneath both it and every sampled
-AUC, with a split axis: it reads each split's random stream from
-:class:`SplitStreams`, which :func:`split_streams` seeds for a whole run at
-once, and the pool maps the drawn positions to locations. :func:`draw_pools`
-makes the draws of many pools at once, with the weighted ones replayed
-together.
+grid; the support set alone would flatten it. :func:`draw_negatives` draws
+one negative set per image, a chunk of images at a time, and
+:func:`draw_count` decides each draw's size. :func:`draw_pools` is the one
+draw underneath it and every sampled AUC, of many pools at once, with a
+split axis: it reads each split's random stream from :class:`SplitStreams`,
+which :func:`split_streams` seeds for a whole run at once, and the pool maps
+the drawn positions to locations.
 """
 
 import copy
@@ -271,10 +270,6 @@ class SplitStreams:
             part._words = self._words[start:stop]
         return part
 
-    def rows(self) -> list:
-        """These streams as one-row streams, one per seed."""
-        return [self._rows(i, i + 1) for i in range(len(self))]
-
     def with_words(self, n: int) -> "SplitStreams":
         """These streams, carrying words ``[0, n)`` of every row."""
         block = copy.copy(self)
@@ -302,19 +297,14 @@ def split_streams(seeds, n_splits: int) -> SplitStreams:
     return SplitStreams([derive_seed(s, i) for s in seeds for i in range(n_splits)])
 
 
-def draw_indices(n: int, p: np.ndarray | None, count: int, streams: SplitStreams) -> np.ndarray:
-    """The one negative draw, with a split axis: a ``len(streams) × count``
-    array whose row i holds ``count`` distinct positions of ``[0, n)``,
-    drawn on stream i, ascending.
-
-    Row i is the set ``np.random.default_rng(streams.seeds[i]).choice(n,
-    count, replace=False, p=p)`` draws, and does not depend on the other
-    rows. Both kinds of draw replay that call on the rows' raw words and
-    build no numpy random object: a weighted one through
-    :func:`_replay_choice`, an unweighted one (``p`` is ``None``) through
-    :func:`_replay_uniform`. A draw of all ``n`` positions needs no stream.
-    A count outside ``[0, n]``, or a pool of ``2**32`` positions or more,
-    raises ``ValueError``."""
+def draw_indices(n: int, count: int, streams: SplitStreams) -> np.ndarray:
+    """The uniform draw, with a split axis: a ``len(streams) × count`` array
+    whose row i, ascending, is the set ``np.random.default_rng(
+    streams.seeds[i]).choice(n, count, replace=False)`` draws, whatever the
+    other rows. :func:`_replay_uniform` replays that call on the rows' raw
+    words and builds no numpy random object. A draw of all ``n`` positions
+    needs no stream, so it also draws a weighted pool whole. A count outside
+    ``[0, n]``, or a pool of ``2**32`` positions or more, raises ``ValueError``."""
     n = operator.index(n)
     count = operator.index(count)
     rows = len(streams)
@@ -326,24 +316,21 @@ def draw_indices(n: int, p: np.ndarray | None, count: int, streams: SplitStreams
         return np.tile(np.arange(n), (rows, 1))
     if count == 0 or rows == 0:
         return np.empty((rows, count), dtype=np.int64)
-    if p is None:
-        return _replay_uniform(n, count, streams)
-    p = np.asarray(p, dtype=np.float64)  # as choice converts it
-    if np.count_nonzero(p > 0.0) < count:
-        raise ValueError(f"fewer than {count} locations have a positive draw probability")
-    return _replay_choice([p], [count], [np.arange(rows)], streams)[0]
+    return _replay_uniform(n, count, streams)
 
 
 def draw_pools(streams: SplitStreams, draws: list) -> list:
     """The locations each ``(pool, count, rows)`` of ``draws`` draws on the
-    ``range`` ``rows`` of ``streams``: one row of ``count`` distinct
-    locations per stream, ascending, as :func:`draw_indices` draws them.
+    ``range`` ``rows`` of ``streams``: one row per stream, the set
+    ``default_rng(seed).choice(len(pool), count, replace=False,
+    p=pool.probabilities())`` draws, as locations, ascending.
 
     The first words of the rows the draws name, from the lowest to the
     highest, are read in one jump-ahead, and the weighted pools' draws of
-    ``0 < count < len(pool)`` run in one :func:`_replay_choice` per size
-    class. The other draws go through :func:`draw_indices` one at a time,
-    on the same words. Every count must come from :func:`draw_count`."""
+    ``0 < count < len(pool)`` on any rows run in one :func:`_replay_choice`
+    per size class: the one replay of a weighted draw. The others go through
+    :func:`draw_indices` one at a time, on the same words. Every count must
+    come from :func:`draw_count`."""
     if not draws:
         return []
     low = min(rows.start for _, _, rows in draws)
@@ -353,8 +340,8 @@ def draw_pools(streams: SplitStreams, draws: list) -> list:
     # pools within a factor of two in size replay together, so that no cdf
     # is padded past twice its own length
     groups = {}
-    for j, (pool, count, _) in enumerate(draws):
-        if pool.weights is not None and 0 < count < len(pool):
+    for j, (pool, count, rows) in enumerate(draws):
+        if pool.weights is not None and 0 < count < len(pool) and rows:
             groups.setdefault(len(pool).bit_length(), []).append(j)
     idx = {}
     for group in groups.values():
@@ -364,8 +351,7 @@ def draw_pools(streams: SplitStreams, draws: list) -> list:
     out = []
     for j, (pool, count, rows) in enumerate(draws):
         if j not in idx:
-            idx[j] = draw_indices(len(pool), pool.probabilities(), count,
-                                  block._rows(rows.start, rows.stop))
+            idx[j] = draw_indices(len(pool), count, block._rows(rows.start, rows.stop))
         out.append(pool.locations(idx.pop(j)))
     return out
 
@@ -563,26 +549,17 @@ def draw_count(pool: NegativePool, positives: FixationSet) -> int:
     return len(positives)
 
 
-def sample_from_pool(pool: NegativePool, positives: FixationSet,
-                     seed: int | SplitStreams) -> FixationSet:
+def sample_from_pool(pool: NegativePool, positives: FixationSet, seed: int) -> FixationSet:
     """One negative set: :func:`draw_count` distinct locations of the pool.
 
-    With :func:`negative_pool`, the public way to draw a sampler's negatives.
     Pool positions are in location order, so a seed pins the draw exactly:
-    it is row 0 of :func:`draw_pools` on ``SplitStreams([seed])``.
-    ``seed`` may also be that one-row stream itself, such as a row of
-    :meth:`SplitStreams.rows`, so that a caller drawing many sets seeds
-    them all in one pass. Positives of another frame than the pool's raise
-    :class:`FrameMismatchError`, and streams of more than one row
-    ``ValueError``."""
+    it is row 0 of :func:`draw_pools` on ``SplitStreams([seed])``. Positives
+    of another frame than the pool's raise :class:`FrameMismatchError`."""
     if positives.frame != pool.frame:
         raise FrameMismatchError(
             f"positives index a {positives.frame} frame, the pool a {pool.frame} frame")
     count = draw_count(pool, positives)
-    streams = seed if isinstance(seed, SplitStreams) else SplitStreams([seed])
-    if len(streams) != 1:
-        raise ValueError(f"one negative set is drawn on one stream, got {len(streams)}")
-    return FixationSet.from_linear(draw_pools(streams, [(pool, count, range(1))])[0][0],
+    return FixationSet.from_linear(draw_pools(SplitStreams([seed]), [(pool, count, range(1))])[0][0],
                                    pool.frame)
 
 
@@ -711,6 +688,47 @@ def negative_pools(sampler: str, images, dataset: DatasetIndex, k: int = 5,
     ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
     return [NegativePool(FixationSet.from_linear(location[start:end], dataset.frame),
                          weights[start:end]) for start, end in zip([0] + ends, ends)]
+
+
+# A chunk of images holds at most about this many floats (1 MB) at once: its
+# predictions, its weighted pools' padded cdfs and keys, and its stream
+# words and drawn locations. A 640×480 chunk is one image.
+_CHUNK_FLOATS = 2 ** 17
+
+
+def _draw_floats(dataset: DatasetIndex, samplers: list, k: int, rows: int) -> int:
+    """What an image drawing ``rows`` rows from its pool of each of
+    ``samplers`` adds to a chunk, at most: a weighted pool's cdf spans the
+    pooled locations (``fn``: its ``k`` neighbours' fixations, counted in a
+    row over the pooled locations), and a draw one negative per fixation."""
+    fixations, pooled = max(len(rec.fixations) for rec in dataset.images), len(dataset.pooled)
+    cdf = sum(0 if s == "borji" else pooled if s == "shuffled" else min(pooled, k * fixations)
+              for s in samplers)
+    return 2 * cdf + pooled * samplers.count("fn") + rows * fixations * (2 + 3 * len(samplers))
+
+
+def draw_negatives(sampler: str, dataset: DatasetIndex, seeds, k: int = 5,
+                   sigma: float | None = None):
+    """Yield each image's negative set from its ``sampler`` pool, in image
+    order, drawn as :func:`sample_from_pool` draws it on ``seeds[i]``. A chunk
+    of about :data:`_CHUNK_FLOATS` floats takes one :func:`negative_pools`
+    call, one :func:`draw_count` per image and one :func:`draw_pools` call on
+    its rows of one :class:`SplitStreams`. A failing count ends the chunk at
+    its image, and is raised once the sets before it are yielded."""
+    streams, images, error = SplitStreams(seeds), dataset.images, None
+    size = max(1, _CHUNK_FLOATS // _draw_floats(dataset, [sampler], k, 1))
+    for start in range(0, len(images), size):
+        chunk = range(start, min(start + size, len(images)))
+        pools, draws = negative_pools(sampler, list(chunk), dataset, k, sigma), []
+        try:
+            for i, pool in zip(chunk, pools):
+                draws.append((pool, draw_count(pool, images[i].fixations), range(i, i + 1)))
+        except Exception as exc:  # raised once the sets before it are yielded
+            error = exc
+        for negatives in draw_pools(streams, draws):
+            yield FixationSet.from_linear(negatives[0], dataset.frame)
+        if error is not None:
+            raise error
 
 
 def negative_pool(sampler: str, image_id: str, dataset: DatasetIndex, k: int = 5,

@@ -446,6 +446,21 @@ def test_undersized_pool_warning_is_one_line(tmp_path):
                            "using the whole pool\n")
 
 
+def test_quality_scores_each_image_before_the_next_pool_fails(tmp_path, capsys):
+    """At a width of 1e10 image a's negatives have a constant density, and
+    image b's shuffled pool is empty: ``quality`` exits 1 with a's score
+    error, as a's set is scored before b's draw is counted."""
+    manifest = tmp_path / "two.json"
+    manifest.write_text(json.dumps({
+        "name": "two", "width": 2, "height": 1, "sigma": 1e10,
+        "images": [{"id": "a", "fixations": [[0, 0]]},
+                   {"id": "b", "fixations": [[0, 0], [1, 0]]}]}))
+    out = tmp_path / "quality.json"
+    assert run(["quality", str(manifest), "--samplers", "shuffled", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: constant input has no correlation\n"
+    assert not out.exists()
+
+
 def test_module_entry_point(workspace):
     tmp, manifest, _ = workspace
     out = tmp / "mod"

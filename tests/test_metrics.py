@@ -44,6 +44,7 @@ from salmetric.metrics import (
     s_auc,
     sim,
 )
+from salmetric.quality import quality_report
 from salmetric.roc import auc_averaged
 from salmetric.sampling import NegativePool, shuffled_pool, split_streams
 from salmetric.seeding import derive_seed
@@ -475,6 +476,44 @@ def test_scores_do_not_depend_on_the_chunk_size(monkeypatch):
             runs.append(run())
             sizes = [len(rows) // n_preds for rows in calls]
             assert sizes[0] == per_chunk and sum(sizes) == len(ds)
+        results.append(runs)
+    assert all(runs == results[0] for runs in results[1:])
+
+
+def test_negatives_and_quality_do_not_depend_on_the_chunk_size(monkeypatch, tmp_path):
+    """Chunks of 1, 2, 3 and every image draw alike: ``negatives`` writes
+    the same bytes with either sampler, and ``quality_report`` gives the
+    same triples under either measure."""
+    from salmetric.cli import run
+    from salmetric.io import write_manifest
+
+    ds = gen_dataset(SynthConfig(n_images=7, frame=(24, 20), fixations_per_image=6, seed=4))
+    manifest = tmp_path / "manifest.json"
+    write_manifest(ds, manifest)
+    calls = []
+    draw_pools = sampling_module.draw_pools
+
+    def recording(streams, draws):
+        calls.append(len(draws))
+        return draw_pools(streams, draws)
+
+    monkeypatch.setattr(sampling_module, "draw_pools", recording)
+    results = []
+    for per_chunk in (1, 2, 3, len(ds)):
+        runs = []
+        for sampler, label in (("shuffled", "shuffled"), ("fn", "fn:2")):
+            floats = sampling_module._draw_floats(ds, [sampler], 2, 1)
+            monkeypatch.setattr(sampling_module, "_CHUNK_FLOATS", per_chunk * floats)
+            out = tmp_path / f"{sampler}_{per_chunk}"
+            calls.clear()
+            assert run(["negatives", str(manifest), "--sampler", sampler, "--k", "2",
+                        "--out", str(out)]) == 0
+            runs.append((out / "negatives.json").read_bytes())
+            for measure in ("cc", "auc"):
+                runs.append(quality_report(ds, [label], seed=3, measure=measure))
+            # one call per chunk, for negatives and each measure
+            assert calls == ([per_chunk] * (len(ds) // per_chunk)
+                             + [len(ds) % per_chunk] * (len(ds) % per_chunk > 0)) * 3
         results.append(runs)
     assert all(runs == results[0] for runs in results[1:])
 

@@ -80,7 +80,7 @@ def test_quality_report_rejects_unknown_measure_before_any_pool(bias_dataset, mo
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was built")
 
-    monkeypatch.setattr(quality_module, "negative_pool", no_pool)
+    monkeypatch.setattr(quality_module, "draw_negatives", no_pool)
     with pytest.raises(ValueError, match="unknown measure 'nope'"):
         quality_report(bias_dataset, samplers=("shuffled",), measure="nope")
 

@@ -41,14 +41,17 @@ from salmetric.synth import SynthConfig, gen_dataset
 FRAME = (64, 64)
 
 
-def draw_linear(linear, p, count, streams):
-    """:func:`draw_indices` over the entries of ``linear``."""
-    return np.asarray(linear)[draw_indices(len(linear), p, count, streams)]
-
-
 def draw_pool(pool, count, streams):
     """:func:`draw_pools` of one draw from ``pool`` on every row of ``streams``."""
     return draw_pools(streams, [(pool, count, range(len(streams)))])[0]
+
+
+def draw_linear(linear, weights, count, streams):
+    """:func:`draw_pool` of the pool of the ascending locations ``linear``
+    with draw ``weights`` (``None``: uniform), and the pool's draw
+    probabilities, which numpy's own draw takes."""
+    pool = NegativePool(FixationSet.from_linear(linear, (int(linear[-1]) + 1, 1)), weights)
+    return draw_pool(pool, count, streams), pool.probabilities()
 
 
 def toy_dataset(sigma=8.0):
@@ -531,9 +534,8 @@ def test_weighted_draw_replays_generator_choice(size, count, n_seeds, skew):
     linear, weights = _weighted_support(rng, size, max(4 * size, 16), 6)
     if skew:
         weights[0] = weights.sum()  # half the mass on one entry
-    p = weights / weights.sum()
     seeds = [derive_seed("replay", size, i) for i in range(n_seeds)]
-    rows = draw_linear(linear, p, count, SplitStreams(seeds))
+    rows, p = draw_linear(linear, weights, count, SplitStreams(seeds))
     assert rows.shape == (n_seeds, count)
     for row, seed in zip(rows, seeds):
         expected = np.random.default_rng(seed).choice(linear, count, replace=False, p=p)
@@ -544,11 +546,12 @@ def test_weighted_draw_replays_generator_choice(size, count, n_seeds, skew):
 def test_draw_row_does_not_depend_on_later_seeds(weighted):
     rng = np.random.default_rng(3)
     linear, weights = _weighted_support(rng, 60, 500, 4)
-    p = weights / weights.sum() if weighted else None
+    weights = weights if weighted else None
     seeds = [derive_seed(11, i) for i in range(9)]
-    every = draw_linear(linear, p, 25, SplitStreams(seeds))
+    every = draw_linear(linear, weights, 25, SplitStreams(seeds))[0]
     for n in range(len(seeds)):
-        assert np.array_equal(draw_linear(linear, p, 25, SplitStreams(seeds[:n])), every[:n])
+        rows = draw_linear(linear, weights, 25, SplitStreams(seeds[:n]))[0]
+        assert rows.shape == (n, 25) and np.array_equal(rows, every[:n])
     if not weighted:
         for row, seed in zip(every, seeds):
             expected = np.random.default_rng(seed).choice(linear, 25, replace=False)
@@ -567,7 +570,7 @@ def test_weighted_draw_is_pinned_without_generator(monkeypatch):
     linear = np.array([3, 7, 8, 15, 21, 30, 42, 50])
     weights = np.array([1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0, 1.0])
     seeds = [derive_seed(s, 0) for s in (0, 1, 2)]
-    rows = draw_linear(linear, weights / weights.sum(), 4, SplitStreams(seeds))
+    rows, _ = draw_linear(linear, weights, 4, SplitStreams(seeds))
     assert rows.tolist() == [[8, 15, 30, 50], [3, 21, 30, 42], [15, 30, 42, 50]]
 
 
@@ -588,15 +591,10 @@ def test_pool_rejects_bad_weights(weights):
     assert "\n" not in str(err.value)
 
 
-def test_draw_needs_enough_positive_probabilities():
-    with pytest.raises(ValueError, match="positive draw probability"):
-        draw_linear(np.arange(4), np.array([0.5, 0.0, 0.0, 0.5]), 3, SplitStreams([0]))
-
-
 @pytest.mark.parametrize("p", [None, np.full(5, 0.2)])
 def test_draw_rejects_a_negative_count(p):
     with pytest.raises(ValueError) as err:
-        draw_indices(5, p, -1, SplitStreams([1]))
+        draw_linear(np.arange(5), p, -1, SplitStreams([1]))
     assert "\n" not in str(err.value)
 
 
@@ -605,10 +603,12 @@ def test_draw_rejects_a_count_past_the_pool_without_hanging():
     below zero; the draw runs in a child process, so a hang fails the test
     at its timeout and does not stop the suite."""
     code = ("import numpy as np\n"
-            "from salmetric.sampling import SplitStreams, draw_indices\n"
+            "from salmetric.core import FixationSet\n"
+            "from salmetric.sampling import NegativePool, SplitStreams, draw_pools\n"
+            "support = FixationSet.from_linear(range(5), (5, 1))\n"
             "for p in (None, np.full(5, 0.2)):\n"
             "    try:\n"
-            "        draw_indices(5, p, 7, SplitStreams([1]))\n"
+            "        draw_pools(SplitStreams([1]), [(NegativePool(support, p), 7, range(1))])\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -623,13 +623,9 @@ def test_sample_from_pool_checks_its_frame_and_stream():
     with pytest.raises(FrameMismatchError) as err:
         sample_from_pool(pool, FixationSet([(1, 1), (2, 3)], (5, 6)), seed=0)
     assert "\n" not in str(err.value)
-    positives = pool.excluded
-    with pytest.raises(ValueError, match="one stream, got 2"):
-        sample_from_pool(pool, positives, SplitStreams([0, 1]))
-    with pytest.raises(ValueError, match="one stream, got 0"):
-        sample_from_pool(pool, positives, SplitStreams([]))
-    alone = sample_from_pool(pool, positives, SplitStreams([0, 1]).rows()[1])
-    assert alone == sample_from_pool(pool, positives, seed=1)
+    # the seed is an int: a stream object is refused, not drawn on
+    with pytest.raises(ValueError, match="stream seeds must be integers"):
+        sample_from_pool(pool, pool.excluded, SplitStreams([1]))
 
 
 def test_a_frame_mismatch_raises_before_the_undersized_pool_warning():
@@ -764,9 +760,11 @@ def test_draw_pools_equals_one_draw_per_pool(bias_dataset):
     got = draw_pools(streams, draws)
     assert len(got) == len(draws)
     for (pool, count, rows), negatives in zip(draws, got):
-        own = SplitStreams(streams.seeds[rows.start:rows.stop])
-        assert np.array_equal(negatives, pool.locations(
-            draw_indices(len(pool), pool.probabilities(), count, own)))
+        assert negatives.shape == (len(rows), count)
+        for row, seed in zip(negatives, streams.seeds[rows.start:rows.stop]):
+            expected = np.random.default_rng(seed).choice(len(pool), count, replace=False,
+                                                          p=pool.probabilities())
+            assert np.array_equal(row, pool.locations(np.sort(expected)))
     middle = draw_pools(streams, draws[6:12])
     assert all(np.array_equal(a, b) for a, b in zip(middle, got[6:12]))
     assert draw_pools(streams, []) == []
@@ -813,7 +811,6 @@ def test_weighted_draw_reads_words_past_the_block(monkeypatch):
     linear = np.arange(0, 80, 2)
     weights = np.ones(linear.size)
     weights[7] = 1e12
-    p = weights / weights.sum()
     count = 36
     seeds = EDGE_SEEDS + [derive_seed("heavy", i) for i in range(9)]
     read = []
@@ -824,7 +821,7 @@ def test_weighted_draw_reads_words_past_the_block(monkeypatch):
         return raw(self, rows, positions)
 
     monkeypatch.setattr(SplitStreams, "raw", recording)
-    rows = draw_linear(linear, p, count, SplitStreams(seeds).with_words(2 * count))
+    rows, p = draw_linear(linear, weights, count, SplitStreams(seeds))
     assert max(read) >= 2 * count + 10
     for row, seed in zip(rows, seeds):
         expected = np.random.default_rng(seed).choice(linear, count, replace=False, p=p)
@@ -934,7 +931,7 @@ def test_unweighted_draw_replays_generator_choice(n, count):
     replace=False)`` draws, on both of its algorithms and where Lemire's
     bounded draw rejects often."""
     seeds = EDGE_SEEDS + [derive_seed("uniform", n, count, i) for i in range(13)]
-    rows = draw_indices(n, None, count, SplitStreams(seeds))
+    rows = draw_indices(n, count, SplitStreams(seeds))
     assert rows.shape == (len(seeds), count)
     for row, seed in zip(rows, seeds):
         expected = np.random.default_rng(seed).choice(n, count, replace=False)
@@ -946,7 +943,7 @@ def test_unweighted_draw_of_the_whole_pool_reads_no_stream(monkeypatch):
         raise AssertionError("a draw of the whole pool read a stream")
 
     monkeypatch.setattr(SplitStreams, "raw", no_read)
-    rows = draw_indices(7, None, 7, SplitStreams([0, 1]))
+    rows = draw_indices(7, 7, SplitStreams([0, 1]))
     assert rows.tolist() == [list(range(7))] * 2
     for seed in (0, 1):
         assert sorted(np.random.default_rng(seed).choice(7, 7, replace=False)) == list(range(7))
