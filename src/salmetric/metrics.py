@@ -121,7 +121,7 @@ def _tie_break(pred: GridMap, mode: str, seed: int) -> TieBroken:
         return TieBroken(pred)
     if mode not in ("global", "noise"):
         raise ValueError(f"unknown tie_break mode {mode!r}; expected one of {TIE_BREAK_MODES}")
-    return tie_broken(pred, mode, derive_seed(seed, "tie-noise"))
+    return tie_broken(pred, mode, derive_seed(seed, "tie-noise") if mode == "noise" else 0)
 
 
 def auc_judd(pred: GridMap, fixations: FixationSet, tie_break: str = "global",

@@ -6,6 +6,7 @@ field scaled to half the smallest gap between distinct map values, so any two
 strictly ordered pixels keep their order exactly.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -52,11 +53,15 @@ def tie_broken(pred: GridMap, mode: str, seed: int = 0) -> TieBroken:
     gap = _tie_gap(pred.values)  # the sorted copy is let go before a noise field is drawn
     field = (global_gaussian_map(pred.frame).values if mode == "global"
              else np.random.default_rng(seed).random(pred.values.shape))
-    spread = float(field.max() - field.min())
+    low, high = float(field.min()), float(field.max())
+    spread = high - low
     out = TieBroken(pred, 1.0 if gap is None or spread <= 0.0 else float(gap / (2.0 * spread)), field)
+    # rounding is monotone, so a finite bound on |value| + eps·|field| proves
+    # every jittered value finite; past it they are checked a band at a time
+    bound = max(float(pred.values.max()), -float(pred.values.min())) + out.eps * max(high, -low)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not all(np.isfinite(out.at(slice(start, start + BAND))).all()
-                   for start in range(0, pred.values.size, BAND)):
+        if not math.isfinite(bound) and not all(np.isfinite(out.at(slice(start, start + BAND))).all()
+                                                for start in range(0, pred.values.size, BAND)):
             raise ValueError("map values must be finite")
     return out
 

@@ -520,3 +520,26 @@ def test_fully_fixated_frame_exits_1(tmp_path, capsys, metric, message):
                 "--metrics", metric, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "negatives", "quality", "density", "sweep"])
+def test_default_commands_load_no_openssl(workspace, command):
+    """Every seed is a SHA-256 from the interpreter's built-in module, so a
+    default run of each command loads no ``_hashlib`` (OpenSSL's libcrypto).
+    ``evaluate --tie-break noise`` and ``synth`` are exempt: they draw through
+    ``numpy.random``, which imports ``secrets`` → ``hmac`` → ``_hashlib``."""
+    tmp, manifest, preds = workspace
+    out = str(tmp / f"{command}.out")
+    argv = {"evaluate": ["evaluate", str(manifest), "--pred", str(preds), "--splits", "5",
+                         "--k", "3", "--out", out],
+            "negatives": ["negatives", str(manifest), "--sampler", "fn", "--k", "3", "--out", out],
+            "quality": ["quality", str(manifest), "--samplers", "shuffled,fn:3", "--out", out],
+            "density": ["density", str(manifest), "--out", out],
+            "sweep": ["sweep", str(manifest), "--sigmas", "2,4", "--metrics",
+                      "cc,auc_judd,s_auc,fn_auc", "--splits", "5", "--k", "3", "--out", out]}[command]
+    code = ("import sys; from salmetric.cli import run; "
+            f"code = run({argv!r}); print(code, '_hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert (tmp / f"{command}.out").exists()

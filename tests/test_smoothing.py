@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from salmetric.core import GridMap
 from salmetric.gaussian import global_gaussian_map
-from salmetric.smoothing import tie_break_global, tie_break_noise
+from salmetric.smoothing import tie_break_global, tie_break_noise, tie_broken
 
 
 def order_violations(before, after):
@@ -102,3 +105,27 @@ def test_added_field_spread_bounded_by_half_gap():
     # strictly ordered pair can flip
     assert added.max() - added.min() <= 0.25 + 1e-15
     assert added.min() > 0.0
+
+
+@pytest.mark.parametrize("mode", ["global", "noise"])
+def test_a_jitter_just_past_the_float_limit_raises(mode):
+    """A map whose maximum sits one step inside the float range, with a gap
+    of 4 steps below it, jitters by up to 2 steps: past the limit at the
+    field's largest values. Every value of the map and of ε·field is finite,
+    only their sum is not, and ``tie_broken`` still raises without warning.
+    A gap of 1 step jitters by at most half a step and stays finite, and so
+    does the negated map, as both fields are non-negative."""
+    top = np.nextafter(np.finfo(np.float64).max, 0.0)
+    step = np.finfo(np.float64).max - top
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gap, sign, raises in ((4 * step, 1.0, True), (step, 1.0, False),
+                                  (4 * step, -1.0, False)):
+            values = np.full((12, 12), top)
+            values[0, 0] = top - gap
+            pred = GridMap(sign * values)
+            if raises:
+                with pytest.raises(ValueError, match="^map values must be finite$"):
+                    tie_broken(pred, mode, 3)
+            else:
+                assert np.isfinite(tie_broken(pred, mode, 3).whole().values).all()
