@@ -2,10 +2,11 @@
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import DensityMap, FixationSet, Frame, GridMap
+from .core import BAND, DensityMap, FixationSet, Frame, GridMap
 from .errors import EmptyFixationsError, InvalidSigmaError
 
 
@@ -182,14 +183,13 @@ def tap_grams(sigma: float, frame: Frame, rows, cols):
     return ay, ax, axc, u_mean
 
 
-def _gaussian_field(frame: Frame, sigma_x: float, sigma_y: float, cx: float,
-                    cy: float) -> np.ndarray:
-    """Evaluate the Gaussian per pixel (no convolution), unnormalized peak 1
-    at the exact center ``(cx, cy)``."""
+def _axis_terms(frame: Frame, sigma_x: float, sigma_y: float, cx: float, cy: float):
+    """The Gaussian's exponents per column and per row, ``(qx, qy)``: its value
+    at ``(x, y)`` is ``exp(-(qy[y] + qx[x]))``, peak 1 at the exact ``(cx, cy)``."""
     w, h = int(frame[0]), int(frame[1])
     qx = ((np.arange(w, dtype=np.float64) - cx) ** 2) / (2.0 * sigma_x ** 2)
     qy = ((np.arange(h, dtype=np.float64) - cy) ** 2) / (2.0 * sigma_y ** 2)
-    return np.exp(-(qy[:, None] + qx[None, :]))
+    return qx, qy
 
 
 # Sub-pixel offsets of the tie-break field's center. Irrational values keep
@@ -199,29 +199,63 @@ _TIE_OFFSET_X = math.sqrt(2.0) / 8.0  # ~0.177
 _TIE_OFFSET_Y = math.sqrt(3.0) / 6.0  # ~0.289
 
 
-def global_gaussian_map(frame: Frame) -> GridMap:
+class GlobalField(NamedTuple):
+    """The global tie-break field, never built whole: the value at pixel
+    ``(x, y)`` is ``exp(-(qy[y] + qx[x])) / peak``, bit for bit the frame
+    :func:`global_gaussian_map` builds, and ``least`` is the smallest ``exp``."""
+
+    qx: np.ndarray
+    qy: np.ndarray
+    peak: float
+    least: float
+    max = lambda self: self.peak / self.peak
+    min = lambda self: self.least / self.peak
+
+    def at(self, index) -> np.ndarray:
+        """Values at ``index`` of the flattened field, as ``GridMap.at`` reads
+        them; a slice of step 1 is evaluated over the rows it covers."""
+        w = self.qx.size
+        if isinstance(index, slice):
+            start, stop, step = index.indices(w * self.qy.size)
+            if step == 1:
+                top = start // w
+                q = (self.qy[top:-(-stop // w), None] + self.qx).ravel()[start - top * w:stop - top * w]
+                return np.exp(-q) / self.peak
+            index = np.arange(start, stop, step)
+        y, x = np.divmod(index, w)
+        return np.exp(-(self.qy[y] + self.qx[x])) / self.peak
+
+
+@functools.lru_cache(maxsize=4)
+def global_field(frame: Frame) -> GlobalField:
     """Broad, smooth field used to break ties in quantized maps; peak value 1.
 
     A perfectly centered isotropic Gaussian would leave exact duplicates at
     symmetric pixels, so the center sits slightly off-pixel and the widths
-    differ per axis. The field is built once per frame and shared: a
-    GridMap is read-only.
-    """
-    return _global_gaussian_map(int(frame[0]), int(frame[1]))
-
-
-@functools.lru_cache(maxsize=4)
-def _global_gaussian_map(w: int, h: int) -> GridMap:
+    differ per axis. Only its O(w + h) terms are kept, for the last four
+    frames; its peak and least value come from one pass a band at a time."""
+    w, h = int(frame[0]), int(frame[1])
     if w < 2 or h < 2:
         raise ValueError("frame must be at least 2x2")
-    field = _gaussian_field((w, h), w / 4.0, h / 4.0, (w - 1) / 2.0 + _TIE_OFFSET_X,
-                            (h - 1) / 2.0 + _TIE_OFFSET_Y)
-    return GridMap(np.divide(field, field.max(), out=field))
+    qx, qy = _axis_terms((w, h), w / 4.0, h / 4.0, (w - 1) / 2.0 + _TIE_OFFSET_X,
+                         (h - 1) / 2.0 + _TIE_OFFSET_Y)
+    peak, least, rows = 0.0, math.inf, max(1, BAND // w)
+    for top in range(0, h, rows):
+        band = np.exp(-(qy[top:top + rows, None] + qx))
+        peak, least = max(peak, float(band.max())), min(least, float(band.min()))
+    return GlobalField(qx, qy, peak, least)
+
+
+def global_gaussian_map(frame: Frame) -> GridMap:
+    """:func:`global_field` built whole, a new read-only map on each call."""
+    w, h = int(frame[0]), int(frame[1])
+    return GridMap(global_field((w, h)).at(slice(None)).reshape(h, w))
 
 
 def center_bias_map(frame: Frame) -> DensityMap:
     """Centered Gaussian density, a quarter of the frame wide on each axis:
     the classic look-at-the-middle baseline."""
     w, h = int(frame[0]), int(frame[1])
-    field = _gaussian_field((w, h), 0.25 * w, 0.25 * h, (w - 1) / 2.0, (h - 1) / 2.0)
+    qx, qy = _axis_terms((w, h), 0.25 * w, 0.25 * h, (w - 1) / 2.0, (h - 1) / 2.0)
+    field = np.exp(-(qy[:, None] + qx[None, :]))
     return DensityMap(np.divide(field, field.sum(), out=field))

@@ -116,7 +116,10 @@ def _ig_values(pv: np.ndarray, bv: np.ndarray) -> float:
 
 
 def _tie_break(pred: GridMap, mode: str, seed: int) -> TieBroken:
-    # a flat map carries no ranking; leave it to score at chance
+    # a map tie-broken already is scored as it is; a flat map carries no
+    # ranking, so it is left to score at chance
+    if isinstance(pred, TieBroken):
+        return pred
     if mode == "off" or pred.values.min() == pred.values.max():
         return TieBroken(pred)
     if mode not in ("global", "noise"):

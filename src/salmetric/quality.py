@@ -14,7 +14,7 @@ import numpy as np
 from .core import DatasetIndex, DensityMap, FixationSet
 from .errors import EmptyFixationsError
 from .gaussian import center_bias_map, density_from_fixations
-from .metrics import auc_judd, cc
+from .metrics import _tie_break, auc_judd, cc
 from .sampling import draw_negatives
 from .seeding import derive_seed
 
@@ -33,11 +33,12 @@ def make_triple(penalization: float, contamination: float) -> QualityTriple:
     return QualityTriple(penalization, contamination, ratio)
 
 
-def _agreement(pred: DensityMap, fixations: FixationSet, sigma: float, measure: str) -> float:
+def _agreement(pred: DensityMap, fixations: FixationSet, sigma: float, measure: str,
+               density: DensityMap | None = None) -> float:
     """Score ``pred`` against ``fixations`` with the metric suite: ``cc`` with
-    their density at ``sigma``, or ``auc_judd``."""
+    their density at ``sigma`` (``density``, when built already), or ``auc_judd``."""
     if measure == "cc":
-        return cc(pred, density_from_fixations(fixations, sigma))
+        return cc(pred, density_from_fixations(fixations, sigma) if density is None else density)
     if measure == "auc":
         return auc_judd(pred, fixations)
     raise ValueError(f"unknown measure {measure!r}; choose from {QUALITY_MEASURES}")
@@ -97,15 +98,19 @@ def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: i
         raise ValueError(f"samplers named more than once: {repeated}")
     sigma = dataset.sigma if sigma is None else float(sigma)
     center = center_bias_map(dataset.frame)
+    center = _tie_break(center, "global", 0) if measure == "auc" else center  # tie-broken once
     out = {}
     for label in samplers:
         sampler, k = _parse_sampler(label)
         seeds = [derive_seed(seed, label, rec.id) for rec in dataset.images]
         drawn = draw_negatives(sampler, dataset, seeds, k, sigma)
-        # each set is scored as it comes, before a later image's failed draw is raised
-        triples = [make_triple(center_penalization(negatives, center, sigma, measure),
-                               positive_contamination(negatives, rec.fixations, sigma, measure))
-                   for rec, negatives in zip(dataset.images, drawn)]
+        # each set is scored as it comes, before a later image's failed draw is
+        # raised; its density serves both measures
+        triples = []
+        for rec, negatives in zip(dataset.images, drawn):
+            density = density_from_fixations(negatives, sigma)
+            triples.append(make_triple(_agreement(center, negatives, sigma, measure, density),
+                                       _agreement(density, rec.fixations, sigma, measure)))
         ratios = [t.ratio for t in triples if t.ratio is not None]
         out[label] = QualityTriple(float(np.mean([t.penalization for t in triples])),
                                    float(np.mean([t.contamination for t in triples])),

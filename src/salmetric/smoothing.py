@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import BAND, GridMap
-from .gaussian import global_gaussian_map
+from .gaussian import GlobalField, global_field
 
 
 def _tie_gap(values: np.ndarray):
@@ -28,21 +28,25 @@ def _tie_gap(values: np.ndarray):
 
 class TieBroken(NamedTuple):
     """A map's tie-broken values, never built whole: the value at flat index
-    b is the map's plus ``eps * field[b]``, or the map's alone with no field."""
+    b is the map's plus ``eps * field[b]``, or the map's alone with no field.
+    The field is a drawn frame or the :class:`GlobalField` reader."""
 
     map: GridMap
     eps: float = 0.0
-    field: np.ndarray | None = None
+    field: GlobalField | np.ndarray | None = None
     frame = property(lambda self: self.map.frame)
     values_at = GridMap.values_at
 
     def at(self, index) -> np.ndarray:
         values = self.map.at(index)
-        return values if self.field is None else values + self.eps * self.field.ravel()[index]
+        if self.field is None:
+            return values
+        field = self.field.at(index) if isinstance(self.field, GlobalField) else self.field.ravel()[index]
+        return values + self.eps * field
 
     def whole(self) -> GridMap:
         """The tie-broken map, built whole as ``smooth`` writes it."""
-        return self.map if self.field is None else GridMap(self.map.values + self.eps * self.field)
+        return self.map if self.field is None else GridMap(self.at(slice(None)).reshape(self.map.values.shape))
 
 
 def tie_broken(pred: GridMap, mode: str, seed: int = 0) -> TieBroken:
@@ -51,7 +55,7 @@ def tie_broken(pred: GridMap, mode: str, seed: int = 0) -> TieBroken:
     if mode == "global" and (pred.width < 2 or pred.height < 2):
         return TieBroken(pred)
     gap = _tie_gap(pred.values)  # the sorted copy is let go before a noise field is drawn
-    field = (global_gaussian_map(pred.frame).values if mode == "global"
+    field = (global_field(pred.frame) if mode == "global"
              else np.random.default_rng(seed).random(pred.values.shape))
     low, high = float(field.min()), float(field.max())
     spread = high - low

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from salmetric.core import FixationSet, GridMap, vectorize
+from salmetric.core import BAND, FixationSet, GridMap, vectorize
 from salmetric.errors import EmptyFixationsError, InvalidSigmaError
 from salmetric.gaussian import (
     _correlate_axis,
@@ -13,6 +13,7 @@ from salmetric.gaussian import (
     center_bias_map,
     density_from_fixations,
     gaussian_kernel,
+    global_field,
     global_gaussian_map,
     kernel_radius,
     sigma_for_dataset,
@@ -257,17 +258,49 @@ def test_global_gaussian_range_and_monotone_decay():
     assert np.all(np.diff(col[: peak_y + 1]) > 0)
 
 
+def _textbook_field(w, h):
+    """The global tie-break field as a whole frame, with its axis terms."""
+    cx = (w - 1) / 2.0 + math.sqrt(2.0) / 8.0
+    cy = (h - 1) / 2.0 + math.sqrt(3.0) / 6.0
+    qx = ((np.arange(w, dtype=np.float64) - cx) ** 2) / (2.0 * (w / 4.0) ** 2)
+    qy = ((np.arange(h, dtype=np.float64) - cy) ** 2) / (2.0 * (h / 4.0) ** 2)
+    field = np.exp(-(qy[:, None] + qx[None, :]))
+    return field / field.max(), qx, qy
+
+
 def test_global_gaussian_map_is_built_once_per_frame():
+    """Each call builds the field anew, read-only; the per-frame cache
+    holds the axis terms, no frame-sized array."""
     for w, h in ((64, 48), (640, 480), (33, 21)):
-        cx = (w - 1) / 2.0 + math.sqrt(2.0) / 8.0
-        cy = (h - 1) / 2.0 + math.sqrt(3.0) / 6.0
-        qx = ((np.arange(w, dtype=np.float64) - cx) ** 2) / (2.0 * (w / 4.0) ** 2)
-        qy = ((np.arange(h, dtype=np.float64) - cy) ** 2) / (2.0 * (h / 4.0) ** 2)
-        field = np.exp(-(qy[:, None] + qx[None, :]))
+        field, qx, qy = _textbook_field(w, h)
         first = global_gaussian_map((w, h))
-        assert np.array_equal(first.values, field / field.max())
-        assert global_gaussian_map((w, h)) is first
+        assert np.array_equal(first.values, field)
         assert not first.values.flags.writeable
+        cached = global_field((w, h))
+        assert np.array_equal(cached.qx, qx) and np.array_equal(cached.qy, qy)
+        assert all(np.size(part) <= max(w, h) for part in cached)
+
+
+@pytest.mark.parametrize("frame", [(2, 2), (33, 21), (64, 48), (640, 480), (1024, 768)])
+def test_global_field_reads_the_textbook_frame(frame):
+    """``GlobalField.at`` equals the whole frame bit for bit: at every band,
+    at slices that start or stop mid-row, and at index arrays of sizes that
+    leave a SIMD loop every kind of tail, in 1-D and 2-D; so do its extremes."""
+    w, h = frame
+    field, _, _ = _textbook_field(w, h)
+    flat, reader = field.ravel(), global_field(frame)
+    assert reader.max() == field.max() and reader.min() == field.min()
+    for start in range(0, flat.size, BAND):
+        assert np.array_equal(reader.at(slice(start, start + BAND)), flat[start:start + BAND])
+    for cut in (slice(1, w - 1), slice(w // 2, 3 * w + 1), slice(w + 1, flat.size - 1),
+                slice(flat.size - w - 1, None), slice(None, w + 1), slice(5, 3), slice(-3, None),
+                slice(1, None, 3), slice(None, None, -2)):
+        assert np.array_equal(reader.at(cut), flat[cut])
+    rng = np.random.default_rng(w * h)
+    for n in (0, 1, 7, 8, 9, 17, 1000):
+        index = rng.integers(0, flat.size, n)
+        for shape in ((n,), (1, n), (n, 1)):
+            assert np.array_equal(reader.at(index.reshape(shape)), flat[index].reshape(shape))
 
 
 def test_global_gaussian_rejects_tiny_frames():

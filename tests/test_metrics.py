@@ -849,18 +849,19 @@ def test_scoring_holds_under_four_frames(metrics, as_read):
     """AUC-Judd counts against the tie-broken values a band at a time, the
     sampled AUCs read them only where they look, AUC-Borji draws pool
     positions without building the complement, the ig baseline is kept at
-    the fixations, cc and kld each work in one scratch frame, and the
-    prediction's density is dropped after its last metric: on 3 images at
-    320×240 the tracemalloc peak of ``evaluate_all`` stays below 4 whole
-    frames of float64, with the predictions built beforehand, as densities
-    or as the plain maps ``evaluate`` reads."""
+    the fixations, cc and kld each work in one scratch frame, the
+    prediction's density is dropped after its last metric, and the global
+    tie-break field is read from its axis terms, so no frame of it is kept:
+    on 3 images at 320×240 the tracemalloc peak of the first
+    ``evaluate_all`` stays below 4 whole frames of float64, with the
+    predictions built beforehand, as densities or as the plain maps
+    ``evaluate`` reads."""
     ds = gen_dataset(SynthConfig(n_images=3, frame=(320, 240), fixations_per_image=30,
                                  cluster_sigma=19.0, seed=0))
     preds = {rec.id: density_from_fixations(rec.fixations, ds.sigma) for rec in ds.images}
     if as_read:
         preds = {image_id: GridMap(pred.values) for image_id, pred in preds.items()}
     config = EvalConfig(metrics=metrics, n_splits=10, k=2)
-    evaluate_all(ds, preds, config)  # the tie-break field's per-frame cache fills here
     tracemalloc.start()
     try:
         evaluate_all(ds, preds, config)

@@ -4,6 +4,7 @@ import pytest
 from salmetric.core import DatasetIndex, FixationSet, ImageRecord
 from salmetric.errors import EmptyFixationsError, UndersizedPoolWarning
 from salmetric.gaussian import center_bias_map, density_from_fixations
+from salmetric import metrics as metrics_module
 from salmetric.metrics import auc_judd, cc
 from salmetric import quality as quality_module
 from salmetric.quality import (
@@ -13,6 +14,8 @@ from salmetric.quality import (
     positive_contamination,
     quality_report,
 )
+from salmetric.sampling import draw_negatives
+from salmetric.seeding import derive_seed
 
 FRAME = (64, 64)
 
@@ -134,6 +137,37 @@ def test_quality_report_full_k_matches_shuffled(bias_dataset):
     # in seed derivation, so the means agree up to sampling noise
     assert abs(fn.penalization - s.penalization) < 0.05
     assert abs(fn.contamination - s.contamination) < 0.05
+
+
+@pytest.mark.parametrize("measure", ["cc", "auc"])
+def test_quality_report_scores_each_set_once(bias_dataset, measure, monkeypatch):
+    """``quality_report`` builds each negative set's density once for both
+    measures, and tie-breaks the centre map once per run for ``auc``; its
+    means equal those of ``center_penalization`` and
+    ``positive_contamination`` over the same sets, bit for bit."""
+    small = DatasetIndex(bias_dataset.images[:8], sigma=bias_dataset.sigma)
+    builds, tie_breaks = [], []
+
+    def counted(count, real):
+        return lambda *args, **kwargs: count.append(1) or real(*args, **kwargs)
+
+    monkeypatch.setattr(quality_module, "density_from_fixations",
+                        counted(builds, quality_module.density_from_fixations))
+    monkeypatch.setattr(metrics_module, "tie_broken", counted(tie_breaks, metrics_module.tie_broken))
+    report = quality_report(small, samplers=("shuffled", "fn:3"), seed=6, measure=measure)
+    assert len(builds) == 2 * len(small) * (2 if measure == "cc" else 1)
+    assert len(tie_breaks) == (2 * len(small) + 1 if measure == "auc" else 0)
+    monkeypatch.undo()
+    center = center_bias_map(small.frame)
+    for label, (sampler, k) in (("shuffled", ("shuffled", None)), ("fn:3", ("fn", 3))):
+        seeds = [derive_seed(6, label, rec.id) for rec in small.images]
+        triples = [make_triple(center_penalization(negs, center, small.sigma, measure),
+                               positive_contamination(negs, rec.fixations, small.sigma, measure))
+                   for rec, negs in zip(small.images, draw_negatives(sampler, small, seeds, k))]
+        ratios = [t.ratio for t in triples if t.ratio is not None]
+        assert report[label] == QualityTriple(float(np.mean([t.penalization for t in triples])),
+                                              float(np.mean([t.contamination for t in triples])),
+                                              float(np.mean(ratios)) if ratios else None)
 
 
 def test_quality_report_deterministic(bias_dataset):

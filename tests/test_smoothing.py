@@ -1,9 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from salmetric.core import GridMap
+from salmetric.core import BAND, GridMap
 from salmetric.gaussian import global_gaussian_map
 from salmetric.smoothing import tie_break_global, tie_break_noise, tie_broken
 
@@ -129,3 +130,21 @@ def test_a_jitter_just_past_the_float_limit_raises(mode):
                     tie_broken(pred, mode, 3)
             else:
                 assert np.isfinite(tie_broken(pred, mode, 3).whole().values).all()
+
+
+def test_a_global_tie_break_keeps_no_field_frame():
+    """The global field is kept as its axis terms, not as a frame: once a
+    map at a frame no other test uses is tie-broken, built whole and read a
+    band at a time, and the results are dropped, less than 1% of a frame of
+    float64 stays allocated. numpy reports its buffers to tracemalloc."""
+    w, h = 637, 481
+    pred = GridMap(np.random.default_rng(11).choice([0.0, 0.5, 1.0], size=(h, w)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tie_break_global(pred)
+        tie_broken(pred, "global").at(slice(0, BAND))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.01 * w * h * 8, f"{kept / (w * h * 8):.3f} frames kept"
