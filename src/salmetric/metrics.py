@@ -29,8 +29,7 @@ from .errors import (
 )
 from .gaussian import center_bias_map, density_from_fixations
 from .roc import auc_averaged, auc_complement, auc_splits
-from .sampling import (_CHUNK_FLOATS, NegativePool, _draw_floats, draw_count, draw_pools,
-                       negative_pool, negative_pools, split_streams)
+from .sampling import NegativePool, drawn_chunks, negative_pool, split_streams
 from .seeding import derive_seed
 from .smoothing import TieBroken, tie_broken
 
@@ -255,14 +254,6 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, dr
     return task["id"], scores, stds
 
 
-def _image_floats(dataset: DatasetIndex, cfg: EvalConfig, n_preds: int) -> int:
-    """What one image of ``n_preds`` predictions adds to a chunk, at most:
-    the predictions, and the :func:`_draw_floats` of their splits."""
-    width, height = dataset.frame
-    samplers = [SAMPLED_METRICS[name] for name in cfg.metrics if name in SAMPLED_METRICS]
-    return n_preds * width * height + _draw_floats(dataset, samplers, cfg.k, n_preds * cfg.n_splits)
-
-
 def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
                   gt_sigma: float):
     """Score the images of ``dataset`` in order, in one pass: yield
@@ -273,72 +264,33 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
     cc, sim and kld, the ig ``baseline`` at the image's fixations, and the
     pool of each sampled AUC.
 
-    The pass takes each image's predictions once, and flushes the images
-    taken so far, a chunk of about :data:`_CHUNK_FLOATS` floats or one image
-    when nothing is drawn, at the chunk's last image, at the dataset's last
-    image, or at an image whose lookup fails: one :func:`negative_pools`
-    call, the count of each prediction's draws on its rows of the run's one
-    :func:`split_streams`, one :func:`draw_pools` call, then scoring. A
-    failing lookup or pool build is raised once the images before it are
-    scored; a failing count ends the chunk at its image and stands in that
-    draw's place, for :func:`_score_image` to raise. The centre-bias map is
-    built once and dropped once every image's baseline values are gathered."""
-    asked = [name for name in cfg.metrics if name in SAMPLED_METRICS]
-    streams, size = None, 1
-    if asked:
-        streams = split_streams([s for image in seeds for s in image], cfg.n_splits)
-        size = max(1, _CHUNK_FLOATS // _image_floats(dataset, cfg, max(map(len, seeds))))
+    :func:`drawn_chunks` takes each image's predictions and draws its pools
+    on all their rows of the run's one :func:`split_streams`, a failing
+    count standing in for its draw, for :func:`_score_image` to raise. The
+    centre-bias map is built once and dropped once every image's baseline
+    values are gathered."""
+    asked = {name: SAMPLED_METRICS[name] for name in cfg.metrics if name in SAMPLED_METRICS}
+    streams = split_streams([s for image in seeds for s in image], cfg.n_splits) if asked else None
     needs_gt = any(m in cfg.metrics for m in ("cc", "sim", "kld"))
     baselines = [None] * len(dataset)
     if "ig" in cfg.metrics:
         center = center_bias_map(dataset.frame)
         baselines = [center.values_at(rec.fixations) for rec in dataset.images]
         del center
-    preds = iter(preds)
-    chunk, row = [], 0
-    for n in range(len(dataset)):
-        error = None
-        try:
-            # taken whole: an image's iterable may read state that taking the
-            # next one changes, as ``sigma_sweep``'s generators read their image
-            chunk.append((n, list(next(preds))))
-        except Exception as exc:
-            error = exc
-        if error is None and len(chunk) < size and n + 1 < len(dataset):
-            continue
-        built = {name: negative_pools(SAMPLED_METRICS[name], [i for i, _ in chunk], dataset,
-                                      cfg.k, cfg.sigma) for name in asked}
-        taken, requests, places = [], [], []
-        for j, (i, image_preds) in enumerate(chunk):
-            pools = {name: built[name][j] for name in asked}
-            draws = [{} for _ in image_preds]
-            taken.append((i, image_preds, pools, draws))
-            try:
-                for drawn in draws:
-                    for name in asked:
-                        count = draw_count(pools[name], dataset.images[i].fixations)
-                        requests.append((pools[name], count, range(row, row + cfg.n_splits)))
-                        places.append((drawn, name))
-                    row += cfg.n_splits
-            except Exception as exc:
-                # the chunk ends at this image, and its score raises this
-                drawn[name] = error = exc
-                break
-        for (drawn, name), negatives in zip(places, draw_pools(streams, requests)):
-            drawn[name] = negatives
-        chunk, requests, places, built = [], [], [], {}
-        taken.reverse()
-        while taken:
-            i, image_preds, pools, draws = taken.pop()
-            image = dataset.images[i]
-            density = density_from_fixations(image.fixations, gt_sigma) if needs_gt else None
-            task = {"id": image.id, "fixations": image.fixations, "gt_density": density,
-                    "baseline": baselines[i], "pools": pools}
-            for pred, image_seed, drawn in zip(image_preds, seeds[i], draws):
-                yield _score_image(task, pred, cfg, image_seed, drawn)
-            del density, pools, task, image_preds, pred, draws, drawn
-        if error is not None:
-            raise error
+    n, floats = cfg.n_splits, max(map(len, seeds)) * math.prod(dataset.frame)
+    for i, image_preds, pools, drawn in drawn_chunks(list(asked.values()), dataset, streams, preds,
+                                                     floats, cfg.k, cfg.sigma):
+        image = dataset.images[i]
+        density = density_from_fixations(image.fixations, gt_sigma) if needs_gt else None
+        task = {"id": image.id, "fixations": image.fixations, "gt_density": density,
+                "baseline": baselines[i], "pools": {name: pools[s] for name, s in asked.items()}}
+        drawn = {name: drawn[s] for name, s in asked.items() if s in drawn}
+        for j, (pred, image_seed) in enumerate(zip(image_preds, seeds[i])):
+            # each prediction's splits are its n rows of the image's draw
+            draws = {name: rows if isinstance(rows, Exception) else rows[j * n:(j + 1) * n]
+                     for name, rows in drawn.items()}
+            yield _score_image(task, pred, cfg, image_seed, draws)
+        del density, pools, task, image_preds, pred, drawn, draws
 
 
 def _check_frame(image_id: str, frame, dataset: DatasetIndex):

@@ -86,8 +86,9 @@ def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: i
     """Mean quality triple per sampler across all images of the dataset.
 
     Each image's draw is seeded from (seed, sampler label, image id), so the
-    report is deterministic and order-independent; :func:`draw_negatives`
-    draws a sampler's sets a chunk of images at a time."""
+    report is deterministic and order-independent. The samplers'
+    :func:`draw_negatives` run in step, so the first faulty image in
+    manifest order ends the run, and of its samplers the first listed."""
     if measure not in QUALITY_MEASURES:
         raise ValueError(f"unknown measure {measure!r}; choose from {QUALITY_MEASURES}")
     samplers = list(samplers)
@@ -99,20 +100,25 @@ def quality_report(dataset: DatasetIndex, samplers=("shuffled", "fn:5"), seed: i
     sigma = dataset.sigma if sigma is None else float(sigma)
     center = center_bias_map(dataset.frame)
     center = _tie_break(center, "global", 0) if measure == "auc" else center  # tie-broken once
-    out = {}
-    for label in samplers:
-        sampler, k = _parse_sampler(label)
-        seeds = [derive_seed(seed, label, rec.id) for rec in dataset.images]
-        drawn = draw_negatives(sampler, dataset, seeds, k, sigma)
-        # each set is scored as it comes, before a later image's failed draw is
-        # raised; its density serves both measures
-        triples = []
-        for rec, negatives in zip(dataset.images, drawn):
+    drawn = [draw_negatives(sampler, dataset, [derive_seed(seed, label, rec.id)
+                                               for rec in dataset.images], k, sigma)
+             for label, (sampler, k) in zip(samplers, map(_parse_sampler, samplers))]
+    triples = {label: [] for label in samplers}
+    # each sampler draws an image's set just before it is scored; the image's
+    # positives' density serves every sampler, a set's density both measures
+    for rec in dataset.images:
+        truth = None
+        for label, negatives in zip(samplers, map(next, drawn)):
             density = density_from_fixations(negatives, sigma)
-            triples.append(make_triple(_agreement(center, negatives, sigma, measure, density),
-                                       _agreement(density, rec.fixations, sigma, measure)))
-        ratios = [t.ratio for t in triples if t.ratio is not None]
-        out[label] = QualityTriple(float(np.mean([t.penalization for t in triples])),
-                                   float(np.mean([t.contamination for t in triples])),
+            penalization = _agreement(center, negatives, sigma, measure, density)
+            if truth is None and measure == "cc":  # at its first use
+                truth = density_from_fixations(rec.fixations, sigma)
+            triples[label].append(make_triple(
+                penalization, _agreement(density, rec.fixations, sigma, measure, truth)))
+    out = {}
+    for label, scored in triples.items():
+        ratios = [t.ratio for t in scored if t.ratio is not None]
+        out[label] = QualityTriple(float(np.mean([t.penalization for t in scored])),
+                                   float(np.mean([t.contamination for t in scored])),
                                    float(np.mean(ratios)) if ratios else None)
     return out

@@ -5,13 +5,13 @@ objects, built together: for ``borji`` every location but the image's own,
 held as those locations; otherwise a support set plus draw weights.
 Weights count how many images fixated a location, so sampling reproduces the
 dataset's fixation distribution even when many fixations collide on a small
-grid; the support set alone would flatten it. :func:`draw_negatives` draws
-one negative set per image, a chunk of images at a time, and
-:func:`draw_count` decides each draw's size. :func:`draw_pools` is the one
-draw underneath it and every sampled AUC, of many pools at once, with a
-split axis: it reads each split's random stream from :class:`SplitStreams`,
-which :func:`split_streams` seeds for a whole run at once, and the pool maps
-the drawn positions to locations.
+grid; the support set alone would flatten it. :func:`drawn_chunks` draws
+from every command's pools a chunk of images at a time, one negative set an
+image for :func:`draw_negatives`, and :func:`draw_count` decides each draw's
+size. :func:`draw_pools` is the one draw underneath it and every sampled
+AUC, of many pools at once, with a split axis: it reads each split's random
+stream from :class:`SplitStreams`, which :func:`split_streams` seeds for a
+whole run at once, and the pool maps the drawn positions to locations.
 """
 
 import copy
@@ -707,28 +707,69 @@ def _draw_floats(dataset: DatasetIndex, samplers: list, k: int, rows: int) -> in
     return 2 * cdf + pooled * samplers.count("fn") + rows * fixations * (2 + 3 * len(samplers))
 
 
+def drawn_chunks(samplers: list, dataset: DatasetIndex, streams, items, floats: int, k: int = 5,
+                 sigma: float | None = None):
+    """Yield ``(i, item, pools, drawn)`` for each image i of ``dataset``, in
+    order: its ``item``, taken whole from ``items``, and by sampler its pool
+    and the locations drawn on its ``len(streams) // len(dataset)`` rows of
+    ``streams``. A chunk of about :data:`_CHUNK_FLOATS` floats (an image
+    counts ``floats`` and its :func:`_draw_floats`), or one image when
+    nothing is drawn, takes one :func:`negative_pools` call per sampler, one
+    :func:`draw_count` per image and sampler and one :func:`draw_pools` call.
+    A failing count stands in for its draw and ends the chunk at its image;
+    a failing item ends it before its image; either is raised once the
+    images before it are yielded."""
+    n = len(dataset)
+    rows = len(streams) // n if samplers else 0
+    size = (max(1, _CHUNK_FLOATS // (floats + _draw_floats(dataset, samplers, k, rows)))
+            if samplers else 1)
+    items, start, error = iter(items), 0, None
+    while start < n and error is None:
+        taken = []
+        try:
+            while len(taken) < min(size, n - start):
+                # taken whole: an item may read state that taking the next one
+                # changes, as ``sigma_sweep``'s generators read their image
+                taken.append(list(next(items)))
+        except Exception as exc:
+            error = exc
+        built = [negative_pools(s, list(range(start, start + len(taken))), dataset, k, sigma)
+                 for s in samplers]
+        chunk, requests, places = [], [], []
+        for j in range(len(taken)):
+            i, pools, drawn = start + j, {s: b[j] for s, b in zip(samplers, built)}, {}
+            chunk.append((i, taken[j], pools, drawn))
+            try:
+                for s in samplers:
+                    count = draw_count(pools[s], dataset.images[i].fixations)
+                    requests.append((pools[s], count, range(i * rows, (i + 1) * rows)))
+                    places.append((drawn, s))
+            except Exception as exc:
+                # the chunk ends at this image, and this stands in for its draw
+                drawn[s] = error = exc
+                break
+        for (drawn, s), negatives in zip(places, draw_pools(streams, requests)):
+            drawn[s] = negatives
+        start += len(chunk)
+        # only the chunk holds its images while they are yielded
+        taken = built = requests = places = pools = drawn = negatives = None
+        chunk.reverse()
+        while chunk:
+            yield chunk.pop()
+    if error is not None:
+        raise error
+
+
 def draw_negatives(sampler: str, dataset: DatasetIndex, seeds, k: int = 5,
                    sigma: float | None = None):
     """Yield each image's negative set from its ``sampler`` pool, in image
-    order, drawn as :func:`sample_from_pool` draws it on ``seeds[i]``. A chunk
-    of about :data:`_CHUNK_FLOATS` floats takes one :func:`negative_pools`
-    call, one :func:`draw_count` per image and one :func:`draw_pools` call on
-    its rows of one :class:`SplitStreams`. A failing count ends the chunk at
-    its image, and is raised once the sets before it are yielded."""
-    streams, images, error = SplitStreams(seeds), dataset.images, None
-    size = max(1, _CHUNK_FLOATS // _draw_floats(dataset, [sampler], k, 1))
-    for start in range(0, len(images), size):
-        chunk = range(start, min(start + size, len(images)))
-        pools, draws = negative_pools(sampler, list(chunk), dataset, k, sigma), []
-        try:
-            for i, pool in zip(chunk, pools):
-                draws.append((pool, draw_count(pool, images[i].fixations), range(i, i + 1)))
-        except Exception as exc:  # raised once the sets before it are yielded
-            error = exc
-        for negatives in draw_pools(streams, draws):
-            yield FixationSet.from_linear(negatives[0], dataset.frame)
-        if error is not None:
-            raise error
+    order, drawn as :func:`sample_from_pool` draws it on ``seeds[i]``: the
+    :func:`drawn_chunks` of one row an image, whose failing count is raised."""
+    items = ([] for _ in range(len(dataset)))
+    for _, _, _, drawn in drawn_chunks([sampler], dataset, SplitStreams(seeds), items, 0, k, sigma):
+        if isinstance(drawn[sampler], Exception):
+            raise drawn[sampler]
+        yield FixationSet.from_linear(drawn[sampler][0], dataset.frame)
 
 
 def negative_pool(sampler: str, image_id: str, dataset: DatasetIndex, k: int = 5,

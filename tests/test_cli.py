@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from salmetric import metrics as metrics_module
+from salmetric import sampling as sampling_module
 from salmetric.cli import run
 from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord
 from salmetric.gaussian import density_from_fixations
@@ -131,7 +132,7 @@ def test_evaluate_wrong_frame_exits_1_before_building_anything(workspace, capsys
         raise AssertionError("built before every prediction was checked")
 
     monkeypatch.setattr(metrics_module, "density_from_fixations", built)
-    monkeypatch.setattr(metrics_module, "negative_pools", built)
+    monkeypatch.setattr(sampling_module, "negative_pools", built)
     out = tmp / "r.json"
     assert run(["evaluate", str(manifest), "--pred", str(preds), "--out", str(out)]) == 1
     assert capsys.readouterr().err == \

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections.abc import Mapping
 import tracemalloc
 import warnings
 import weakref
@@ -32,6 +33,7 @@ from salmetric import sampling as sampling_module
 from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.metrics import (
     ALL_METRICS,
+    SAMPLED_METRICS,
     EvalConfig,
     auc_borji,
     auc_judd,
@@ -380,7 +382,7 @@ def test_evaluate_all_checks_predictions_before_building_anything(monkeypatch, b
         raise AssertionError("built before every prediction was checked")
 
     monkeypatch.setattr(metrics_module, "density_from_fixations", built)
-    monkeypatch.setattr(metrics_module, "negative_pools", built)
+    monkeypatch.setattr(sampling_module, "negative_pools", built)
     with pytest.raises(error, match="'c'"):
         evaluate_all(ds, preds, EvalConfig(k=2))
 
@@ -402,8 +404,9 @@ def test_evaluate_all_checks_a_frame_before_building_that_image(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("density_from_fixations", "negative_pools"):
-        monkeypatch.setattr(metrics_module, name, building(name, getattr(metrics_module, name)))
+    for module, name in ((metrics_module, "density_from_fixations"),
+                         (sampling_module, "negative_pools")):
+        monkeypatch.setattr(module, name, building(name, getattr(module, name)))
     with pytest.raises(DimensionMismatchError, match="'c'"):
         evaluate_all(ds, preds, EvalConfig(k=2))
     assert set(built) == {"density_from_fixations", "negative_pools"}
@@ -425,18 +428,76 @@ def test_evaluate_all_looks_each_prediction_up_once():
     assert report == evaluate_all(ds, preds, EvalConfig(k=2, n_splits=4))
 
 
+@pytest.mark.parametrize("chunk_floats", [1, None])
+@pytest.mark.parametrize("metrics", [("cc", "nss"), ("auc_judd", "s_auc", "fn_auc")])
+def test_no_earlier_prediction_is_alive_at_a_lookup(monkeypatch, metrics, chunk_floats):
+    """Each prediction is let go once its image is scored: when a prediction
+    is looked up or an image scored, the predictions of the images scored
+    before are dead. In chunks of one image (``chunk_floats`` 1) every
+    earlier prediction is dead at each lookup; in one chunk of every image
+    (the default here), at each score."""
+    ds = gen_dataset(SynthConfig(n_images=6, frame=(24, 20), fixations_per_image=6, seed=4))
+    if chunk_floats is not None:
+        monkeypatch.setattr(sampling_module, "_CHUNK_FLOATS", chunk_floats)
+    returned, scored = {}, []
+
+    def check(at):
+        alive = [image_id for image_id in scored if returned[image_id]() is not None]
+        assert not alive, f"at {at}, the predictions of {alive} are alive"
+
+    class Building(Mapping):
+        """Builds a fresh map on each lookup, and keeps a weak reference to it."""
+
+        def __getitem__(self, image_id):
+            check(f"{image_id!r}'s lookup")
+            pred = GridMap(density_from_fixations(ds.image(image_id).fixations, ds.sigma).values)
+            returned[image_id] = weakref.ref(pred)
+            return pred
+
+        def __contains__(self, image_id):
+            return image_id in ds.ids
+
+        def __iter__(self):
+            return iter(ds.ids)
+
+        def __len__(self):
+            return len(ds)
+
+    score_image = metrics_module._score_image
+
+    def scoring(task, *args):
+        check(f"{task['id']!r}'s score")
+        result = score_image(task, *args)
+        scored.append(task["id"])
+        return result
+
+    monkeypatch.setattr(metrics_module, "_score_image", scoring)
+    evaluate_all(ds, Building(), EvalConfig(metrics=metrics, n_splits=4, k=2))
+    assert scored == list(ds.ids)
+
+
 def _drawn_rows(monkeypatch) -> list:
-    """Record the stream rows of each ``draw_pools`` call of the scoring
-    loop: one range per prediction drawn, in row order."""
+    """Record the stream rows of each ``draw_pools`` call of the chunk
+    driver: one range per image drawn, over its predictions' splits, in row
+    order."""
     calls = []
-    draw_pools = metrics_module.draw_pools
+    draw_pools = sampling_module.draw_pools
 
     def recording(streams, draws):
         calls.append(sorted({rows for _, _, rows in draws}, key=lambda rows: rows.start))
         return draw_pools(streams, draws)
 
-    monkeypatch.setattr(metrics_module, "draw_pools", recording)
+    monkeypatch.setattr(sampling_module, "draw_pools", recording)
     return calls
+
+
+def _image_floats(dataset, cfg, n_preds: int) -> int:
+    """What one image of ``n_preds`` predictions adds to a scoring chunk:
+    the predictions, and the ``_draw_floats`` of their splits."""
+    width, height = dataset.frame
+    samplers = [SAMPLED_METRICS[name] for name in cfg.metrics if name in SAMPLED_METRICS]
+    return (n_preds * width * height
+            + sampling_module._draw_floats(dataset, samplers, cfg.k, n_preds * cfg.n_splits))
 
 
 def _scored_ids(monkeypatch) -> list:
@@ -470,12 +531,14 @@ def test_scores_do_not_depend_on_the_chunk_size(monkeypatch):
                 (config, 1, lambda: evaluate_all(ds, preds, config)),
                 (sweep_config, 3, lambda: sigma_sweep(ds, (1.5, 3.0, 6.0), metrics=sweep_metrics,
                                                       n_splits=4, k=2))):
-            floats = metrics_module._image_floats(ds, cfg, n_preds)
-            monkeypatch.setattr(metrics_module, "_CHUNK_FLOATS", per_chunk * floats)
+            floats = _image_floats(ds, cfg, n_preds)
+            monkeypatch.setattr(sampling_module, "_CHUNK_FLOATS", per_chunk * floats)
             calls.clear()
             runs.append(run())
-            sizes = [len(rows) // n_preds for rows in calls]
+            # one range an image, over its predictions' splits
+            sizes = [len(ranges) for ranges in calls]
             assert sizes[0] == per_chunk and sum(sizes) == len(ds)
+            assert {len(rows) for ranges in calls for rows in ranges} == {n_preds * cfg.n_splits}
         results.append(runs)
     assert all(runs == results[0] for runs in results[1:])
 
@@ -578,7 +641,7 @@ def test_the_first_fault_of_a_chunk_in_image_order_is_raised(monkeypatch, first,
     if "constant" in at:
         preds[ds.ids[at["constant"]]] = GridMap(np.full((16, 16), 0.5))
     config = EvalConfig(metrics=("cc", "fn_auc"), n_splits=4, k=len(ds) - 1)
-    assert len(ds) * metrics_module._image_floats(ds, config, 1) <= metrics_module._CHUNK_FLOATS
+    assert len(ds) * _image_floats(ds, config, 1) <= sampling_module._CHUNK_FLOATS
     scored = _scored_ids(monkeypatch)
     with pytest.raises(SalmetricError) as err:
         evaluate_all(ds, preds, config)

@@ -142,7 +142,8 @@ def test_quality_report_full_k_matches_shuffled(bias_dataset):
 @pytest.mark.parametrize("measure", ["cc", "auc"])
 def test_quality_report_scores_each_set_once(bias_dataset, measure, monkeypatch):
     """``quality_report`` builds each negative set's density once for both
-    measures, and tie-breaks the centre map once per run for ``auc``; its
+    measures, each image's positives' density once for every sampler of
+    ``cc``, and tie-breaks the centre map once per run for ``auc``; its
     means equal those of ``center_penalization`` and
     ``positive_contamination`` over the same sets, bit for bit."""
     small = DatasetIndex(bias_dataset.images[:8], sigma=bias_dataset.sigma)
@@ -155,7 +156,8 @@ def test_quality_report_scores_each_set_once(bias_dataset, measure, monkeypatch)
                         counted(builds, quality_module.density_from_fixations))
     monkeypatch.setattr(metrics_module, "tie_broken", counted(tie_breaks, metrics_module.tie_broken))
     report = quality_report(small, samplers=("shuffled", "fn:3"), seed=6, measure=measure)
-    assert len(builds) == 2 * len(small) * (2 if measure == "cc" else 1)
+    # per image: a set for each of the two samplers, and for cc its positives
+    assert len(builds) == len(small) * (3 if measure == "cc" else 2)
     assert len(tie_breaks) == (2 * len(small) + 1 if measure == "auc" else 0)
     monkeypatch.undo()
     center = center_bias_map(small.frame)
@@ -168,6 +170,51 @@ def test_quality_report_scores_each_set_once(bias_dataset, measure, monkeypatch)
         assert report[label] == QualityTriple(float(np.mean([t.penalization for t in triples])),
                                               float(np.mean([t.contamination for t in triples])),
                                               float(np.mean(ratios)) if ratios else None)
+
+
+@pytest.mark.parametrize("samplers", [("shuffled", "fn:3"), ("fn:3", "shuffled")])
+def test_quality_report_raises_the_first_faulty_image_then_the_first_sampler(
+        bias_dataset, samplers, monkeypatch):
+    """The samplers' draws run in step: ``fn:3`` fails at image 2 and
+    ``shuffled`` at image 4, so image 2's fault is raised whichever sampler
+    is listed first, and once image 3 fails under both, the sampler listed
+    first is raised."""
+    small = DatasetIndex(bias_dataset.images[:6], sigma=bias_dataset.sigma)
+    real = quality_module.draw_negatives
+
+    def failing(at):
+        def stub(sampler, dataset, seeds, k=5, sigma=None):
+            for i, negatives in enumerate(real(sampler, dataset, seeds, k, sigma)):
+                if i == at[sampler]:
+                    raise EmptyFixationsError(f"{sampler} fails at image {i}")
+                yield negatives
+        return stub
+
+    monkeypatch.setattr(quality_module, "draw_negatives", failing({"fn": 2, "shuffled": 4}))
+    with pytest.raises(EmptyFixationsError, match=r"^fn fails at image 2$"):
+        quality_report(small, samplers=samplers, seed=1)
+    monkeypatch.setattr(quality_module, "draw_negatives", failing({"fn": 3, "shuffled": 3}))
+    first = samplers[0].split(":")[0]
+    with pytest.raises(EmptyFixationsError, match=rf"^{first} fails at image 3$"):
+        quality_report(small, samplers=samplers, seed=1)
+
+
+def test_quality_report_scores_a_set_before_the_next_sampler_draws(bias_dataset, monkeypatch):
+    """Each sampler draws an image's set just before it is scored: an empty
+    ``shuffled`` set at image 1 fails its score before ``fn:3``'s draw of
+    image 1, which would fail too, is taken."""
+    small = DatasetIndex(bias_dataset.images[:4], sigma=bias_dataset.sigma)
+    real = quality_module.draw_negatives
+
+    def stub(sampler, dataset, seeds, k=5, sigma=None):
+        for i, negatives in enumerate(real(sampler, dataset, seeds, k, sigma)):
+            if i == 1 and sampler == "fn":
+                raise AssertionError("fn drew image 1 before shuffled's set was scored")
+            yield FixationSet.from_linear([], dataset.frame) if i == 1 else negatives
+
+    monkeypatch.setattr(quality_module, "draw_negatives", stub)
+    with pytest.raises(EmptyFixationsError, match="need at least one fixation"):
+        quality_report(small, samplers=("shuffled", "fn:3"), seed=1)
 
 
 def test_quality_report_deterministic(bias_dataset):

@@ -4,7 +4,8 @@ import pytest
 from salmetric.core import DatasetIndex, FixationSet, ImageRecord
 from salmetric.errors import UnknownModeError
 from salmetric.gaussian import center_bias_map, density_from_fixations
-from salmetric.metrics import EvalConfig, cc, evaluate_all
+from salmetric.metrics import EvalConfig, auc_borji, cc, evaluate_all, fn_auc, s_auc
+from salmetric.seeding import derive_seed
 from salmetric.synth import (
     SynthConfig,
     gen_dataset,
@@ -177,3 +178,24 @@ def test_sweep_deterministic_with_sampled_metrics():
     b = sigma_sweep(ds, [2, 4], metrics=("auc_borji", "s_auc", "fn_auc"), seed=5,
                     n_splits=10, k=2)
     assert a == b
+
+
+def test_sweep_sampled_rows_match_the_library_calls():
+    """Each width's sampled AUC rows equal, bit for bit, the image-order
+    mean of ``auc_borji``, ``s_auc`` and ``fn_auc`` on the width's
+    prediction at ``derive_seed(seed, "sweep", width, id)``: one draw of all
+    an image's widths' splits draws what each width's own draw would."""
+    ds = gen_dataset(SynthConfig(n_images=6, frame=(24, 24), fixations_per_image=8, seed=4))
+    sigmas, seed, n_splits, k = (1.5, 3.0, 6.0), 5, 7, 2
+    table = sigma_sweep(ds, sigmas, metrics=("auc_borji", "s_auc", "fn_auc"), seed=seed,
+                        n_splits=n_splits, k=k)
+    for j, st in enumerate(sigmas):
+        sums = {"auc_borji": 0.0, "s_auc": 0.0, "fn_auc": 0.0}
+        for rec in ds.images:
+            pred = density_from_fixations(rec.fixations, st)
+            image_seed = derive_seed(seed, "sweep", st, rec.id)
+            sums["auc_borji"] += auc_borji(pred, rec.fixations, n_splits, image_seed)[0]
+            sums["s_auc"] += s_auc(pred, rec.id, ds, n_splits, image_seed)[0]
+            sums["fn_auc"] += fn_auc(pred, rec.id, ds, k, n_splits, image_seed, ds.sigma)[0]
+        for name, total in sums.items():
+            assert table.scores[name][j] == total / len(ds), (name, st)
