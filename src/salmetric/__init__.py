@@ -14,13 +14,10 @@ from .core import (
     ImageRecord,
     complement_set,
     normalize_to_density,
-    vectorize,
 )
 from .gaussian import (
-    blur,
     center_bias_map,
     density_from_fixations,
-    gaussian_kernel,
     global_gaussian_map,
 )
 from .metrics import (
@@ -38,7 +35,7 @@ from .metrics import (
     sim,
 )
 from .quality import QualityTriple, center_penalization, positive_contamination, quality_report
-from .roc import RocCurve, auc, auc_averaged, auc_single, roc_points
+from .roc import RocCurve, auc_averaged, auc_single, roc_points
 from .sampling import (
     NegativePool,
     NeighborList,

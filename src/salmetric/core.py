@@ -69,6 +69,18 @@ class GridMap:
         return f"{type(self).__name__}({self.width}x{self.height})"
 
 
+def _whole(values) -> np.ndarray:
+    """``values`` as an integer array, or as floats when each is a whole
+    number; raises ``ValueError`` at one that is not."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.float64)
+        bad = arr[arr != np.floor(arr)]
+        if bad.size:
+            raise ValueError(f"fixation coordinates must be whole numbers, got {float(bad[0])!r}")
+    return arr
+
+
 class FixationSet:
     """Deduplicated set of integer pixel coordinates within a frame.
 
@@ -81,7 +93,7 @@ class FixationSet:
         linear = list(coords)
         # with no coordinates or a frame under 1x1, _canonicalize does every check
         if linear and w >= 1 and h >= 1:
-            arr = np.asarray(linear, dtype=np.int64)
+            arr = _whole(linear)
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError("coords must be (x, y) pairs")
             xs, ys = arr[:, 0], arr[:, 1]
@@ -103,9 +115,10 @@ class FixationSet:
         w, h = int(frame[0]), int(frame[1])
         if w < 1 or h < 1:
             raise ValueError("frame must be at least 1x1")
-        arr = np.sort(np.asarray(linear, dtype=np.int64), axis=None)
+        arr = np.sort(_whole(linear), axis=None)
         if arr.size and (arr[0] < 0 or arr[-1] >= w * h):
             raise ValueError(f"linear index outside the {w}x{h} frame")
+        arr = arr.astype(np.int64, copy=False)
         # sort, then mask out repeats: far faster on large sets than a hashing unique
         first = np.ones(arr.size, dtype=bool)
         np.not_equal(arr[1:], arr[:-1], out=first[1:])
@@ -235,14 +248,6 @@ class DatasetIndex:
     def __repr__(self):
         w, h = self.frame
         return f"DatasetIndex({self.name!r}, {len(self)} images, {w}x{h})"
-
-
-def vectorize(fixations: FixationSet) -> GridMap:
-    """Binary map with a 1 at each fixation and 0 elsewhere."""
-    w, h = fixations.frame
-    flat = np.zeros(w * h, dtype=np.float64)
-    flat[fixations.linear] = 1.0
-    return GridMap(flat.reshape(h, w))
 
 
 def normalize_to_density(grid: GridMap) -> DensityMap:

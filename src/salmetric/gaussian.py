@@ -30,32 +30,16 @@ def kernel_radius(sigma: float) -> int:
     return int(math.ceil(3.0 * float(sigma)))
 
 
-def _check_sigma(sigma, reach: float = 1.0):
-    """Reject a width whose kernel cannot be computed: one that is not
-    positive and finite, or so small that ``reach``, the largest squared tap
-    offset of a kernel that width, overflows when divided by 2 sigma^2
-    (below about 5.27e-155 for a 1D kernel)."""
+def _check_sigma(sigma) -> float:
+    """``sigma`` as a float, once it is positive and finite and not so small
+    that 1 / (2 sigma^2), the exponent of the nearest tap, overflows (below
+    about 5.27e-155): a width whose kernel can be computed."""
     if not (0.0 < float(sigma) < math.inf):
         raise InvalidSigmaError(f"sigma must be positive and finite, got {sigma!r}")
-    two_var = 2.0 * float(sigma) * float(sigma)
-    if two_var == 0.0 or reach / two_var == math.inf:
-        raise InvalidSigmaError(
-            f"sigma {float(sigma)!r} is so small that the Gaussian kernel overflows"
-        )
-
-
-def gaussian_kernel(sigma: float) -> GridMap:
-    """Square 2D kernel sampled from the isotropic Gaussian of width ``sigma``.
-
-    The center value is exactly 1 / (2 pi sigma^2); the kernel is not
-    renormalized after truncation.
-    """
-    _check_sigma(sigma, reach=2.0)  # the corner taps of a 3x3 kernel
     sigma = float(sigma)
-    r = kernel_radius(sigma)
-    sq = np.arange(-r, r + 1, dtype=np.float64) ** 2
-    peak = 1.0 / (2.0 * math.pi * sigma * sigma)
-    return GridMap(peak * np.exp(-(sq[:, None] + sq[None, :]) / (2.0 * sigma * sigma)))
+    if 2.0 * sigma * sigma == 0.0 or 1.0 / (2.0 * sigma * sigma) == math.inf:
+        raise InvalidSigmaError(f"sigma {sigma!r} is so small that the Gaussian kernel overflows")
+    return sigma
 
 
 def _kernel_1d(sigma: float, n: int) -> np.ndarray:
@@ -83,43 +67,27 @@ def _add_lines(at, lines, kernel: np.ndarray, n: int) -> np.ndarray:
     return out[r : r + n]
 
 
-def _correlate_axis(values: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    # Zero padding outside the grid; the lines along ``axis`` that hold mass
-    # go through :func:`_add_lines`.
-    lines = np.ascontiguousarray(np.moveaxis(values, axis, 0))
-    at = np.flatnonzero(lines.any(axis=1))
-    out = _add_lines(at, lines[at], kernel, lines.shape[0])
-    return np.ascontiguousarray(np.moveaxis(out, 0, axis))
-
-
-def blur(grid: GridMap, sigma: float) -> GridMap:
-    """Separable Gaussian blur; output has the same dimensions as the input."""
-    _check_sigma(sigma)
-    sigma = float(sigma)
-    out = _correlate_axis(grid.values, _kernel_1d(sigma, grid.width), axis=1)
-    out = _correlate_axis(out, _kernel_1d(sigma, grid.height), axis=0)
-    return GridMap(out)
-
-
 def _row_pass(fixations: FixationSet, sigma: float):
     """The first pass of the fixation map's blur, over the rows that hold
-    fixations only: those rows, ascending, and their lines blurred along x.
-    Each line is bit for bit that row of the whole map's first pass."""
+    fixations only: those rows, ascending, and their lines blurred along x
+    by :func:`_add_lines` of the columns that hold fixations. Each line is
+    bit for bit that row of the whole map's first pass."""
     rows, at = np.unique(fixations.ys, return_inverse=True)
-    lines = np.zeros((rows.size, fixations.frame[0]))
-    lines[at, fixations.xs] = 1.0
-    return rows, _correlate_axis(lines, _kernel_1d(sigma, fixations.frame[0]), axis=1)
+    cols, col_at = np.unique(fixations.xs, return_inverse=True)
+    lines = np.zeros((cols.size, rows.size))
+    lines[col_at, at] = 1.0
+    width = fixations.frame[0]
+    return rows, np.ascontiguousarray(_add_lines(cols, lines, _kernel_1d(sigma, width), width).T)
 
 
 def density_from_fixations(fixations: FixationSet, sigma: float) -> DensityMap:
     """Blur the fixation map and renormalize it to total mass 1.
 
-    The blur is :func:`blur` of :func:`vectorize`, bit for bit; its first
-    pass runs over the rows that hold fixations, not the whole frame."""
+    The blur is separable: a pass along x over the rows that hold
+    fixations, then one along y, each zero-padded at the frame's edges."""
     if len(fixations) == 0:
         raise EmptyFixationsError("need at least one fixation to build a density")
-    _check_sigma(sigma)
-    sigma = float(sigma)
+    sigma = _check_sigma(sigma)
     height = fixations.frame[1]
     values = _add_lines(*_row_pass(fixations, sigma), _kernel_1d(sigma, height), height)
     with np.errstate(over="ignore"):
@@ -131,7 +99,7 @@ def density_from_fixations(fixations: FixationSet, sigma: float) -> DensityMap:
         mass = values.sum()
     if mass == 0.0:
         raise InvalidSigmaError(
-            f"sigma {float(sigma)!r} is so wide that the blurred fixation map underflows to 0"
+            f"sigma {sigma!r} is so wide that the blurred fixation map underflows to 0"
         )
     return DensityMap(np.divide(values, mass, out=values))
 
@@ -157,8 +125,7 @@ def tap_grams(sigma: float, frame: Frame, rows, cols):
     and a tilde marks taps less their row means. Raises
     :class:`InvalidSigmaError`, as :func:`density_from_fixations` does, when
     the product of the peaks underflows to 0."""
-    _check_sigma(sigma)
-    sigma = float(sigma)
+    sigma = _check_sigma(sigma)
     width, height = frame
     kx, ky = _kernel_1d(sigma, width), _kernel_1d(sigma, height)
     if kx.max() * ky.max() == 0.0:

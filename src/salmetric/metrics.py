@@ -8,6 +8,7 @@ scores (nss, the AUCs) consume the raw prediction and the fixation set.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
@@ -184,10 +185,13 @@ class EvalConfig:
             raise ValueError(
                 f"unknown tie_break mode {self.tie_break!r}; expected one of {TIE_BREAK_MODES}"
             )
-        if self.n_splits < 1:
-            raise ValueError(f"n_splits must be at least 1, got {self.n_splits}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        for name, value in (("n_splits", self.n_splits), ("k", self.k)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if self.sigma is not None and not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 

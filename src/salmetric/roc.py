@@ -3,9 +3,8 @@
 Scores come from :func:`auc_values`, the pairwise rank statistic, from
 :func:`auc_rows`, its batched form over the splits of a sampled AUC, which
 :func:`auc_splits` averages, and from :func:`auc_complement`, its form
-against every other location of a map. The curve API (:func:`roc_points`,
-:class:`RocCurve`, :func:`auc`) is for callers that want the curve itself,
-and is the oracle the rank statistic is tested against.
+against every other location of a map. :func:`roc_points` gives the curve
+itself, as a :class:`RocCurve`.
 """
 
 from dataclasses import dataclass
@@ -32,14 +31,6 @@ class RocCurve:
             if f1 < f0 or t1 < t0:
                 raise ValueError("fpr and tpr must be non-decreasing")
 
-    @property
-    def fpr(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def tpr(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
-
 
 def roc_points(pred: GridMap, positives: FixationSet, negatives: FixationSet) -> RocCurve:
     """Sweep thresholds over every value seen at a positive or negative location.
@@ -61,13 +52,6 @@ def roc_points(pred: GridMap, positives: FixationSet, negatives: FixationSet) ->
     pts.extend(zip(fp / nv.size, tp / pv.size))
     pts.append((1.0, 1.0))
     return RocCurve(tuple(pts))
-
-
-def auc(curve: RocCurve) -> float:
-    """Trapezoidal integral of tpr over fpr."""
-    f = curve.fpr
-    t = curve.tpr
-    return float(0.5 * np.sum(np.diff(f) * (t[:-1] + t[1:])))
 
 
 def auc_values(pos_values: np.ndarray, neg_values: np.ndarray) -> float:

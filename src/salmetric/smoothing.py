@@ -51,7 +51,10 @@ class TieBroken(NamedTuple):
 
 def tie_broken(pred: GridMap, mode: str, seed: int = 0) -> TieBroken:
     """``pred`` jittered by the ``global`` field or by ``noise`` drawn from
-    ``seed``; raises ``ValueError`` when a jittered value is not finite."""
+    ``seed``; raises ``ValueError`` when a jittered value is not finite, or
+    in ``noise`` mode when the seed is negative."""
+    if mode == "noise" and seed < 0:
+        raise ValueError(f"the noise seed must be a non-negative integer, got {seed}")
     if mode == "global" and (pred.width < 2 or pred.height < 2):
         return TieBroken(pred)
     gap = _tie_gap(pred.values)  # the sorted copy is let go before a noise field is drawn

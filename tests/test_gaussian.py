@@ -4,15 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from salmetric.core import BAND, FixationSet, GridMap, vectorize
+import reference
+from salmetric.core import BAND, FixationSet
 from salmetric.errors import EmptyFixationsError, InvalidSigmaError
 from salmetric.gaussian import (
-    _correlate_axis,
+    _add_lines,
     _kernel_1d,
-    blur,
+    _row_pass,
     center_bias_map,
     density_from_fixations,
-    gaussian_kernel,
     global_field,
     global_gaussian_map,
     kernel_radius,
@@ -21,84 +21,69 @@ from salmetric.gaussian import (
 )
 
 
-def dense_blur_oracle(values, sigma):
-    """Brute-force 2D convolution with the truncated kernel, zero padding."""
-    kernel = gaussian_kernel(sigma).values
-    r = kernel_radius(sigma)
-    h, w = values.shape
-    padded = np.pad(values, r)
-    out = np.zeros_like(values)
-    for y in range(h):
-        for x in range(w):
-            window = padded[y : y + 2 * r + 1, x : x + 2 * r + 1]
-            out[y, x] = np.sum(window * kernel)
-    return out
+def add_lines_pass(values, kernel, axis):
+    """A blur pass along ``axis`` of any map, made as the package makes
+    each of its passes: :func:`_add_lines` of the lines that hold mass."""
+    lines = np.ascontiguousarray(np.moveaxis(values, axis, 0))
+    at = np.flatnonzero(lines.any(axis=1))
+    return np.moveaxis(_add_lines(at, lines[at], kernel, lines.shape[0]), 0, axis)
 
 
-def tap_loop_correlate(values, kernel, axis):
-    """Reference for the blur's bits: a loop over the kernel taps, each adding
-    its weighted, shifted copy of the zero-padded map to every output pixel."""
-    n = values.shape[axis]
-    r = kernel.size // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    padded = np.pad(values, pad)
-    out = np.zeros_like(values)
-    index = [slice(None), slice(None)]
-    for k in range(kernel.size):
-        index[axis] = slice(k, k + n)
-        out += kernel[k] * padded[tuple(index)]
-    return out
+def random_fixations(rng, w, h, most=25):
+    return FixationSet.from_linear(
+        rng.choice(w * h, size=int(rng.integers(1, min(w * h, most) + 1)), replace=False), (w, h))
 
 
 def test_kernel_center_and_offset_values():
-    k = gaussian_kernel(1.0)
+    k = reference.gaussian_kernel(1.0)
     r = kernel_radius(1.0)
-    assert k.values.shape == (2 * r + 1, 2 * r + 1)
-    assert abs(k.values[r, r] - 1.0 / (2.0 * math.pi)) < 1e-12
-    assert abs(k.values[r, r + 1] - math.exp(-0.5) / (2.0 * math.pi)) < 1e-12
+    assert k.shape == (2 * r + 1, 2 * r + 1)
+    assert abs(k[r, r] - 1.0 / (2.0 * math.pi)) < 1e-12
+    assert abs(k[r, r + 1] - math.exp(-0.5) / (2.0 * math.pi)) < 1e-12
 
 
 def test_kernel_symmetry():
     for sigma in (0.7, 1.0, 2.5):
-        k = gaussian_kernel(sigma).values
+        k = reference.gaussian_kernel(sigma)
         assert np.array_equal(k, k.T)
         assert np.array_equal(k, k[::-1, ::-1])
 
 
 def test_kernel_size_rule():
-    assert gaussian_kernel(2.0).values.shape == (13, 13)
-    assert gaussian_kernel(1.5).values.shape == (11, 11)
+    assert reference.gaussian_kernel(2.0).shape == (13, 13)
+    assert reference.gaussian_kernel(1.5).shape == (11, 11)
+    assert kernel_radius(2.0) == 6 and kernel_radius(1.5) == 5
 
 
 def test_invalid_sigma():
+    fixations = FixationSet([(1, 1)], (4, 4))
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(InvalidSigmaError):
-            gaussian_kernel(bad)
+            density_from_fixations(fixations, bad)
         with pytest.raises(InvalidSigmaError):
-            blur(GridMap(np.ones((4, 4))), bad)
+            tap_grams(bad, (4, 4), [1], [1])
 
 
 def test_blur_delta_equals_kernel():
-    delta = np.zeros((31, 31))
-    delta[15, 15] = 1.0
-    out = blur(GridMap(delta), 2.0).values
-    k = gaussian_kernel(2.0).values
-    assert np.allclose(out[9:22, 9:22], k, atol=1e-12)
+    d = density_from_fixations(FixationSet([(15, 15)], (31, 31)), 2.0).values
+    k = reference.gaussian_kernel(2.0)
+    assert np.allclose(d[9:22, 9:22], k / k.sum(), atol=1e-12)
+    assert d[9:22, 9:22].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_blur_zero_map():
-    out = blur(GridMap(np.zeros((5, 8))), 3.0)
-    assert np.array_equal(out.values, np.zeros((5, 8)))
+    for axis, n in ((0, 5), (1, 8)):
+        out = add_lines_pass(np.zeros((5, 8)), _kernel_1d(3.0, n), axis)
+        assert np.array_equal(out, np.zeros((5, 8)))
 
 
 def test_blur_preserves_mass_for_interior_input():
     rng = np.random.default_rng(2)
-    values = np.zeros((16, 16))
-    values[6:10, 6:10] = rng.random((4, 4))
-    out = blur(GridMap(values), 1.0)
-    kernel_mass = gaussian_kernel(1.0).values.sum()
-    assert abs(out.values.sum() - values.sum() * kernel_mass) < 1e-9
+    interior = [y * 16 + x for y in range(6, 10) for x in range(6, 10)]
+    fixations = FixationSet.from_linear(rng.choice(interior, size=9, replace=False), (16, 16))
+    unnormalised = _add_lines(*_row_pass(fixations, 1.0), _kernel_1d(1.0, 16), 16)
+    kernel_mass = reference.gaussian_kernel(1.0).sum()
+    assert abs(unnormalised.sum() - len(fixations) * kernel_mass) < 1e-9
 
 
 # 20.0 cuts the kernel at 60 pixels, far past the 16-pixel frame
@@ -106,10 +91,10 @@ def test_blur_preserves_mass_for_interior_input():
 def test_blur_matches_dense_oracle(sigma):
     rng = np.random.default_rng(int(sigma * 10))
     for _ in range(5):
-        values = rng.random((16, 16))
-        fast = blur(GridMap(values), sigma).values
-        slow = dense_blur_oracle(values, sigma)
-        assert np.max(np.abs(fast - slow)) < 1e-9
+        fixations = random_fixations(rng, 16, 16, most=40)
+        dense = reference.dense_convolution(reference.vectorize(fixations), sigma)
+        fast = density_from_fixations(fixations, sigma).values
+        assert np.max(np.abs(fast - dense / dense.sum())) < 1e-12
 
 
 def blur_input(family, rng, shape):
@@ -125,7 +110,10 @@ def blur_input(family, rng, shape):
 
 
 @pytest.mark.parametrize("family", ["dense", "sparse", "signed", "negative_zero"])
-def test_correlate_axis_matches_tap_loop_bit_for_bit(family):
+def test_add_lines_matches_tap_loop_bit_for_bit(family):
+    """Along either axis, a pass of :func:`_add_lines` over the lines that
+    hold mass gives the tap loop's bits; so does :func:`_row_pass` over the
+    rows of the map that holds a fixation wherever the values are nonzero."""
     rng = np.random.default_rng(sum(map(ord, family)))
     # frames of 1-40 px; sigma up to 500 is wider than every frame
     cases = [((1, 1), 0.3), ((40, 40), 500.0), ((3, 37), 20.0)]
@@ -136,15 +124,20 @@ def test_correlate_axis_matches_tap_loop_bit_for_bit(family):
         values = blur_input(family, rng, shape)
         for axis in (0, 1):
             kernel = _kernel_1d(sigma, shape[axis])
-            fast = _correlate_axis(values, kernel, axis)
-            assert fast.tobytes() == tap_loop_correlate(values, kernel, axis).tobytes()
+            fast = add_lines_pass(values, kernel, axis)
+            assert fast.tobytes() == reference.tap_loop_correlate(values, kernel, axis).tobytes()
+        h, w = shape
+        fixations = FixationSet.from_linear(np.flatnonzero(values), (w, h))
+        rows, lines = _row_pass(fixations, sigma)
+        whole = reference.tap_loop_correlate(reference.vectorize(fixations), _kernel_1d(sigma, w), 1)
+        assert np.array_equal(rows, np.unique(fixations.ys))
+        assert lines.tobytes() == whole[rows].tobytes()
 
 
 def test_density_matches_tap_loop_bit_for_bit():
     rng = np.random.default_rng(30)
     fixations = FixationSet.from_linear(rng.choice(640 * 480, size=30, replace=False), (640, 480))
-    out = tap_loop_correlate(vectorize(fixations).values, _kernel_1d(19.0, 640), axis=1)
-    out = tap_loop_correlate(out, _kernel_1d(19.0, 480), axis=0)
+    out = reference.blur(reference.vectorize(fixations), 19.0)
     expected = out / out.sum()
     assert density_from_fixations(fixations, 19.0).values.tobytes() == expected.tobytes()
 
@@ -156,10 +149,8 @@ def test_density_blurs_only_the_fixated_rows_bit_for_bit():
     for _ in range(60):
         w, h = (int(v) for v in rng.integers(1, 41, size=2))
         sigma = float(np.exp(rng.uniform(np.log(0.3), np.log(200.0))))
-        fixations = FixationSet.from_linear(
-            rng.choice(w * h, size=int(rng.integers(1, min(w * h, 25) + 1)), replace=False),
-            (w, h))
-        whole = blur(vectorize(fixations), sigma).values
+        fixations = random_fixations(rng, w, h)
+        whole = reference.blur(reference.vectorize(fixations), sigma)
         expected = whole / whole.sum()
         assert density_from_fixations(fixations, sigma).values.tobytes() == expected.tobytes()
 
@@ -181,7 +172,7 @@ def test_tap_grams_give_the_centred_inner_products_of_blurred_maps(sigma):
     row_of[rows], col_of[cols] = np.arange(rows.size), np.arange(cols.size)
     at = [(row_of[fx.linear // w], col_of[fx.linear % w]) for fx in sets]
     peaks = _kernel_1d(sigma, w).max() * _kernel_1d(sigma, h).max()
-    maps = np.stack([blur(vectorize(fx), sigma).values.ravel() for fx in sets]) / peaks
+    maps = np.stack([reference.blur(reference.vectorize(fx), sigma).ravel() for fx in sets]) / peaks
     maps -= maps.mean(axis=1, keepdims=True)
     for (yi, xi), di in zip(at, maps):
         for (yj, xj), dj in zip(at, maps):
@@ -343,12 +334,6 @@ def test_density_rejects_sigma_whose_kernel_overflows():
     for sigma in (1e-200, 1e-320, 5.2738433074315e-155):
         with pytest.raises(InvalidSigmaError, match=re.escape(f"sigma {sigma!r}")):
             density_from_fixations(fixations, sigma)
-        with pytest.raises(InvalidSigmaError, match=re.escape(f"sigma {sigma!r}")):
-            blur(vectorize(fixations), sigma)
-    # the dense kernel's corner taps sit twice as far, so its bound is sqrt(2) higher
-    for sigma in (1e-200, 7.458340731200207e-155):
-        with pytest.raises(InvalidSigmaError, match=re.escape(f"sigma {sigma!r}")):
-            gaussian_kernel(sigma)
 
 
 def test_sigma_just_above_the_kernel_bound_gives_point_masses():
@@ -358,6 +343,5 @@ def test_sigma_just_above_the_kernel_bound_gives_point_masses():
     one = FixationSet([(3, 3)], (16, 12))
     for sigma in (5.273843307431501e-155, 5.3e-155, 1e-154):
         for fixations in (one, many):
-            expected = vectorize(fixations).values / len(fixations)
+            expected = reference.vectorize(fixations) / len(fixations)
             assert np.array_equal(density_from_fixations(fixations, sigma).values, expected)
-    assert np.isfinite(gaussian_kernel(7.458340731200208e-155).values).all()

