@@ -31,12 +31,23 @@ class GridMap:
     """Dense 2D map of finite float64 values."""
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64)
+        self._take(np.array(values, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, finite: bool = False):
+        """A map that takes over ``arr``, a fresh float64 array that no caller
+        keeps, after the public constructor's checks but without its copy;
+        ``finite`` says the caller has checked that every value is finite."""
+        out = cls.__new__(cls)
+        out._take(arr, finite)
+        return out
+
+    def _take(self, arr: np.ndarray, finite: bool = False) -> None:
         if arr.ndim != 2:
             raise ValueError(f"expected a 2D array, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("maps need at least one row and one column")
-        if not np.all(np.isfinite(arr)):
+        if not finite and not np.all(np.isfinite(arr)):
             raise ValueError("map values must be finite")
         arr.setflags(write=False)
         self.values = arr
@@ -172,12 +183,15 @@ class DensityMap(GridMap):
 
     SUM_ATOL = 1e-9
 
-    def __init__(self, values):
-        super().__init__(values)
-        if np.any(self.values < 0.0):
+    def _take(self, arr: np.ndarray, finite: bool = False) -> None:
+        super()._take(arr, finite)
+        if np.any(arr < 0.0):
             raise NegativeValueError("densities cannot hold negative values")
-        total = float(self.values.sum())
-        if abs(total - 1.0) > self.SUM_ATOL:
+        self._check_sum(float(arr.sum()))
+
+    @classmethod
+    def _check_sum(cls, total: float) -> None:
+        if abs(total - 1.0) > cls.SUM_ATOL:
             raise ValueError(f"density sums to {total!r}, expected 1")
 
 
@@ -254,12 +268,25 @@ def normalize_to_density(grid: GridMap) -> DensityMap:
     """Divide a non-negative map by its total mass; a density comes back as is."""
     if isinstance(grid, DensityMap):
         return grid
+    return DensityMap._adopt(grid.values / _density_scale(grid))
+
+
+def _density_scale(grid: GridMap) -> float:
+    """What :func:`normalize_to_density` divides ``grid`` by, once its checks
+    and the density's pass; 1 for a density. The distribution metrics divide
+    by it as they read, so no frame of the density is built. A value over a
+    non-negative sum is at most 1, so only the density's sum is left to
+    check, and it is taken a band at a time."""
+    if isinstance(grid, DensityMap):
+        return 1.0
     if np.any(grid.values < 0.0):
         raise NegativeValueError("map has negative values")
-    total = float(grid.values.sum())
+    total, flat = float(grid.values.sum()), grid.values.ravel()
     if total == 0.0:
         raise ZeroMassError("cannot normalize an all-zero map")
-    return DensityMap(grid.values / total)
+    DensityMap._check_sum(sum(float((flat[start:start + BAND] / total).sum())
+                              for start in range(0, flat.size, BAND)))
+    return total
 
 
 def complement_set(frame: Frame, exclude: FixationSet) -> FixationSet:

@@ -55,16 +55,18 @@ def _kernel_1d(sigma: float, n: int) -> np.ndarray:
 def _add_lines(at, lines, kernel: np.ndarray, n: int) -> np.ndarray:
     # The scatter half of a blur pass: each line adds its kernel-weighted copy
     # to the n output lines in reach of its position ``at``, lines taken in
-    # ascending order. The kernel is exactly symmetric, so every output pixel
-    # sums the same products in the same order as a loop over the taps would;
-    # a line of zeros would only add +0.0, so leaving it out changes no bit.
-    # The result is reproducible bit for bit regardless of the caller's
-    # threading, and the work follows the lines that hold mass, not the frame.
+    # ascending order, the kernel clipped at the frame's edges. The kernel is
+    # exactly symmetric, so every output pixel sums the same products in the
+    # same order as a loop over the taps would; a line of zeros would only
+    # add +0.0, so leaving it out changes no bit. The result is reproducible
+    # bit for bit regardless of the caller's threading, and the work follows
+    # the lines that hold mass, not the frame.
     r = kernel.size // 2
-    out = np.zeros((n + 2 * r, lines.shape[1]))
+    out = np.zeros((n, lines.shape[1]))
     for j, line in zip(at.tolist(), lines):
-        out[j : j + kernel.size] += kernel[:, None] * line
-    return out[r : r + n]
+        lo, hi = max(j - r, 0), min(j + r + 1, n)
+        out[lo:hi] += kernel[lo - j + r : hi - j + r, None] * line
+    return out
 
 
 def _row_pass(fixations: FixationSet, sigma: float):
@@ -101,7 +103,7 @@ def density_from_fixations(fixations: FixationSet, sigma: float) -> DensityMap:
         raise InvalidSigmaError(
             f"sigma {sigma!r} is so wide that the blurred fixation map underflows to 0"
         )
-    return DensityMap(np.divide(values, mass, out=values))
+    return DensityMap._adopt(np.divide(values, mass, out=values))
 
 
 def _centred(taps: np.ndarray) -> np.ndarray:
@@ -216,7 +218,7 @@ def global_field(frame: Frame) -> GlobalField:
 def global_gaussian_map(frame: Frame) -> GridMap:
     """:func:`global_field` built whole, a new read-only map on each call."""
     w, h = int(frame[0]), int(frame[1])
-    return GridMap(global_field((w, h)).at(slice(None)).reshape(h, w))
+    return GridMap._adopt(global_field((w, h)).at(slice(None)).reshape(h, w))
 
 
 def center_bias_map(frame: Frame) -> DensityMap:
@@ -225,4 +227,4 @@ def center_bias_map(frame: Frame) -> DensityMap:
     w, h = int(frame[0]), int(frame[1])
     qx, qy = _axis_terms((w, h), 0.25 * w, 0.25 * h, (w - 1) / 2.0, (h - 1) / 2.0)
     field = np.exp(-(qy[:, None] + qx[None, :]))
-    return DensityMap(np.divide(field, field.sum(), out=field))
+    return DensityMap._adopt(np.divide(field, field.sum(), out=field))

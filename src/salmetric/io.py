@@ -132,10 +132,10 @@ def _smap_frame(data: bytes, size: int) -> tuple[int, int]:
 
 def _parse_smap(data: bytes) -> GridMap:
     width, height = _smap_frame(data, len(data))
-    values = np.frombuffer(data, dtype="<f4", offset=16).astype(np.float64)
+    values = np.frombuffer(data, dtype="<f4", offset=16)
     if not np.all(np.isfinite(values)):
         raise NonFiniteValueError("map payload contains non-finite values")
-    return GridMap(values.reshape(height, width))
+    return GridMap._adopt(values.astype(np.float64).reshape(height, width), finite=True)
 
 
 def _pgm_header_tokens(data: bytes):
@@ -202,7 +202,7 @@ def _parse_pgm(data: bytes) -> GridMap:
     top = int(codes.max())
     if top > maxval:
         raise SchemaError(f"graymap code {top} exceeds its maxval {maxval}")
-    return GridMap((codes.astype(np.float64) / maxval).reshape(height, width))
+    return GridMap._adopt((codes.astype(np.float64) / maxval).reshape(height, width))
 
 
 def read_manifest(path) -> DatasetIndex:

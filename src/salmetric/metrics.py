@@ -20,7 +20,7 @@ from .core import (
     DensityMap,
     FixationSet,
     GridMap,
-    normalize_to_density,
+    _density_scale,
 )
 from .errors import (
     DimensionMismatchError,
@@ -47,20 +47,22 @@ def _check_dims(a: GridMap, b: GridMap):
         raise DimensionMismatchError(f"shapes differ: {a.values.shape} vs {b.values.shape}")
 
 
-def cc(a: GridMap, b: GridMap) -> float:
-    """Pearson correlation between two maps over flattened pixels; one
-    scratch frame holds the terms of each sum in turn."""
+def cc(a: GridMap, b: GridMap, total: float = 1.0) -> float:
+    """Pearson correlation between two maps over flattened pixels, ``a``'s
+    values read over ``total``; one scratch frame holds those values and
+    then the terms of each sum in turn. Constant input has none."""
     _check_dims(a, b)
-    x = np.asarray(a.values, dtype=np.float64).ravel()
-    y = np.asarray(b.values, dtype=np.float64).ravel()
-    mx, my = x.mean(), y.mean()
-    d = x - mx
+    x, y = a.values.ravel(), b.values.ravel()
+    d = np.divide(x, total)
+    mx, my = d.mean(), y.mean()
+    flat = d.min() == d.max() or y.min() == y.max()
+    d -= mx
     xn = float(np.sqrt(np.multiply(d, d, out=d).sum()))
     np.subtract(y, my, out=d)
     yn = float(np.sqrt(np.multiply(d, d, out=d).sum()))
-    if xn == 0.0 or yn == 0.0:
+    if flat or xn == 0.0 or yn == 0.0:
         raise ZeroVarianceError("constant input has no correlation")
-    np.subtract(x, mx, out=d)
+    np.subtract(np.divide(x, total, out=d), mx, out=d)
     for start in range(0, d.size, BAND):
         d[start:start + BAND] *= y[start:start + BAND] - my
     return float(d.sum() / (xn * yn))
@@ -72,27 +74,32 @@ def nss(pred: GridMap, fixations: FixationSet) -> float:
         raise EmptyFixationsError("no fixations to score")
     v = pred.values
     std = float(v.std())
-    if std == 0.0:
+    if std == 0.0 or v.min() == v.max():
         raise ZeroVarianceError("constant map has no z-scores")
     return float(((pred.values_at(fixations) - v.mean()) / std).mean())
 
 
-def sim(a: DensityMap, b: DensityMap) -> float:
-    """Histogram intersection of two densities: sum of elementwise minima."""
+def sim(a: GridMap, b: DensityMap, total: float = 1.0) -> float:
+    """Histogram intersection of two densities: sum of elementwise minima,
+    ``a``'s values read over ``total`` into one scratch frame."""
     _check_dims(a, b)
-    return float(np.minimum(a.values, b.values).sum())
+    d = np.divide(a.values, total)
+    return float(np.minimum(d, b.values, out=d).sum())
 
 
-def kld(gt: DensityMap, pred: DensityMap) -> float:
-    """Divergence of the prediction from the ground truth, summed over pixels
-    where the ground truth has mass; the terms fill one scratch frame."""
+def kld(gt: DensityMap, pred: GridMap, total: float = 1.0) -> float:
+    """Divergence of the prediction, its values read over ``total``, from the
+    ground truth, summed over pixels where the ground truth has mass; the
+    terms fill one buffer the size of that support."""
     _check_dims(gt, pred)
     g, p = gt.values.ravel(), pred.values.ravel()
-    terms, n = np.empty(g.size), 0
+    terms, n = np.empty(np.count_nonzero(g)), 0
     for start in range(0, g.size, BAND):
         mask = g[start:start + BAND] > 0.0
         gm = g[start:start + BAND][mask]
-        np.multiply(gm, np.log(gm / (p[start:start + BAND][mask] + EPS)), out=terms[n:n + gm.size])
+        pm = p[start:start + BAND][mask]
+        np.add(np.divide(pm, total, out=pm), EPS, out=pm)
+        np.multiply(gm, np.log(np.divide(gm, pm, out=pm), out=pm), out=terms[n:n + gm.size])
         n += gm.size
     return float(np.sum(terms[:n]))
 
@@ -217,30 +224,25 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, dr
     ``image_seed`` seeds its tie-break, and ``draws`` maps each sampled AUC
     to its negatives, drawn on the :func:`split_streams` of ``image_seed``:
     one row of locations per split, or the error its draw raised, raised
-    here when that metric's turn comes. A ``pred`` that is already a
-    DensityMap is scored as it is by the distribution metrics. Returns the
+    here when that metric's turn comes. The distribution metrics read the
+    prediction's density as its values over :func:`_density_scale`, so no
+    frame of it is built; a DensityMap is read as it is. Returns the
     id, the scores and the split spread of each sampled AUC."""
     fx: FixationSet = task["fixations"]
     scores: dict = {}
     stds: dict = {}
-    scored = None
-    density = None
-    # the prediction's density is let go after its last metric, before the AUCs' scratch
-    last = max((pos for pos, name in enumerate(cfg.metrics) if name in ("cc", "sim", "kld", "ig")),
-               default=-1)
-    for pos, name in enumerate(cfg.metrics):
+    scored = total = None
+    for name in cfg.metrics:
+        if name in ("cc", "sim", "kld", "ig") and total is None:
+            total = _density_scale(pred)
         if name == "cc":
-            density = density or normalize_to_density(pred)
-            scores[name] = cc(density, task["gt_density"])
+            scores[name] = cc(pred, task["gt_density"], total)
         elif name == "sim":
-            density = density or normalize_to_density(pred)
-            scores[name] = sim(density, task["gt_density"])
+            scores[name] = sim(pred, task["gt_density"], total)
         elif name == "kld":
-            density = density or normalize_to_density(pred)
-            scores[name] = kld(task["gt_density"], density)
+            scores[name] = kld(task["gt_density"], pred, total)
         elif name == "ig":
-            density = density or normalize_to_density(pred)
-            scores[name] = _ig_values(density.values_at(fx), task["baseline"])
+            scores[name] = _ig_values(pred.values_at(fx) / total, task["baseline"])
         elif name == "nss":
             scores[name] = nss(pred, fx)
         else:
@@ -253,8 +255,6 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, dr
             if isinstance(draws[name], Exception):
                 raise draws[name]
             scores[name], stds[name] = auc_splits(positives, scored, draws[name])
-        if pos == last:
-            density = None
     return task["id"], scores, stds
 
 

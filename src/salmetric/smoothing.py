@@ -46,7 +46,8 @@ class TieBroken(NamedTuple):
 
     def whole(self) -> GridMap:
         """The tie-broken map, built whole as ``smooth`` writes it."""
-        return self.map if self.field is None else GridMap(self.at(slice(None)).reshape(self.map.values.shape))
+        shape = self.map.values.shape
+        return self.map if self.field is None else GridMap._adopt(self.at(slice(None)).reshape(shape))
 
 
 def tie_broken(pred: GridMap, mode: str, seed: int = 0) -> TieBroken:

@@ -125,11 +125,11 @@ def gen_prediction(image: ImageRecord, mode: str, sigma: float) -> GridMap:
     if mode == "peripheral":
         center = center_bias_map((w, h)).values
         inverted = 1.0 - center / center.max()
-        return GridMap(inverted / inverted.max())
+        return GridMap._adopt(inverted / inverted.max())
     if mode == "quantized":
         return quantize_map(density_from_fixations(image.fixations, sigma))
     if mode == "uniform":
-        return GridMap(np.full((h, w), 0.5))
+        return GridMap._adopt(np.full((h, w), 0.5))
     raise UnknownModeError(f"unknown predictor mode {mode!r}; choose from {PREDICTOR_MODES}")
 
 
@@ -142,7 +142,7 @@ def quantize_map(source, levels: int = 3) -> GridMap:
     bins = np.zeros(v.shape, dtype=np.float64)
     for edge in edges:
         bins += (v > edge).astype(np.float64)
-    return GridMap(bins / (levels - 1))
+    return GridMap._adopt(bins / (levels - 1))
 
 
 @dataclass(frozen=True)

@@ -538,6 +538,51 @@ def test_fully_fixated_frame_exits_1(tmp_path, capsys, metric, message):
     assert not out.exists()
 
 
+def one_image_run(tmp_path, write, metrics):
+    """Run ``evaluate --metrics metrics`` on one 9×7 image whose prediction
+    ``write`` puts at the path it is given; returns the exit code and
+    whether a report was written."""
+    frame = (9, 7)
+    ds = DatasetIndex([ImageRecord("a", FixationSet([(1, 1), (6, 4)], frame))], sigma=1.0)
+    write_manifest(ds, tmp_path / "manifest.json")
+    (tmp_path / "preds").mkdir(exist_ok=True)
+    write(tmp_path / "preds" / "a")
+    out = tmp_path / "report.json"
+    code = run(["evaluate", str(tmp_path / "manifest.json"), "--pred", str(tmp_path / "preds"),
+                "--metrics", metrics, "--out", str(out)])
+    return code, out.exists()
+
+
+@pytest.mark.parametrize("metric, message", [("cc", "constant input has no correlation"),
+                                             ("nss", "constant map has no z-scores")])
+def test_constant_graymap_exits_1_from_cc_and_nss(tmp_path, capsys, metric, message):
+    """A graymap of code 26 on every pixel is constant, though the mean of
+    its 63 values does not round back to 26/255: cc and nss exit 1 with one
+    line and write no report."""
+    def graymap(stem):
+        stem.with_suffix(".pgm").write_bytes(b"P5\n9 7\n255\n" + bytes([26]) * 63)
+
+    assert one_image_run(tmp_path, graymap, metric) == (1, False)
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("metrics", ["cc", "sim", "kld", "ig", "cc,nss", "nss,cc"])
+@pytest.mark.parametrize("values, message", [
+    (np.arange(63.0).reshape(7, 9) - 0.5, "map has negative values"),
+    (np.zeros((7, 9)), "cannot normalize an all-zero map"),
+], ids=["negative", "all-zero"])
+def test_a_prediction_with_no_density_exits_1(tmp_path, capsys, metrics, values, message):
+    """A plain prediction with a negative value, or with no mass, has no
+    density: each distribution metric exits 1 with normalize_to_density's
+    line and writes no report. nss, asked first, finds the all-zero map
+    constant before cc looks at it."""
+    if metrics == "nss,cc" and not values.any():
+        message = "constant map has no z-scores"
+    assert one_image_run(tmp_path, lambda stem: write_map(GridMap(values), stem.with_suffix(".smap")),
+                         metrics) == (1, False)
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["evaluate", "negatives", "quality", "density", "sweep"])
 def test_default_commands_load_no_openssl(workspace, command):
     """Every seed is a SHA-256 from the interpreter's built-in module, so a

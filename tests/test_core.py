@@ -19,6 +19,10 @@ from salmetric.errors import (
     NegativeValueError,
     ZeroMassError,
 )
+from salmetric.gaussian import center_bias_map, density_from_fixations, global_gaussian_map
+from salmetric.io import read_map, write_map
+from salmetric.smoothing import tie_break_global
+from salmetric.synth import gen_prediction
 
 
 def test_gridmap_rejects_bad_values():
@@ -36,6 +40,20 @@ def test_gridmap_is_immutable():
     g = GridMap([[1.0, 2.0]])
     with pytest.raises(ValueError):
         g.values[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("build", [GridMap, DensityMap])
+def test_the_public_constructors_copy_the_callers_array(build):
+    """A caller's float64 array is copied, so writing to it afterwards
+    leaves the map as built, and the map stays read-only."""
+    arr = np.array([[0.25, 0.25], [0.5, 0.0]])
+    built = build(arr)
+    arr[0, 0] = 0.75
+    assert not np.shares_memory(arr, built.values)
+    assert built.values.tolist() == [[0.25, 0.25], [0.5, 0.0]]
+    assert arr.flags.writeable and not built.values.flags.writeable
+    with pytest.raises(ValueError):
+        built.values[0, 0] = 0.0
 
 
 def test_fixation_set_dedup_and_bounds():
@@ -198,6 +216,45 @@ def test_normalize_is_idempotent():
     assert not once.values.flags.writeable
     with pytest.raises(ValueError):
         once.values[0, 0] = 1.0
+
+
+RNG_MAP = np.random.default_rng(8).random((5, 7))
+
+
+def read_smap(tmp):
+    write_map(GridMap(RNG_MAP), tmp / "m.smap")
+    return read_map(tmp / "m.smap")
+
+
+def read_pgm(tmp):
+    (tmp / "m.pgm").write_bytes(b"P5 7 5 255\n" + bytes(range(35)))
+    return read_map(tmp / "m.pgm")
+
+
+FRESH_BUILDERS = {
+    "smap": read_smap,
+    "pgm": read_pgm,
+    "density": lambda tmp: density_from_fixations(FixationSet([(1, 2), (6, 4)], (7, 5)), 2.0),
+    "normalize": lambda tmp: normalize_to_density(GridMap(RNG_MAP)),
+    "center": lambda tmp: center_bias_map((7, 5)),
+    "global": lambda tmp: global_gaussian_map((7, 5)),
+    "tie-broken": lambda tmp: tie_break_global(GridMap(np.round(RNG_MAP))),
+    **{mode: lambda tmp, mode=mode: gen_prediction(
+        ImageRecord("a", FixationSet([(1, 2), (6, 4)], (7, 5))), mode, 2.0)
+       for mode in ("oracle", "peripheral", "quantized", "uniform")},
+}
+
+
+@pytest.mark.parametrize("build", FRESH_BUILDERS.values(), ids=FRESH_BUILDERS)
+def test_builders_hand_over_a_whole_fresh_frame(tmp_path, build):
+    """The package's builders give a map the array they made, without the
+    public constructors' copy: it is read-only, and not a view into a larger
+    buffer that the map would keep alive."""
+    built = build(tmp_path)
+    base = built.values.base
+    assert base is None or base.nbytes == built.values.nbytes
+    assert built.values.dtype == np.float64 and built.values.flags.c_contiguous
+    assert not built.values.flags.writeable
 
 
 def test_density_map_validation():

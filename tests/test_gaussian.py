@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,23 @@ def test_density_matches_tap_loop_bit_for_bit():
     out = reference.blur(reference.vectorize(fixations), 19.0)
     expected = out / out.sum()
     assert density_from_fixations(fixations, 19.0).values.tobytes() == expected.tobytes()
+
+
+def test_density_holds_little_more_than_its_output():
+    """The blur adds its lines into the unpadded output, and the density
+    takes that frame over without a copy: at 640×480 the tracemalloc peak of
+    ``density_from_fixations`` is at most 1.1 frames above its output."""
+    rng = np.random.default_rng(30)
+    fixations = FixationSet.from_linear(rng.choice(640 * 480, size=30, replace=False), (640, 480))
+    density_from_fixations(fixations, 19.0)  # process-wide caches fill here
+    tracemalloc.start()
+    try:
+        out = density_from_fixations(fixations, 19.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frame_bytes = 640 * 480 * 8
+    assert peak - out.values.nbytes <= 1.1 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"
 
 
 def test_density_blurs_only_the_fixated_rows_bit_for_bit():

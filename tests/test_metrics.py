@@ -111,6 +111,24 @@ def test_cc_errors():
         cc(GridMap(np.ones((2, 2))), GridMap(np.arange(4.0).reshape(2, 2)))
 
 
+@pytest.mark.parametrize("code", [26, 128])
+def test_cc_and_nss_reject_every_constant_map(code):
+    """A constant map has no correlation and no z-scores, also where its
+    mean does not round back to its value: on 63 pixels of 26/255 it
+    differs in the last bits, so the terms of the sums are not all 0."""
+    flat = GridMap(np.full((7, 9), code / 255))
+    other = GridMap(np.arange(63.0).reshape(7, 9))
+    for a, b, total in ((flat, other, 1.0), (other, flat, 1.0), (flat, other, float(flat.values.sum()))):
+        with pytest.raises(ZeroVarianceError, match="^constant input has no correlation$"):
+            cc(a, b, total)
+    with pytest.raises(ZeroVarianceError, match="^constant map has no z-scores$"):
+        nss(flat, FixationSet([(0, 0), (4, 3)], (9, 7)))
+    ds = DatasetIndex([ImageRecord("a", FixationSet([(0, 0), (4, 3)], (9, 7)))], sigma=1.0)
+    for metric in ("cc", "nss"):
+        with pytest.raises(ZeroVarianceError):
+            evaluate_all(ds, {"a": flat}, EvalConfig(metrics=(metric,)))
+
+
 def test_nss_example():
     pred = GridMap([[0.0, 1.0], [2.0, 3.0]])
     score = nss(pred, FixationSet([(1, 1)], (2, 2)))
@@ -682,30 +700,34 @@ def test_auc_judd_scores_the_borji_pool(monkeypatch):
                 auc_judd(pred, fx, config.tie_break, seed)
 
 
-@pytest.mark.parametrize("metrics, kept", [(ALL_METRICS, False), (("cc", "auc_judd", "sim"), True)],
+@pytest.mark.parametrize("metrics", [ALL_METRICS, ("cc", "auc_judd", "sim")],
                          ids=["all-nine", "sim-after-an-auc"])
-def test_the_prediction_density_is_let_go_after_its_last_metric(monkeypatch, metrics, kept):
-    """Each image's prediction density is built once, and it is gone when
-    the AUCs' tie-break starts unless a distribution metric comes later."""
+def test_evaluate_all_never_builds_the_prediction_density(monkeypatch, metrics):
+    """The distribution metrics read a plain prediction's density as its
+    values over its mass: ``evaluate_all`` builds no more densities for
+    plain maps than for the same maps given as densities, and their
+    distribution scores are the same to the bit."""
     ds, preds = make_eval_inputs()
-    preds = {image_id: GridMap(pred.values) for image_id, pred in preds.items()}
-    made, alive = [], []
+    plain = {image_id: GridMap(pred.values) for image_id, pred in preds.items()}
+    densities = {image_id: normalize_to_density(pred) for image_id, pred in plain.items()}
+    take = DensityMap._take
+    made, reports = [], []
 
-    def normalizing(grid):
-        out = normalize_to_density(grid)
-        made.append(weakref.ref(out))
-        return out
+    def taking(self, arr, finite=False):
+        made.append(arr.shape)
+        take(self, arr, finite)
 
-    def tie_breaking(*args):
-        alive.append(made[-1]() is not None)
-        return tie_break(*args)
-
-    tie_break = metrics_module._tie_break
-    monkeypatch.setattr(metrics_module, "normalize_to_density", normalizing)
-    monkeypatch.setattr(metrics_module, "_tie_break", tie_breaking)
-    evaluate_all(ds, preds, EvalConfig(metrics=metrics, n_splits=3, k=1))
-    assert len(made) == len(ds)
-    assert alive == [kept] * len(ds)
+    monkeypatch.setattr(DensityMap, "_take", taking)
+    for given in (plain, densities):
+        reports.append(evaluate_all(DatasetIndex(ds.images, sigma=ds.sigma), given,
+                                    EvalConfig(metrics=metrics, n_splits=3, k=1)))
+        made.append(None)
+    split = made.index(None)
+    assert made[:split] == made[split + 1:-1]
+    assert len(made[:split]) == len(ds) + ("ig" in metrics)
+    for image_id, scores in reports[0].per_image.items():
+        for name in {"cc", "sim", "kld", "ig"} & set(metrics):
+            assert scores[name] == reports[1].per_image[image_id][name]
 
 
 def test_ig_only_evaluate_builds_no_ground_truth_density(monkeypatch):
@@ -906,15 +928,17 @@ def test_scoring_keeps_one_image_inputs_alive(metrics):
 @pytest.mark.parametrize("metrics, as_read", [(("auc_judd", "auc_borji", "ig"), False),
                                                (ALL_METRICS, True)],
                          ids=["judd-borji-ig", "all-nine"])
-def test_scoring_holds_under_four_frames(metrics, as_read):
+def test_scoring_holds_under_three_frames(metrics, as_read):
     """AUC-Judd counts against the tie-broken values a band at a time, the
     sampled AUCs read them only where they look, AUC-Borji draws pool
     positions without building the complement, the ig baseline is kept at
-    the fixations, cc and kld each work in one scratch frame, the
-    prediction's density is dropped after its last metric, and the global
+    the fixations, cc and sim each work in one scratch frame and kld in one
+    buffer the size of the ground truth's support, each reading the
+    prediction's density as its values over its mass so that no frame of it
+    is built, the blur adds into its unpadded output, and the global
     tie-break field is read from its axis terms, so no frame of it is kept:
     on 3 images at 320×240 the tracemalloc peak of the first
-    ``evaluate_all`` stays below 4 whole frames of float64, with the
+    ``evaluate_all`` stays below 3 whole frames of float64, with the
     predictions built beforehand, as densities or as the plain maps
     ``evaluate`` reads."""
     ds = gen_dataset(SynthConfig(n_images=3, frame=(320, 240), fixations_per_image=30,
@@ -930,4 +954,4 @@ def test_scoring_holds_under_four_frames(metrics, as_read):
     finally:
         tracemalloc.stop()
     frame_bytes = 320 * 240 * 8
-    assert peak < 4 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"
+    assert peak < 3 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"
