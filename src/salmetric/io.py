@@ -69,25 +69,24 @@ def read_map(path) -> GridMap:
 
 
 def read_map_frame(path) -> tuple[int, int]:
-    """The ``(width, height)`` of a map file, from its header and its size
-    alone: 16 bytes of a float map, the header of a graymap. Raises what
-    :func:`read_map` raises for a bad header or a payload of the wrong
-    length; the payload's values are checked only when the map is read."""
+    """The ``(width, height)`` of a map file: a float map's from its 16-byte
+    header and the file's size, a graymap's from the file read whole, its
+    header parsed once. Raises what :func:`read_map` raises for a bad header
+    or a payload of the wrong length; the payload's values are checked only
+    when the map is read."""
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             data = fh.read(16)
-            # a graymap header ends with the whitespace byte after maxval;
-            # comments make its length open, so read until it is whole
-            while data[:2] == b"P5" and len(data) < size and not _pgm_header_ends(data):
-                data += fh.read(max(len(data), 4096))
+            if data[:2] == b"P5":
+                data += fh.read()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
     if data[:4] == MAP_MAGIC:
         return _smap_frame(data, size)
     if data[:2] == b"P5":
         width, height, _, offset, dtype = _pgm_layout(data)
-        _check_raster(size - offset, width * height * dtype.itemsize)
+        _check_raster(len(data) - offset, width * height * dtype.itemsize)
         return width, height
     raise BadMagicError(f"{path} does not start with a recognized map header")
 
@@ -157,16 +156,6 @@ def _pgm_header_tokens(data: bytes):
         yield data[start:pos], pos
         found += 1
     # exactly one whitespace byte separates the header from the raster
-
-
-def _pgm_header_ends(data: bytes) -> bool:
-    """Whether ``data``, the start of a graymap, holds its whole header: four
-    fields and the whitespace byte after them."""
-    try:
-        tokens = list(_pgm_header_tokens(data))
-    except TruncatedPayloadError:
-        return False
-    return tokens[3][1] < len(data)
 
 
 def _pgm_layout(data: bytes):

@@ -263,14 +263,16 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
     """Score the images of ``dataset`` in order, in one pass: yield
     :func:`_score_image` of each of an image's predictions (``preds``
     yields an iterable of them per image, and ``seeds`` holds their seeds
-    per image), and drop the image's inputs and predictions before the next
-    image. The inputs are the ``gt_density`` at ``gt_sigma``, built only for
-    cc, sim and kld, the ig ``baseline`` at the image's fixations, and the
-    pool of each sampled AUC.
+    per image). Each prediction is taken from its iterable when it is
+    scored and dropped before the next is taken, and the image's inputs
+    before the next image. The inputs are the ``gt_density`` at
+    ``gt_sigma``, built only for cc, sim and kld, the ig ``baseline`` at the
+    image's fixations, and the pool of each sampled AUC.
 
-    :func:`drawn_chunks` takes each image's predictions and draws its pools
-    on all their rows of the run's one :func:`split_streams`, a failing
-    count standing in for its draw, for :func:`_score_image` to raise. The
+    :func:`drawn_chunks` takes each image's iterable as ``preds`` yields it,
+    and draws its pools on all their rows of the run's one
+    :func:`split_streams`, a failing count standing in for its draw, for
+    :func:`_score_image` to raise; a chunk counts one frame an image. The
     centre-bias map is built once and dropped once every image's baseline
     values are gathered."""
     asked = {name: SAMPLED_METRICS[name] for name in cfg.metrics if name in SAMPLED_METRICS}
@@ -281,20 +283,21 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
         center = center_bias_map(dataset.frame)
         baselines = [center.values_at(rec.fixations) for rec in dataset.images]
         del center
-    n, floats = cfg.n_splits, max(map(len, seeds)) * math.prod(dataset.frame)
+    n = cfg.n_splits
     for i, image_preds, pools, drawn in drawn_chunks(list(asked.values()), dataset, streams, preds,
-                                                     floats, cfg.k, cfg.sigma):
+                                                     math.prod(dataset.frame), cfg.k, cfg.sigma):
         image = dataset.images[i]
         density = density_from_fixations(image.fixations, gt_sigma) if needs_gt else None
         task = {"id": image.id, "fixations": image.fixations, "gt_density": density,
                 "baseline": baselines[i], "pools": {name: pools[s] for name, s in asked.items()}}
         drawn = {name: drawn[s] for name, s in asked.items() if s in drawn}
-        for j, (pred, image_seed) in enumerate(zip(image_preds, seeds[i])):
+        image_preds = iter(image_preds)
+        for j, image_seed in enumerate(seeds[i]):
             # each prediction's splits are its n rows of the image's draw
             draws = {name: rows if isinstance(rows, Exception) else rows[j * n:(j + 1) * n]
                      for name, rows in drawn.items()}
-            yield _score_image(task, pred, cfg, image_seed, draws)
-        del density, pools, task, image_preds, pred, drawn, draws
+            yield _score_image(task, next(image_preds), cfg, image_seed, draws)
+        del density, pools, task, image_preds, drawn, draws
 
 
 def _check_frame(image_id: str, frame, dataset: DatasetIndex):

@@ -116,11 +116,12 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
     """Mean and population std of the AUC of ``pred`` (a GridMap or a
     TieBroken one) over ``len(streams)`` draws from ``pool``.
 
-    The one split loop of every sampled AUC. Split i draws :func:`draw_count`
-    negatives on stream i; :func:`split_streams` gives the streams of
-    ``derive_seed(seed, i)``, so the result does not depend on evaluation
-    order. One :func:`draw_pools` call draws every split and
-    :func:`auc_rows` scores them straight from the flat map."""
+    The library's split loop for one image; ``evaluate`` and ``sweep`` draw
+    through :func:`drawn_chunks` and score with :func:`auc_splits`. Split i
+    draws :func:`draw_count` negatives on stream i; :func:`split_streams`
+    gives the streams of ``derive_seed(seed, i)``, so the result does not
+    depend on evaluation order. One :func:`draw_pools` call draws every
+    split and :func:`auc_rows` scores them straight from the flat map."""
     pv = pred.values_at(positives)
     if pool.frame != pred.frame:
         raise FrameMismatchError(

@@ -710,15 +710,16 @@ def _draw_floats(dataset: DatasetIndex, samplers: list, k: int, rows: int) -> in
 def drawn_chunks(samplers: list, dataset: DatasetIndex, streams, items, floats: int, k: int = 5,
                  sigma: float | None = None):
     """Yield ``(i, item, pools, drawn)`` for each image i of ``dataset``, in
-    order: its ``item``, taken whole from ``items``, and by sampler its pool
-    and the locations drawn on its ``len(streams) // len(dataset)`` rows of
-    ``streams``. A chunk of about :data:`_CHUNK_FLOATS` floats (an image
-    counts ``floats`` and its :func:`_draw_floats`), or one image when
-    nothing is drawn, takes one :func:`negative_pools` call per sampler, one
-    :func:`draw_count` per image and sampler and one :func:`draw_pools` call.
-    A failing count stands in for its draw and ends the chunk at its image;
-    a failing item ends it before its image; either is raised once the
-    images before it are yielded."""
+    order: its ``item``, the very object ``items`` yields for it, and by
+    sampler its pool and the locations drawn on its ``len(streams) //
+    len(dataset)`` rows of ``streams``. A chunk of about
+    :data:`_CHUNK_FLOATS` floats (an image counts ``floats`` and its
+    :func:`_draw_floats`), or one image when nothing is drawn, takes one
+    :func:`negative_pools` call per sampler, one :func:`draw_count` per
+    image and sampler and one :func:`draw_pools` call. A failing count
+    stands in for its draw and ends the chunk at its image; a failing item
+    ends it before its image; either is raised once the images before it
+    are yielded."""
     n = len(dataset)
     rows = len(streams) // n if samplers else 0
     size = (max(1, _CHUNK_FLOATS // (floats + _draw_floats(dataset, samplers, k, rows)))
@@ -728,9 +729,7 @@ def drawn_chunks(samplers: list, dataset: DatasetIndex, streams, items, floats: 
         taken = []
         try:
             while len(taken) < min(size, n - start):
-                # taken whole: an item may read state that taking the next one
-                # changes, as ``sigma_sweep``'s generators read their image
-                taken.append(list(next(items)))
+                taken.append(next(items))
         except Exception as exc:
             error = exc
         built = [negative_pools(s, list(range(start, start + len(taken))), dataset, k, sigma)

@@ -5,6 +5,7 @@ enough to reproduce the qualitative behaviors the metric suite should detect:
 center bias, peripheral bias, blur-width sensitivity, and tie-break effects.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -167,7 +168,9 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
 
     Distribution metrics compare the prediction density at each train width
     with the ground-truth density at ``sigma_gt``; location metrics score the
-    prediction against the raw fixations."""
+    prediction against the raw fixations. Each image's item binds its
+    fixations when it is yielded and builds one width's density as it is
+    scored, so one width's prediction is held at a time."""
     sigma_train = tuple(float(s) for s in sigma_train)
     if not sigma_train:
         raise ValueError("need at least one training width")
@@ -182,7 +185,7 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
     config = EvalConfig(metrics=metrics, n_splits=n_splits, k=k, sigma=dataset.sigma)
     seeds = [[derive_seed(seed, "sweep", st, image_id) for st in sigma_train]
              for image_id in dataset.ids]
-    preds = ((density_from_fixations(rec.fixations, st) for st in sigma_train)
+    preds = (map(density_from_fixations, itertools.repeat(rec.fixations), sigma_train)
              for rec in dataset.images)
     # each training width's sums take the images in dataset order
     sums = {m: [0.0] * len(sigma_train) for m in metrics}

@@ -30,6 +30,7 @@ from salmetric import core as core_module
 from salmetric import metrics as metrics_module
 from salmetric import roc as roc_module
 from salmetric import sampling as sampling_module
+from salmetric import synth as synth_module
 from salmetric.gaussian import center_bias_map, density_from_fixations
 from salmetric.metrics import (
     ALL_METRICS,
@@ -499,6 +500,33 @@ def test_no_earlier_prediction_is_alive_at_a_lookup(monkeypatch, metrics, chunk_
     assert scored == list(ds.ids)
 
 
+@pytest.mark.parametrize("chunk_floats", [1, None])
+def test_a_sweep_holds_one_width_prediction_at_a_time(monkeypatch, chunk_floats):
+    """``sigma_sweep`` builds each width's prediction when it is scored: when
+    one is built, every prediction built before it is dead, across an
+    image's widths and across images. In chunks of one image (``chunk_floats``
+    1) and in one chunk of every image (the default here), and the table is
+    the one an unwatched sweep gives."""
+    ds = gen_dataset(SynthConfig(n_images=5, frame=(24, 20), fixations_per_image=6, seed=4))
+    metrics = ("cc", "nss", "auc_judd", "s_auc", "fn_auc")
+    sweep = lambda: sigma_sweep(ds, (1.5, 3.0, 6.0), metrics=metrics, n_splits=4, k=2)
+    expected = sweep()
+    if chunk_floats is not None:
+        monkeypatch.setattr(sampling_module, "_CHUNK_FLOATS", chunk_floats)
+    built = []
+
+    def building(fixations, sigma):
+        alive = [j for j, ref in enumerate(built) if ref() is not None]
+        assert not alive, f"at build {len(built)}, the predictions of builds {alive} are alive"
+        pred = density_from_fixations(fixations, sigma)
+        built.append(weakref.ref(pred))
+        return pred
+
+    monkeypatch.setattr(synth_module, "density_from_fixations", building)
+    assert sweep() == expected
+    assert len(built) == 3 * len(ds)
+
+
 def _drawn_rows(monkeypatch) -> list:
     """Record the stream rows of each ``draw_pools`` call of the chunk
     driver: one range per image drawn, over its predictions' splits, in row
@@ -516,10 +544,10 @@ def _drawn_rows(monkeypatch) -> list:
 
 def _image_floats(dataset, cfg, n_preds: int) -> int:
     """What one image of ``n_preds`` predictions adds to a scoring chunk:
-    the predictions, and the ``_draw_floats`` of their splits."""
+    one frame, and the ``_draw_floats`` of its predictions' splits."""
     width, height = dataset.frame
     samplers = [SAMPLED_METRICS[name] for name in cfg.metrics if name in SAMPLED_METRICS]
-    return (n_preds * width * height
+    return (width * height
             + sampling_module._draw_floats(dataset, samplers, cfg.k, n_preds * cfg.n_splits))
 
 

@@ -27,6 +27,7 @@ from salmetric.sampling import (
     draw_count,
     draw_indices,
     draw_pools,
+    drawn_chunks,
     farthest_pool,
     negative_pool,
     neighbor_ranking,
@@ -1064,3 +1065,19 @@ def test_a_command_seeds_every_image_draw_in_one_pass(monkeypatch, tmp_path, com
                 "--out", tmp_path / "quality.json"]
     assert cli.run([str(a) for a in argv]) == 0
     assert built == [len(ds)] * (1 if command == "negatives" else 2)
+
+
+@pytest.mark.parametrize("samplers", [[], ["shuffled", "fn"]])
+@pytest.mark.parametrize("chunk_floats", [1, None])
+def test_drawn_chunks_yield_each_item_as_it_was_taken(monkeypatch, samplers, chunk_floats):
+    """The chunk driver yields the very object its caller gave for each
+    image, not a copy of its contents, in chunks of one image and in one
+    chunk of every image."""
+    ds = gen_dataset(SynthConfig(n_images=5, frame=(24, 20), fixations_per_image=5, seed=3))
+    if chunk_floats is not None:
+        monkeypatch.setattr(sampling_module, "_CHUNK_FLOATS", chunk_floats)
+    given = [("item", i) for i in range(len(ds))]
+    streams = split_streams(list(range(len(ds))), 2)
+    chunks = list(drawn_chunks(samplers, ds, streams, iter(given), 1, k=2))
+    assert [i for i, _, _, _ in chunks] == list(range(len(ds)))
+    assert all(item is given[i] for i, item, _, _ in chunks)
