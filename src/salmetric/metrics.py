@@ -8,7 +8,7 @@ scores (nss, the AUCs) consume the raw prediction and the fixation set.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
@@ -123,14 +123,14 @@ def _ig_values(pv: np.ndarray, bv: np.ndarray) -> float:
 
 
 def _tie_break(pred: GridMap, mode: str, seed: int) -> TieBroken:
+    if mode not in TIE_BREAK_MODES:
+        raise ValueError(f"unknown tie_break mode {mode!r}; expected one of {TIE_BREAK_MODES}")
     # a map tie-broken already is scored as it is; a flat map carries no
     # ranking, so it is left to score at chance
     if isinstance(pred, TieBroken):
         return pred
     if mode == "off" or pred.values.min() == pred.values.max():
         return TieBroken(pred)
-    if mode not in ("global", "noise"):
-        raise ValueError(f"unknown tie_break mode {mode!r}; expected one of {TIE_BREAK_MODES}")
     return tie_broken(pred, mode, derive_seed(seed, "tie-noise") if mode == "noise" else 0)
 
 
@@ -192,15 +192,17 @@ class EvalConfig:
             raise ValueError(
                 f"unknown tie_break mode {self.tie_break!r}; expected one of {TIE_BREAK_MODES}"
             )
-        for name, value in (("n_splits", self.n_splits), ("k", self.k)):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value < 1:
+        # a bool is an int to Python, but a seed of False would hash as "False"
+        for name, value in (("seed", self.seed), ("n_splits", self.n_splits), ("k", self.k)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if self.sigma is not None and not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.sigma is not None:
+            if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
+                raise ValueError(f"sigma must be a number, got {self.sigma!r}")
+            if not 0 < self.sigma < math.inf:
+                raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass

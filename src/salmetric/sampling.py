@@ -364,43 +364,31 @@ def _bounded(bounds: np.ndarray, streams: SplitStreams) -> np.ndarray:
     Every bound is at least 1: numpy reads no word for a bound of 0, and
     neither of :func:`_replay_uniform`'s algorithms asks for one.
 
-    Half t of a row feeds draw t unless an earlier draw rejected one, so
-    every row is first drawn that way at once, and a row with a rejection
-    is drawn again half by half."""
+    Draw t of a row reads half t, plus one for each half the row rejected
+    before it. Every row is first drawn as if none rejected; then each row
+    that rejected moves its draws from its first rejection on by one half,
+    and the rows that rejected are drawn again together, until none
+    rejects. A pass's draws before a row's first rejection read the halves
+    they read before, so they stand."""
     bounds = np.asarray(bounds, dtype=np.uint64)
     excl = bounds + _U64(1)
     threshold = (_U64(1) << _U64(32)) % excl
-    words = streams.raw(np.arange(len(streams))[:, None], np.arange((bounds.size + 1) // 2))
-    halves = np.empty((len(streams), 2 * words.shape[1]), dtype=np.uint64)
-    halves[:, 0::2] = words & _LOW32
-    halves[:, 1::2] = words >> _U64(32)
-    scaled = halves[:, :bounds.size] * excl
-    out = scaled >> _U64(32)
-    redo = np.flatnonzero(((scaled & _LOW32) < threshold).any(axis=1))
-    for r in redo.tolist():
-        out[r] = _bounded_row(bounds.tolist(), streams, r)
-    return out
-
-
-def _bounded_row(bounds: list, streams: SplitStreams, row: int) -> list:
-    """:func:`_bounded` of one stream, a half at a time, reading its words
-    a block at a time."""
-    words, used, out = [], 0, []
-    for bound in bounds:
-        excl = bound + 1
-        threshold = (1 << 32) % excl
-        while True:
-            if used // 2 == len(words):
-                more = streams.raw(row, np.arange(len(words), len(words) + len(bounds) + 8))
-                words.extend(more.tolist())
-            word = words[used // 2]
-            half = word >> 32 if used % 2 else word & 0xFFFFFFFF
-            used += 1
-            scaled = half * excl
-            if scaled & 0xFFFFFFFF >= threshold:
-                break
-        out.append(scaled >> 32)
-    return out
+    out = np.empty((len(streams), bounds.size), dtype=np.uint64)
+    rows, at = np.arange(len(streams)), np.arange(bounds.size)  # the half each draw reads
+    while True:
+        words = streams.raw(rows[:, None], np.arange(int(at.max(initial=-1)) // 2 + 1))
+        halves = np.empty((rows.size, 2 * words.shape[1]), dtype=np.uint64)
+        halves[:, 0::2] = words & _LOW32
+        halves[:, 1::2] = words >> _U64(32)
+        # until a draw moves, draw t of every row reads half t
+        scaled = (halves[:, :at.size] if at.ndim == 1 else np.take_along_axis(halves, at, axis=1)) * excl
+        out[rows] = scaled >> _U64(32)
+        rejected = (scaled & _LOW32) < threshold
+        again = rejected.any(axis=1)
+        if not again.any():
+            return out
+        rows = rows[again]
+        at = np.broadcast_to(at, rejected.shape)[again] + np.logical_or.accumulate(rejected[again], axis=1)
 
 
 def _replay_uniform(n: int, count: int, streams: SplitStreams) -> np.ndarray:

@@ -52,8 +52,10 @@ class TieBroken(NamedTuple):
 
 def tie_broken(pred: GridMap, mode: str, seed: int = 0) -> TieBroken:
     """``pred`` jittered by the ``global`` field or by ``noise`` drawn from
-    ``seed``; raises ``ValueError`` when a jittered value is not finite, or
-    in ``noise`` mode when the seed is negative."""
+    ``seed``; raises ``ValueError`` for any other mode, when a jittered
+    value is not finite, or in ``noise`` mode when the seed is negative."""
+    if mode not in ("global", "noise"):
+        raise ValueError(f"unknown tie_break mode {mode!r}; expected 'global' or 'noise'")
     if mode == "noise" and seed < 0:
         raise ValueError(f"the noise seed must be a non-negative integer, got {seed}")
     if mode == "global" and (pred.width < 2 or pred.height < 2):

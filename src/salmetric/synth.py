@@ -182,7 +182,7 @@ def sigma_sweep(dataset: DatasetIndex, sigma_train, sigma_gt: float | None = Non
     if not 0 < sigma_gt < math.inf:
         raise ValueError(f"sigma_gt must be positive and finite, got {sigma_gt}")
     # fn_auc ranks neighbors at the dataset's own width, not at sigma_gt
-    config = EvalConfig(metrics=metrics, n_splits=n_splits, k=k, sigma=dataset.sigma)
+    config = EvalConfig(metrics=metrics, seed=seed, n_splits=n_splits, k=k, sigma=dataset.sigma)
     seeds = [[derive_seed(seed, "sweep", st, image_id) for st in sigma_train]
              for image_id in dataset.ids]
     preds = (map(density_from_fixations, itertools.repeat(rec.fixations), sigma_train)

@@ -393,6 +393,7 @@ def test_report_legacy_config_keys(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("metrics", []), ("metrics", ["nss", "nss"]), ("tie_break", "banana"), ("n_splits", 0), ("k", 0), ("sigma", -1.0),
     ("n_splits", 2.5), ("k", 2.5),
+    ("seed", False), ("seed", 1.5), ("seed", "0"), ("n_splits", True), ("k", True), ("sigma", True),
 ])
 def test_report_invalid_config_is_schema_error(tmp_path, field, value):
     doc = json.loads(LEGACY_REPORT)

@@ -246,6 +246,19 @@ def test_tie_break_modes_change_scores():
         auc_judd(quant, fs, tie_break="banana")
 
 
+def test_an_unknown_tie_break_raises_on_a_flat_map():
+    """The mode is checked before a flat map is left to score at chance."""
+    ds = two_image_toy()
+    flat = GridMap(np.full((16, 16), 0.5))
+    fs = ds.images[0].fixations
+    for score in (lambda: auc_judd(flat, fs, tie_break="bogus"),
+                  lambda: auc_borji(flat, fs, n_splits=3, tie_break="bogus"),
+                  lambda: s_auc(flat, ds.images[0].id, ds, n_splits=3, tie_break="bogus"),
+                  lambda: fn_auc(flat, ds.images[0].id, ds, k=1, n_splits=3, tie_break="bogus")):
+        with pytest.raises(ValueError, match=r"^unknown tie_break mode 'bogus'"):
+            score()
+
+
 def test_auc_borji_constant_and_determinism():
     fs = FixationSet([(1, 1), (5, 2)], (8, 8))
     mean, std = auc_borji(GridMap(np.full((8, 8), 2.0)), fs, n_splits=20, seed=0)
@@ -391,10 +404,26 @@ def test_evaluate_all_errors():
     {"n_splits": 3.0},
     {"k": 2.5},
     {"k": "2"},
+    # a bool is an integer to Python, and a seed of False would hash as "False"
+    {"seed": False},
+    {"seed": True},
+    {"seed": 1.5},
+    {"seed": "0"},
+    {"n_splits": True},
+    {"k": True},
+    {"sigma": True},
+    {"sigma": "2"},
 ])
 def test_eval_config_rejects_unrunnable_fields(fields):
     with pytest.raises(ValueError):
         EvalConfig(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    {"seed": -1}, {"seed": np.int64(3)}, {"n_splits": np.int64(4)}, {"sigma": 2}, {"sigma": np.float32(2.5)},
+])
+def test_eval_config_takes_numpy_numbers_and_a_negative_seed(fields):
+    EvalConfig(**fields)
 
 
 @pytest.mark.parametrize("broken, error", [("missing", MissingPredictionError)])

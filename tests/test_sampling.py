@@ -939,6 +939,35 @@ def test_unweighted_draw_replays_generator_choice(n, count):
         assert np.array_equal(row, np.sort(expected))
 
 
+def test_rejecting_rows_are_redrawn_together(monkeypatch):
+    """Where about one half in four rejects, most rows reject somewhere; the
+    rows that reject are drawn again together, one stream read a pass, and
+    each still draws what numpy's ``choice`` draws."""
+    n = 3 * 2 ** 30 + 5
+    seeds = [derive_seed("redrawn", i) for i in range(200)]
+    reads = []
+    raw = SplitStreams.raw
+    monkeypatch.setattr(SplitStreams, "raw", lambda self, *args: reads.append(args) or raw(self, *args))
+    rows = draw_indices(n, 4, SplitStreams(seeds))
+    assert len(reads) <= 12
+    for row, seed in zip(rows, seeds):
+        assert np.array_equal(row, np.sort(np.random.default_rng(seed).choice(n, 4, replace=False)))
+
+
+def test_a_word_block_serves_a_draw_that_rejects_half_its_halves():
+    """An excluded pool of about 2**31 locations rejects about half the
+    halves, so every row moves its draws past many rejections, within the
+    word block that :func:`draw_pools` reads first."""
+    frame = (2 ** 16 + 1, 2 ** 15)
+    pool = NegativePool(excluded=FixationSet([(0, 0), (9, 4), (2 ** 16, 2 ** 15 - 1)], frame))
+    assert len(pool) == 2 ** 31 + 2 ** 15 - 3
+    seeds = [derive_seed("block", i) for i in range(60)]
+    rows = draw_pools(SplitStreams(seeds), [(pool, 30, range(60))])[0]
+    for row, seed in zip(rows, seeds):
+        drawn = np.random.default_rng(seed).choice(len(pool), 30, replace=False)
+        assert np.array_equal(row, np.sort(pool.locations(drawn)))
+
+
 def test_unweighted_draw_of_the_whole_pool_reads_no_stream(monkeypatch):
     def no_read(*args, **kwargs):
         raise AssertionError("a draw of the whole pool read a stream")

@@ -107,6 +107,13 @@ def test_a_negative_noise_seed_is_named_in_one_line():
     assert tie_broken(pred, "global", -1) == tie_broken(pred, "global", 0)
 
 
+@pytest.mark.parametrize("mode", ["off", "bogus"])
+def test_a_mode_other_than_global_or_noise_is_refused(mode):
+    pred = quantized_map(np.random.default_rng(5), shape=(6, 5))
+    with pytest.raises(ValueError, match=rf"^unknown tie_break mode '{mode}'; expected 'global' or 'noise'$"):
+        tie_broken(pred, mode)
+
+
 def test_added_field_spread_bounded_by_half_gap():
     pred = GridMap(np.array([[0.0, 0.5], [1.0, 10.0]]))
     out = tie_break_global(pred)
