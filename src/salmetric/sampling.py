@@ -365,30 +365,37 @@ def _bounded(bounds: np.ndarray, streams: SplitStreams) -> np.ndarray:
     neither of :func:`_replay_uniform`'s algorithms asks for one.
 
     Draw t of a row reads half t, plus one for each half the row rejected
-    before it. Every row is first drawn as if none rejected; then each row
-    that rejected moves its draws from its first rejection on by one half,
-    and the rows that rejected are drawn again together, until none
-    rejects. A pass's draws before a row's first rejection read the halves
-    they read before, so they stand."""
+    before it. A pass takes ``width`` draws of each row still drawing, from
+    its first unsettled one, as if none rejected: those before the first
+    rejection stand, and the draw that rejected reads the next half in the
+    next pass. ``width`` spans about one expected rejection, and at least 32
+    draws, so the work grows with the number of draws, not its square."""
     bounds = np.asarray(bounds, dtype=np.uint64)
-    excl = bounds + _U64(1)
-    threshold = (_U64(1) << _U64(32)) % excl
-    out = np.empty((len(streams), bounds.size), dtype=np.uint64)
-    rows, at = np.arange(len(streams)), np.arange(bounds.size)  # the half each draw reads
-    while True:
-        words = streams.raw(rows[:, None], np.arange(int(at.max(initial=-1)) // 2 + 1))
-        halves = np.empty((rows.size, 2 * words.shape[1]), dtype=np.uint64)
-        halves[:, 0::2] = words & _LOW32
-        halves[:, 1::2] = words >> _U64(32)
-        # until a draw moves, draw t of every row reads half t
-        scaled = (halves[:, :at.size] if at.ndim == 1 else np.take_along_axis(halves, at, axis=1)) * excl
-        out[rows] = scaled >> _U64(32)
-        rejected = (scaled & _LOW32) < threshold
+    size = bounds.size
+    threshold = (_U64(1) << _U64(32)) % (bounds + _U64(1))
+    width = min(size, max(32, -(-size // (1 + int(threshold.sum()) // 2 ** 32))))
+    # past the last draw, bounds of 0, which never reject
+    excl = np.concatenate([bounds + _U64(1), np.ones(width, dtype=np.uint64)])
+    threshold = np.concatenate([threshold, np.zeros(width, dtype=np.uint64)])
+    out = np.empty((len(streams), size + width), dtype=np.uint64)
+    rows = np.arange(len(streams))
+    first = np.zeros(rows.size, dtype=np.int64)  # each row's draws before it stand
+    skipped = np.zeros(rows.size, dtype=np.int64)  # the halves those draws rejected
+    while rows.size:
+        t = first[:, None] + np.arange(width)
+        start = (first + skipped) // 2  # each row's first word this pass
+        words = streams.raw(rows[:, None], start[:, None] + np.arange(width // 2 + 1))
+        halves = words.astype("<u8").view("<u4")  # low half first
+        at = t + (skipped - 2 * start)[:, None]
+        scaled = np.take_along_axis(halves, at, axis=1).astype(np.uint64) * excl[t]
+        out[rows[:, None], t] = scaled >> _U64(32)
+        rejected = (scaled & _LOW32) < threshold[t]
         again = rejected.any(axis=1)
-        if not again.any():
-            return out
-        rows = rows[again]
-        at = np.broadcast_to(at, rejected.shape)[again] + np.logical_or.accumulate(rejected[again], axis=1)
+        first += np.where(again, rejected.argmax(axis=1), width)
+        skipped += again
+        drawing = first < size
+        rows, first, skipped = rows[drawing], first[drawing], skipped[drawing]
+    return out[:, :size]
 
 
 def _replay_uniform(n: int, count: int, streams: SplitStreams) -> np.ndarray:

@@ -954,6 +954,26 @@ def test_rejecting_rows_are_redrawn_together(monkeypatch):
         assert np.array_equal(row, np.sort(np.random.default_rng(seed).choice(n, 4, replace=False)))
 
 
+def test_a_draw_that_often_rejects_reads_words_in_proportion_to_its_size(monkeypatch):
+    """A row of a draw that rejects about one half in four meets a rejection
+    every few draws; four times the draws read about four times the words,
+    not sixteen, and every row still draws what numpy's ``choice`` draws."""
+    n = 3 * 2 ** 30 + 5
+    seeds = [derive_seed("often", i) for i in range(20)]
+    words = []
+    raw = SplitStreams.raw
+    monkeypatch.setattr(SplitStreams, "raw", lambda self, rows, positions: words.append(
+        np.broadcast(rows, positions).size) or raw(self, rows, positions))
+    read = {}
+    for count in (200, 800):
+        words.clear()
+        rows = draw_indices(n, count, SplitStreams(seeds))
+        read[count] = sum(words)
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(row, np.sort(np.random.default_rng(seed).choice(n, count, replace=False)))
+    assert read[800] < 6 * read[200]
+
+
 def test_a_word_block_serves_a_draw_that_rejects_half_its_halves():
     """An excluded pool of about 2**31 locations rejects about half the
     halves, so every row moves its draws past many rejections, within the
