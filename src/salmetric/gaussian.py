@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BAND, DensityMap, FixationSet, Frame, GridMap
+from .core import DensityMap, FixationSet, Frame, GridMap
 from .errors import EmptyFixationsError, InvalidSigmaError
 
 
@@ -202,16 +202,14 @@ def global_field(frame: Frame) -> GlobalField:
     A perfectly centered isotropic Gaussian would leave exact duplicates at
     symmetric pixels, so the center sits slightly off-pixel and the widths
     differ per axis. Only its O(w + h) terms are kept, for the last four
-    frames; its peak and least value come from one pass a band at a time."""
+    frames; its peak and least are the ``exp`` of the least and greatest
+    ``qy + qx``, as a rounded sum is monotone in each term."""
     w, h = int(frame[0]), int(frame[1])
     if w < 2 or h < 2:
         raise ValueError("frame must be at least 2x2")
     qx, qy = _axis_terms((w, h), w / 4.0, h / 4.0, (w - 1) / 2.0 + _TIE_OFFSET_X,
                          (h - 1) / 2.0 + _TIE_OFFSET_Y)
-    peak, least, rows = 0.0, math.inf, max(1, BAND // w)
-    for top in range(0, h, rows):
-        band = np.exp(-(qy[top:top + rows, None] + qx))
-        peak, least = max(peak, float(band.max())), min(least, float(band.min()))
+    peak, least = np.exp(-np.array([qy.min() + qx.min(), qy.max() + qx.max()])).tolist()
     return GlobalField(qx, qy, peak, least)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BAND, FixationSet, GridMap
-from .errors import EmptyNegativesError, EmptyPositivesError, FrameMismatchError
+from .errors import EmptyNegativesError, EmptyPositivesError
 from .sampling import NegativePool, SplitStreams, draw_count, draw_pools
 
 
@@ -123,10 +123,6 @@ def auc_averaged(pred: GridMap, positives: FixationSet, pool: NegativePool,
     depend on evaluation order. One :func:`draw_pools` call draws every
     split and :func:`auc_rows` scores them straight from the flat map."""
     pv = pred.values_at(positives)
-    if pool.frame != pred.frame:
-        raise FrameMismatchError(
-            f"negatives index a {pool.frame} frame, map is {pred.frame}"
-        )
     count = draw_count(pool, positives)
     if len(streams) < 1:
         raise ValueError("n_splits must be at least 1")

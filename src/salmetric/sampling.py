@@ -40,8 +40,9 @@ class NegativePool:
     ``excluded`` set, which is never built.
 
     ``weights`` is aligned with ``support.linear``; ``None`` means uniform.
-    An ``excluded`` pool is always uniform and holds O(|excluded|) memory
-    whatever its frame."""
+    Weights must leave every location a positive draw probability, so
+    ``len(pool)`` locations can be drawn. An ``excluded`` pool is always
+    uniform and holds O(|excluded|) memory whatever its frame."""
 
     support: FixationSet | None = None
     weights: np.ndarray | None = None
@@ -65,6 +66,8 @@ class NegativePool:
         with np.errstate(over="ignore"):
             if not np.isfinite(w.sum()):
                 raise ValueError("pool weights sum past the float range; scale them down")
+        if w.size and w.min() / w.sum() == 0.0:
+            raise ValueError("pool weights span too wide a range: the smallest has probability 0")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -524,11 +527,15 @@ def _lookup(rows_of, n_rows: int, width: int, seg: np.ndarray, words: np.ndarray
 def draw_count(pool: NegativePool, positives: FixationSet) -> int:
     """How many negatives to draw from ``pool`` against ``positives``.
 
-    The one pool-size rule of every sampler and sampled AUC, and the one
-    place a degenerate draw is decided: one negative per positive; an empty
-    pool raises :class:`EmptyPoolError`; empty positives raise
-    :class:`EmptyPositivesError`; a pool smaller than the positives is used
-    whole, with an :class:`UndersizedPoolWarning`."""
+    The one pool-size and frame rule of every sampler and sampled AUC, and
+    the one place a degenerate draw is decided: positives of another frame
+    than the pool's raise :class:`FrameMismatchError` before any size rule;
+    one negative per positive; an empty pool raises :class:`EmptyPoolError`;
+    empty positives raise :class:`EmptyPositivesError`; a pool smaller than
+    the positives is used whole, with an :class:`UndersizedPoolWarning`."""
+    if positives.frame != pool.frame:
+        raise FrameMismatchError(
+            f"positives index a {positives.frame} frame, the pool a {pool.frame} frame")
     if len(pool) == 0:
         raise EmptyPoolError("no negative candidates left after removing the positives")
     if len(positives) == 0:
@@ -548,11 +555,7 @@ def sample_from_pool(pool: NegativePool, positives: FixationSet, seed: int) -> F
     """One negative set: :func:`draw_count` distinct locations of the pool.
 
     Pool positions are in location order, so a seed pins the draw exactly:
-    it is row 0 of :func:`draw_pools` on ``SplitStreams([seed])``. Positives
-    of another frame than the pool's raise :class:`FrameMismatchError`."""
-    if positives.frame != pool.frame:
-        raise FrameMismatchError(
-            f"positives index a {positives.frame} frame, the pool a {pool.frame} frame")
+    it is row 0 of :func:`draw_pools` on ``SplitStreams([seed])``."""
     count = draw_count(pool, positives)
     return FixationSet.from_linear(draw_pools(SplitStreams([seed]), [(pool, count, range(1))])[0][0],
                                    pool.frame)

@@ -290,7 +290,8 @@ def test_global_gaussian_map_is_built_once_per_frame():
         assert all(np.size(part) <= max(w, h) for part in cached)
 
 
-@pytest.mark.parametrize("frame", [(2, 2), (33, 21), (64, 48), (640, 480), (1024, 768)])
+@pytest.mark.parametrize("frame", [(2, 2), (33, 21), (64, 48), (640, 480), (1024, 768),
+                                   (1920, 1080)])
 def test_global_field_reads_the_textbook_frame(frame):
     """``GlobalField.at`` equals the whole frame bit for bit: at every band,
     at slices that start or stop mid-row, and at index arrays of sizes that

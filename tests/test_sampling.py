@@ -584,6 +584,7 @@ def test_weighted_draw_is_pinned_without_generator(monkeypatch):
     np.array([1.0, 0.0, 0.0, 1.0]),
     np.array([1.0, -2.0, 3.0, 1.0]),
     np.full(4, 1e308),                    # finite, but the sum overflows
+    np.array([1e300, 1e-300, 1e-300, 1.0]),  # the smallest probabilities underflow to 0
 ])
 def test_pool_rejects_bad_weights(weights):
     support = FixationSet([(0, 0), (1, 1), (2, 2), (3, 3)], (4, 4))
@@ -601,8 +602,10 @@ def test_draw_rejects_a_negative_count(p):
 
 def test_draw_rejects_a_count_past_the_pool_without_hanging():
     """A count past the pool once looped for ever on a bound that wrapped
-    below zero; the draw runs in a child process, so a hang fails the test
-    at its timeout and does not stop the suite."""
+    below zero, and so did a draw of every location of a pool whose
+    smallest probabilities underflow to 0; the draws run in a child
+    process, so a hang fails the test at its timeout and does not stop the
+    suite."""
     code = ("import numpy as np\n"
             "from salmetric.core import FixationSet\n"
             "from salmetric.sampling import NegativePool, SplitStreams, draw_pools\n"
@@ -611,11 +614,18 @@ def test_draw_rejects_a_count_past_the_pool_without_hanging():
             "    try:\n"
             "        draw_pools(SplitStreams([1]), [(NegativePool(support, p), 7, range(1))])\n"
             "    except ValueError as exc:\n"
-            "        print(exc)\n")
+            "        print(exc)\n"
+            "try:\n"
+            "    pool = NegativePool(FixationSet.from_linear(range(4), (4, 1)),\n"
+            "                        np.array([1e300, 1e-300, 1e-300, 1.0]))\n"
+            "    draw_pools(SplitStreams([1]), [(pool, 3, range(1))])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "cannot draw 7 distinct locations from a pool of 5\n" * 2
+    assert proc.stdout == ("cannot draw 7 distinct locations from a pool of 5\n" * 2
+                           + "pool weights span too wide a range: the smallest has probability 0\n")
 
 
 def test_sample_from_pool_checks_its_frame_and_stream():
@@ -630,15 +640,20 @@ def test_sample_from_pool_checks_its_frame_and_stream():
 
 
 def test_a_frame_mismatch_raises_before_the_undersized_pool_warning():
-    """A call that fails its frame check warns nothing first: the frame is
-    checked before the draw count, which warns of an undersized pool."""
+    """:func:`draw_count` is the one frame check of every draw: it refuses a
+    pool of another frame than the positives before it warns of an
+    undersized pool, and ``sample_from_pool`` and ``auc_averaged`` raise
+    its error in its words, warning nothing first."""
     pool = NegativePool(FixationSet([(0, 0)], (4, 4)))
     positives = FixationSet([(0, 0), (1, 1), (2, 2)], (5, 5))
+    message = re.escape("positives index a (5, 5) frame, the pool a (4, 4) frame")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FrameMismatchError):
+        with pytest.raises(FrameMismatchError, match=f"^{message}$"):
+            draw_count(pool, positives)
+        with pytest.raises(FrameMismatchError, match=f"^{message}$"):
             sample_from_pool(pool, positives, seed=0)
-        with pytest.raises(FrameMismatchError):
+        with pytest.raises(FrameMismatchError, match=f"^{message}$"):
             auc_averaged(GridMap(np.ones((5, 5))), positives, pool, split_streams([0], 3))
 
 
