@@ -221,8 +221,9 @@ def global_gaussian_map(frame: Frame) -> GridMap:
 
 def center_bias_map(frame: Frame) -> DensityMap:
     """Centered Gaussian density, a quarter of the frame wide on each axis:
-    the classic look-at-the-middle baseline."""
+    the classic look-at-the-middle baseline, built in one frame."""
     w, h = int(frame[0]), int(frame[1])
     qx, qy = _axis_terms((w, h), 0.25 * w, 0.25 * h, (w - 1) / 2.0, (h - 1) / 2.0)
-    field = np.exp(-(qy[:, None] + qx[None, :]))
+    field = np.add(qy[:, None], qx[None, :])
+    np.exp(np.negative(field, out=field), out=field)
     return DensityMap._adopt(np.divide(field, field.sum(), out=field))

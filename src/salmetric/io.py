@@ -29,6 +29,7 @@ from .errors import (
     IoFailureError,
     NonFiniteValueError,
     OutOfBoundsFixationError,
+    SalmetricError,
     SchemaError,
     TruncatedPayloadError,
 )
@@ -55,16 +56,19 @@ def write_map(grid: GridMap, path) -> None:
 
 
 def read_map(path) -> GridMap:
-    """Read a float map file or a binary graymap."""
+    """Read a float map file or a binary graymap; an error in it names the file."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
-    if data[:4] == MAP_MAGIC:
-        return _parse_smap(data)
-    if data[:2] == b"P5":
-        return _parse_pgm(data)
+    try:
+        if data[:4] == MAP_MAGIC:
+            return _parse_smap(data)
+        if data[:2] == b"P5":
+            return _parse_pgm(data)
+    except SalmetricError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     raise BadMagicError(f"{path} does not start with a recognized map header")
 
 
@@ -82,12 +86,15 @@ def read_map_frame(path) -> tuple[int, int]:
                 data += fh.read()
     except OSError as exc:
         raise IoFailureError(f"cannot read {path}: {exc}") from exc
-    if data[:4] == MAP_MAGIC:
-        return _smap_frame(data, size)
-    if data[:2] == b"P5":
-        width, height, _, offset, dtype = _pgm_layout(data)
-        _check_raster(len(data) - offset, width * height * dtype.itemsize)
-        return width, height
+    try:
+        if data[:4] == MAP_MAGIC:
+            return _smap_frame(data, size)
+        if data[:2] == b"P5":
+            width, height, _, offset, dtype = _pgm_layout(data)
+            _check_raster(len(data) - offset, width * height * dtype.itemsize)
+            return width, height
+    except SalmetricError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     raise BadMagicError(f"{path} does not start with a recognized map header")
 
 

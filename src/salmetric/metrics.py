@@ -47,61 +47,113 @@ def _check_dims(a: GridMap, b: GridMap):
         raise DimensionMismatchError(f"shapes differ: {a.values.shape} vs {b.values.shape}")
 
 
+def _pairwise_sum(fill, n: int, buf: np.ndarray, lo: int = 0):
+    """``np.sum``, bit for bit, of the ``n`` values from ``lo`` on that
+    ``fill(lo, hi, out)`` writes into ``out``, a block of ``buf`` (all ``n``
+    values or at least 16), called on consecutive ranges in ascending order.
+    numpy sums pairwise (Higham 1993), halving a range at a multiple of 8;
+    this halves it the same way until a block fits ``buf``, and sums that."""
+    if n <= buf.size:
+        fill(lo, lo + n, buf[:n])
+        return np.sum(buf[:n])
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(fill, half, buf, lo) + _pairwise_sum(fill, n - half, buf, lo + half)
+
+
+def _squares(centred):
+    """A ``fill`` that squares what ``centred`` writes."""
+    def fill(lo, hi, out):
+        centred(lo, hi, out)
+        np.multiply(out, out, out=out)
+    return fill
+
+
 def cc(a: GridMap, b: GridMap, total: float = 1.0) -> float:
     """Pearson correlation between two maps over flattened pixels, ``a``'s
-    values read over ``total``; one scratch frame holds those values and
-    then the terms of each sum in turn. Constant input has none."""
+    values read over ``total``; every sum is taken a band at a time by
+    :func:`_pairwise_sum`. Constant input has none."""
     _check_dims(a, b)
     x, y = a.values.ravel(), b.values.ravel()
-    d = np.divide(x, total)
-    mx, my = d.mean(), y.mean()
-    flat = d.min() == d.max() or y.min() == y.max()
-    d -= mx
-    xn = float(np.sqrt(np.multiply(d, d, out=d).sum()))
-    np.subtract(y, my, out=d)
-    yn = float(np.sqrt(np.multiply(d, d, out=d).sum()))
+    n, buf = x.size, np.empty(min(x.size, BAND))
+    mx = _pairwise_sum(lambda lo, hi, out: np.divide(x[lo:hi], total, out=out), n, buf) / n
+    my = y.mean()
+    # rounding is monotone, so min(x / total) is min(x) / total, and so for max
+    flat = x.min() / total == x.max() / total or y.min() == y.max()
+
+    def dx(lo, hi, out):
+        np.subtract(np.divide(x[lo:hi], total, out=out), mx, out=out)
+
+    xn = float(np.sqrt(_pairwise_sum(_squares(dx), n, buf)))
+    yn = float(np.sqrt(_pairwise_sum(
+        _squares(lambda lo, hi, out: np.subtract(y[lo:hi], my, out=out)), n, buf)))
     if flat or xn == 0.0 or yn == 0.0:
         raise ZeroVarianceError("constant input has no correlation")
-    np.subtract(np.divide(x, total, out=d), mx, out=d)
-    for start in range(0, d.size, BAND):
-        d[start:start + BAND] *= y[start:start + BAND] - my
-    return float(d.sum() / (xn * yn))
+
+    def products(lo, hi, out):
+        dx(lo, hi, out)
+        out *= y[lo:hi] - my
+
+    return float(_pairwise_sum(products, n, buf) / (xn * yn))
 
 
 def nss(pred: GridMap, fixations: FixationSet) -> float:
-    """Mean z-scored prediction value at the fixated pixels."""
+    """Mean z-scored prediction value at the fixated pixels; the map's
+    ``std`` is taken a band at a time by :func:`_pairwise_sum`."""
     if len(fixations) == 0:
         raise EmptyFixationsError("no fixations to score")
     v = pred.values
-    std = float(v.std())
+    flat, n, mean = v.ravel(), v.size, v.mean()
+    squares = _squares(lambda lo, hi, out: np.subtract(flat[lo:hi], mean, out=out))
+    std = float(np.sqrt(_pairwise_sum(squares, n, np.empty(min(n, BAND))) / n))
     if std == 0.0 or v.min() == v.max():
         raise ZeroVarianceError("constant map has no z-scores")
-    return float(((pred.values_at(fixations) - v.mean()) / std).mean())
+    return float(((pred.values_at(fixations) - mean) / std).mean())
 
 
 def sim(a: GridMap, b: DensityMap, total: float = 1.0) -> float:
     """Histogram intersection of two densities: sum of elementwise minima,
-    ``a``'s values read over ``total`` into one scratch frame."""
+    ``a``'s values read over ``total``, taken a band at a time by
+    :func:`_pairwise_sum`."""
     _check_dims(a, b)
-    d = np.divide(a.values, total)
-    return float(np.minimum(d, b.values, out=d).sum())
+    x, y = a.values.ravel(), b.values.ravel()
+
+    def minima(lo, hi, out):
+        np.minimum(np.divide(x[lo:hi], total, out=out), y[lo:hi], out=out)
+
+    return float(_pairwise_sum(minima, x.size, np.empty(min(x.size, BAND))))
 
 
 def kld(gt: DensityMap, pred: GridMap, total: float = 1.0) -> float:
     """Divergence of the prediction, its values read over ``total``, from the
-    ground truth, summed over pixels where the ground truth has mass; the
-    terms fill one buffer the size of that support."""
+    ground truth, summed over pixels where the ground truth has mass: the
+    terms are made a band of pixels at a time, in pixel order, and summed by
+    :func:`_pairwise_sum`."""
     _check_dims(gt, pred)
     g, p = gt.values.ravel(), pred.values.ravel()
-    terms, n = np.empty(np.count_nonzero(g)), 0
-    for start in range(0, g.size, BAND):
-        mask = g[start:start + BAND] > 0.0
-        gm = g[start:start + BAND][mask]
-        pm = p[start:start + BAND][mask]
-        np.add(np.divide(pm, total, out=pm), EPS, out=pm)
-        np.multiply(gm, np.log(np.divide(gm, pm, out=pm), out=pm), out=terms[n:n + gm.size])
-        n += gm.size
-    return float(np.sum(terms[:n]))
+    n = sum(int(np.count_nonzero(g[s:s + BAND] > 0.0)) for s in range(0, g.size, BAND))
+
+    def bands():
+        for start in range(0, g.size, BAND):
+            mask = g[start:start + BAND] > 0.0
+            gm, pm = g[start:start + BAND][mask], p[start:start + BAND][mask]
+            np.add(np.divide(pm, total, out=pm), EPS, out=pm)
+            yield np.multiply(gm, np.log(np.divide(gm, pm, out=pm), out=pm), out=pm)
+            del gm, pm  # a band's buffers go before the next band's are made
+
+    terms, held = bands(), np.empty(0)
+
+    def fill(lo, hi, out):
+        nonlocal held
+        while out.size:
+            if not held.size:
+                held = None  # the spent band goes before the next is made
+                held = next(terms)
+            take = min(held.size, out.size)
+            out[:take] = held[:take]
+            out, held = out[take:], held[take:]
+
+    return float(_pairwise_sum(fill, n, np.empty(min(n, BAND))))
 
 
 def ig(pred: DensityMap, fixations: FixationSet, baseline: DensityMap | None = None) -> float:
@@ -226,7 +278,9 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, dr
     ``image_seed`` seeds its tie-break, and ``draws`` maps each sampled AUC
     to its negatives, drawn on the :func:`split_streams` of ``image_seed``:
     one row of locations per split, or the error its draw raised, raised
-    here when that metric's turn comes. The distribution metrics read the
+    here when that metric's turn comes. The tie-break comes first, its
+    error raised at the first AUC's turn; then the image's ground truth is
+    built into ``task``, once per image. The distribution metrics read the
     prediction's density as its values over :func:`_density_scale`, so no
     frame of it is built; a DensityMap is read as it is. Returns the
     id, the scores and the split spread of each sampled AUC."""
@@ -234,6 +288,14 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, dr
     scores: dict = {}
     stds: dict = {}
     scored = total = None
+    if any(name == "auc_judd" or name in SAMPLED_METRICS for name in cfg.metrics):
+        try:
+            scored = _tie_break(pred, cfg.tie_break, image_seed)
+            positives = scored.values_at(fx)
+        except ValueError as err:
+            scored = err
+    if task["gt_density"] is None and any(m in cfg.metrics for m in ("cc", "sim", "kld")):
+        task["gt_density"] = density_from_fixations(fx, task["gt_sigma"])
     for name in cfg.metrics:
         if name in ("cc", "sim", "kld", "ig") and total is None:
             total = _density_scale(pred)
@@ -248,9 +310,8 @@ def _score_image(task: dict, pred: GridMap, cfg: EvalConfig, image_seed: int, dr
         elif name == "nss":
             scores[name] = nss(pred, fx)
         else:
-            if scored is None:
-                scored = _tie_break(pred, cfg.tie_break, image_seed)
-                positives = scored.values_at(fx)
+            if isinstance(scored, Exception):
+                raise scored
             if name == "auc_judd":
                 scores[name] = auc_complement(scored, fx)
                 continue
@@ -268,8 +329,8 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
     per image). Each prediction is taken from its iterable when it is
     scored and dropped before the next is taken, and the image's inputs
     before the next image. The inputs are the ``gt_density`` at
-    ``gt_sigma``, built only for cc, sim and kld, the ig ``baseline`` at the
-    image's fixations, and the pool of each sampled AUC.
+    ``gt_sigma``, which :func:`_score_image` builds, the ig ``baseline`` at
+    the image's fixations, and the pool of each sampled AUC.
 
     :func:`drawn_chunks` takes each image's iterable as ``preds`` yields it,
     and draws its pools on all their rows of the run's one
@@ -279,7 +340,6 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
     values are gathered."""
     asked = {name: SAMPLED_METRICS[name] for name in cfg.metrics if name in SAMPLED_METRICS}
     streams = split_streams([s for image in seeds for s in image], cfg.n_splits) if asked else None
-    needs_gt = any(m in cfg.metrics for m in ("cc", "sim", "kld"))
     baselines = [None] * len(dataset)
     if "ig" in cfg.metrics:
         center = center_bias_map(dataset.frame)
@@ -289,9 +349,9 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
     for i, image_preds, pools, drawn in drawn_chunks(list(asked.values()), dataset, streams, preds,
                                                      math.prod(dataset.frame), cfg.k, cfg.sigma):
         image = dataset.images[i]
-        density = density_from_fixations(image.fixations, gt_sigma) if needs_gt else None
-        task = {"id": image.id, "fixations": image.fixations, "gt_density": density,
-                "baseline": baselines[i], "pools": {name: pools[s] for name, s in asked.items()}}
+        task = {"id": image.id, "fixations": image.fixations, "gt_density": None,
+                "gt_sigma": gt_sigma, "baseline": baselines[i],
+                "pools": {name: pools[s] for name, s in asked.items()}}
         drawn = {name: drawn[s] for name, s in asked.items() if s in drawn}
         image_preds = iter(image_preds)
         for j, image_seed in enumerate(seeds[i]):
@@ -299,7 +359,7 @@ def _score_images(dataset: DatasetIndex, cfg: EvalConfig, preds, seeds: list,
             draws = {name: rows if isinstance(rows, Exception) else rows[j * n:(j + 1) * n]
                      for name, rows in drawn.items()}
             yield _score_image(task, next(image_preds), cfg, image_seed, draws)
-        del density, pools, task, image_preds, drawn, draws
+        del pools, task, image_preds, drawn, draws
 
 
 def _check_frame(image_id: str, frame, dataset: DatasetIndex):

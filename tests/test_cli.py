@@ -566,6 +566,32 @@ def test_constant_graymap_exits_1_from_cc_and_nss(tmp_path, capsys, metric, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _half_smap(stem):
+    path = stem.with_suffix(".smap")
+    write_map(GridMap(np.arange(63.0).reshape(7, 9)), path)
+    path.write_bytes(path.read_bytes()[:16 + 126])
+    return path
+
+
+def _pgm_above_maxval(stem):
+    path = stem.with_suffix(".pgm")
+    path.write_bytes(b"P5\n9 7\n100\n" + bytes([200]) + bytes(62))
+    return path
+
+
+@pytest.mark.parametrize("write, message", [
+    (_half_smap, "payload is 126 bytes, header promises 252"),
+    (_pgm_above_maxval, "graymap code 200 exceeds its maxval 100"),
+], ids=["truncated-smap", "pgm-above-maxval"])
+def test_a_faulty_map_file_exits_1_naming_it(tmp_path, capsys, write, message):
+    """A float map cut short, found from its header, and a graymap with a
+    code above its maxval, found when it is read, each exit 1 with one line
+    that names the file, and write no report."""
+    paths = []
+    assert one_image_run(tmp_path, lambda stem: paths.append(write(stem)), "cc") == (1, False)
+    assert capsys.readouterr().err == f"error: {paths[0]}: {message}\n"
+
+
 @pytest.mark.parametrize("metrics", ["cc", "sim", "kld", "ig", "cc,nss", "nss,cc"])
 @pytest.mark.parametrize("values, message", [
     (np.arange(63.0).reshape(7, 9) - 0.5, "map has negative values"),

@@ -339,6 +339,24 @@ def test_center_bias_corner_ratio_matches_formula():
     assert center / corner > 50
 
 
+def test_center_bias_builds_in_one_frame():
+    """The centre-bias field is summed, negated, exponentiated and
+    normalized in place: at 640×480 the tracemalloc peak of one build stays
+    within 1.2 frames, and the map is the textbook expression's to the bit."""
+    w, h = 640, 480
+    tracemalloc.start()
+    try:
+        d = center_bias_map((w, h))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * w * h * 8, f"peak {peak / (w * h * 8):.2f} frames"
+    qx = (np.arange(w) - (w - 1) / 2.0) ** 2 / (2.0 * (0.25 * w) ** 2)
+    qy = (np.arange(h) - (h - 1) / 2.0) ** 2 / (2.0 * (0.25 * h) ** 2)
+    field = np.exp(-(qy[:, None] + qx[None, :]))
+    assert np.array_equal(d.values, field / field.sum())
+
+
 def test_dataset_sigma_defaults():
     assert sigma_for_dataset("Toronto") == 20.0
     assert sigma_for_dataset("MIT1003") == 24.0

@@ -21,6 +21,7 @@ from salmetric.core import (
 from salmetric.errors import (
     DimensionMismatchError,
     EmptyFixationsError,
+    InvalidSigmaError,
     MissingPredictionError,
     SalmetricError,
     UndersizedPoolWarning,
@@ -172,8 +173,8 @@ def test_kld_examples():
 
 
 def test_kld_equals_the_masked_expression():
-    """kld makes its terms a band at a time into one scratch frame; it must
-    keep the bits of the whole-frame masked form."""
+    """kld makes its terms a band at a time and sums them a band at a time;
+    it must keep the bits of the whole-frame masked form."""
     rng = np.random.default_rng(4)
     for shape in CC_SHAPES[1:]:
         g = rng.random(shape) * (rng.random(shape) < 0.4)
@@ -184,6 +185,74 @@ def test_kld_equals_the_masked_expression():
         expected = float(np.sum(gt.values[mask] * np.log(
             gt.values[mask] / (pred.values[mask] + metrics_module.EPS))))
         assert kld(gt, pred) == expected
+
+
+# sizes about the pairwise blocks, one band and numpy's own splits, and
+# whole frames up to 1920x1080
+PAIRWISE_SIZES = [*range(301), BAND - 1, BAND, BAND + 1, 2 * BAND + 7, 19_200, 307_200,
+                  786_432, 2_073_600]
+
+
+def test_pairwise_sum_is_np_sum_bit_for_bit():
+    """A sum taken block by block in a buffer of one band keeps numpy's own
+    pairwise order: it equals ``np.sum`` of the whole array to the bit, and
+    ``.mean()`` and ``.std()`` of a frame are its sums over the size."""
+    rng = np.random.default_rng(11)
+    sizes = PAIRWISE_SIZES + rng.integers(BAND + 1, 4 * BAND + 1, 50).tolist()
+    draws = (lambda n: rng.random(n), lambda n: rng.standard_normal(n) * 1e3,
+             lambda n: 10.0 ** rng.uniform(-6, 6, n) * rng.choice([-1.0, 1.0], n))
+    for draw in draws:
+        for n in sizes:
+            x = draw(n)
+            total = metrics_module._pairwise_sum(lambda lo, hi, out: np.copyto(out, x[lo:hi]),
+                                                 n, np.empty(min(n, BAND)))
+            assert np.float64(total).tobytes() == np.sum(x).tobytes(), n
+    v = rng.random((480, 640)) ** 3
+    flat = v.ravel()
+    buf = np.empty(BAND)
+    mean = metrics_module._pairwise_sum(lambda lo, hi, out: np.copyto(out, flat[lo:hi]),
+                                        v.size, buf) / v.size
+
+    def squares(lo, hi, out):
+        np.multiply(np.subtract(flat[lo:hi], mean, out=out), out, out=out)
+
+    assert mean == v.mean()
+    assert np.sqrt(metrics_module._pairwise_sum(squares, v.size, buf) / v.size) == v.std()
+
+
+@pytest.mark.parametrize("shape", [(48, 64), (120, 160), (480, 640)],
+                         ids=["one-band", "two-bands", "19-bands"])
+def test_banded_scores_equal_the_whole_frame_formulas(shape):
+    """cc, nss, sim and kld sum a band at a time; each must equal its
+    whole-frame numpy formula under ``==``, for a plain map read over its
+    mass (a total other than 1), a density, and a ground truth with holes in
+    its support."""
+    h, w = shape
+    rng = np.random.default_rng(h)
+    fx = FixationSet.from_linear(rng.choice(w * h, 30, replace=False), (w, h))
+    eps = metrics_module.EPS
+
+    def whole(a, b, total):
+        d, y = a / total, b
+        xd, yd = d - d.mean(), y - y.mean()
+        pearson = float((xd * yd).sum() / (float(np.sqrt((xd * xd).sum()))
+                                           * float(np.sqrt((yd * yd).sum()))))
+        mask = b > 0.0
+        divergence = float(np.sum(b[mask] * np.log(b[mask] / (a[mask] / total + eps))))
+        return pearson, float(np.minimum(d, b).sum()), divergence
+
+    holes = rng.random(shape) * (rng.random(shape) < 0.4)
+    truths = [density_from_fixations(fx, 3.0), normalize_to_density(GridMap(holes))]
+    assert all((gt.values == 0.0).any() for gt in truths)
+    plain = rng.random(shape) ** 4 * 7.0
+    for a, total in ((plain, float(plain.sum())), (plain, 3.5),
+                     (normalize_to_density(GridMap(plain)).values, 1.0)):
+        pred = GridMap(a)
+        for gt in truths:
+            expected = whole(a, gt.values, total)
+            assert (cc(pred, gt, total), sim(pred, gt, total), kld(gt, pred, total)) == expected
+        z = float(((a.ravel()[fx.linear] - a.mean()) / a.std()).mean())
+        assert nss(pred, fx) == z
 
 
 def test_kld_nonnegative_random():
@@ -801,6 +870,44 @@ def test_ig_only_evaluate_builds_no_ground_truth_density(monkeypatch):
     assert calls == []
 
 
+def test_the_tie_break_comes_before_the_ground_truth_and_raises_at_its_turn(monkeypatch):
+    """The kernel tie-breaks before it builds the ground truth, so the
+    sorted copy is gone first; a failing tie-break is still raised at the
+    first AUC's turn, after the metrics before it, and a failing density
+    build before any metric."""
+    ds, preds = make_eval_inputs()
+    calls = []
+
+    def failing_tie_break(*args):
+        calls.append("tie-break")
+        raise ValueError("map values must be finite")
+
+    def density(fixations, sigma):
+        calls.append("density")
+        return density_from_fixations(fixations, sigma)
+
+    def scoring(name, score):
+        def recording(*args):
+            calls.append(name)
+            return score(*args)
+        return recording
+
+    monkeypatch.setattr(metrics_module, "_tie_break", failing_tie_break)
+    monkeypatch.setattr(metrics_module, "density_from_fixations", density)
+    monkeypatch.setattr(metrics_module, "cc", scoring("cc", cc))
+    config = EvalConfig(metrics=("cc", "auc_judd", "sim"))
+    with pytest.raises(ValueError, match="^map values must be finite$"):
+        evaluate_all(ds, preds, config)
+    assert calls == ["tie-break", "density", "cc"]
+
+    def failing_density(fixations, sigma):
+        raise InvalidSigmaError("no density")
+
+    monkeypatch.setattr(metrics_module, "density_from_fixations", failing_density)
+    with pytest.raises(InvalidSigmaError, match="^no density$"):
+        evaluate_all(ds, preds, config)
+
+
 def test_cc_with_fn_auc_builds_each_density_once(monkeypatch):
     """The neighbour matrix blurs the fixation maps in its own row bands, so
     the ground-truth densities are built once each, when their image is
@@ -982,23 +1089,12 @@ def test_scoring_keeps_one_image_inputs_alive(metrics):
         assert after - before < budget, f"{name} peak grew {after - before} bytes"
 
 
-@pytest.mark.parametrize("metrics, as_read", [(("auc_judd", "auc_borji", "ig"), False),
-                                               (ALL_METRICS, True)],
-                         ids=["judd-borji-ig", "all-nine"])
-def test_scoring_holds_under_three_frames(metrics, as_read):
-    """AUC-Judd counts against the tie-broken values a band at a time, the
-    sampled AUCs read them only where they look, AUC-Borji draws pool
-    positions without building the complement, the ig baseline is kept at
-    the fixations, cc and sim each work in one scratch frame and kld in one
-    buffer the size of the ground truth's support, each reading the
-    prediction's density as its values over its mass so that no frame of it
-    is built, the blur adds into its unpadded output, and the global
-    tie-break field is read from its axis terms, so no frame of it is kept:
-    on 3 images at 320×240 the tracemalloc peak of the first
-    ``evaluate_all`` stays below 3 whole frames of float64, with the
-    predictions built beforehand, as densities or as the plain maps
+def _first_run_frames(frame, n_images, metrics, as_read):
+    """The tracemalloc peak of the first ``evaluate_all`` on ``n_images`` at
+    ``frame`` (30 fixations, cluster σ 19, seed 0), in frames of float64,
+    with the predictions built beforehand, as densities or as the plain maps
     ``evaluate`` reads."""
-    ds = gen_dataset(SynthConfig(n_images=3, frame=(320, 240), fixations_per_image=30,
+    ds = gen_dataset(SynthConfig(n_images=n_images, frame=frame, fixations_per_image=30,
                                  cluster_sigma=19.0, seed=0))
     preds = {rec.id: density_from_fixations(rec.fixations, ds.sigma) for rec in ds.images}
     if as_read:
@@ -1010,5 +1106,29 @@ def test_scoring_holds_under_three_frames(metrics, as_read):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    frame_bytes = 320 * 240 * 8
-    assert peak < 3 * frame_bytes, f"peak {peak / frame_bytes:.2f} frames"
+    return peak / (frame[0] * frame[1] * 8)
+
+
+@pytest.mark.parametrize("metrics, as_read", [(("auc_judd", "auc_borji", "ig"), False),
+                                               (ALL_METRICS, True)],
+                         ids=["judd-borji-ig", "all-nine"])
+def test_scoring_holds_under_three_frames(metrics, as_read):
+    """AUC-Judd counts against the tie-broken values a band at a time, the
+    sampled AUCs read them only where they look, AUC-Borji draws pool
+    positions without building the complement, the ig baseline is kept at
+    the fixations, cc, nss, sim and kld sum a band at a time, reading the
+    prediction's density as its values over its mass so that no frame of it
+    is built, the tie-break's sorted copy goes before the ground truth is
+    built, the blur adds into its unpadded output, and the global tie-break
+    field is read from its axis terms, so no frame of it is kept: on 3
+    images at 320×240 the first ``evaluate_all`` stays below 2 frames."""
+    frames = _first_run_frames((320, 240), 3, metrics, as_read)
+    assert frames < 2.0, f"peak {frames:.2f} frames"
+
+
+def test_scoring_holds_two_frames_and_a_band_at_640x480():
+    """On 4 images at 640×480 the first all-nine ``evaluate_all`` of plain
+    maps holds the ground truth, one band and the blur's lines: at most
+    1.5 frames beyond its predictions."""
+    frames = _first_run_frames((640, 480), 4, ALL_METRICS, True)
+    assert frames <= 1.5, f"peak {frames:.2f} frames"
